@@ -18,7 +18,7 @@ import numpy as np
 from .domains import Ball, ConvexDomain, Product, polygon_approximation
 from .gauss import restricted_sample, sample_gaussian
 from .engines.grid import grid_build, grid_apply
-from .engines.montecarlo import evolve_starts, simulate_endpoints_coupled
+from .engines.montecarlo import evolve_starts
 from .inequalities import InequalityReport, _mean_se
 
 

@@ -8,6 +8,7 @@ path used by the reflected-path engine.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,13 @@ class HalfspaceIntersection(ConvexDomain):
         return pts @ self.normals.T - self.offsets
 
     def _contains(self, pts, tol):
-        return np.all(self._violations(pts) <= tol, axis=1)
+        balls = getattr(self, "_balls", None)
+        if balls is None:
+            return np.all(self._violations(pts) <= tol, axis=1)
+        inside, outside = balls.sure(pts, tol)
+        rest = _undecided(inside | outside)
+        inside[rest] = np.all(self._violations(pts[rest]) <= tol, axis=1)
+        return inside
 
     @property
     def vertices(self) -> np.ndarray:
@@ -167,6 +174,16 @@ class HalfspaceIntersection(ConvexDomain):
         return cached
 
     def _project(self, pts):
+        balls = getattr(self, "_balls", None)
+        if balls is None:
+            return self._project_by_faces(pts)
+        inside, _ = balls.sure(pts, 0.0)
+        rest = _undecided(inside)
+        out = pts.copy()
+        out[rest] = self._project_by_faces(pts[rest])
+        return out
+
+    def _project_by_faces(self, pts):
         viol = self._violations(pts)
         worst = viol.max(axis=1)
         out = pts.copy()
@@ -404,22 +421,99 @@ class Product(ConvexDomain):
                 "free_dims": int(self.free_dims)}
 
 
+# Exactness of the two-ball shortcut. Write u = 2**-53, c and r for the
+# recorded centre and inradius, d = p - c, S = r + |tol| + |c|, and
+# eta = UNIT_TOL + 2u, which bounds ||n_j| - 1| for every normal that passed
+# the unit check of HalfspaceIntersection. The face path computes
+# v_j = fl(x_j - b_j) with x_j = fl(p . n_j) and b_j = fl(fl(n_j . c) + r).
+# A two-term dot product errs by at most 2.01u |p| |n_j|, with or without
+# a fused multiply-add, so
+#     |(x_j - b_j) - (d . n_j - r)| <= 2.02u |d| + 5.05u |c| + u r.      (1)
+# Rounding is monotone, so v_j <= tol once x_j - b_j <= tol, and v_j > tol
+# once x_j - b_j > tol + 2u |tol|.
+# Inside: d . n_j <= (1 + eta) |d|, so by (1) every v_j <= tol when
+#     |d| <= r + tol - BALL_SLACK * S.
+# Outside: each direction lies between two neighbouring normals. The
+# computed cosine k of the largest half-angle between them (recorded as
+# r / circumradius; k >= 1/2 for n >= 3) is within 1.02 eta + 3.1u of the
+# exact one, so some d . n_j >= |d| (k - 2.02 eta - 3.1u), and by (1)
+# some v_j > tol when
+#     |d| > (r + tol + BALL_SLACK * S) / (k - BALL_SLACK).
+# BALL_SLACK = 4 UNIT_TOL exceeds every coefficient of S and of |d| above
+# (2.02 eta + 6u at most) by nearly 2 UNIT_TOL, which leaves room for the
+# rounding of |d|^2, of the two radii and of r / circumradius (under
+# 16u (S + |d|) in all). The bound is derived, not tuned: a point that
+# passes either test gets exactly the answer of the face path.
+BALL_SLACK = 4.0 * UNIT_TOL
+# violations held at once by the vertex enumeration's feasibility test
+# (512 kB: a block stays in cache, which made the 1024-gon faster than
+# larger blocks did)
+VERTEX_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class _TwoBalls:
+    """Inscribed and circumscribed balls of a ``polygon_approximation``."""
+
+    center: np.ndarray
+    inradius: float
+    circumradius: float
+
+    def radii(self, tol):
+        """Distances from the centre within which every face violation
+        surely rounds to <= ``tol``, and beyond which one surely rounds to
+        > ``tol`` (see BALL_SLACK)."""
+        r, big_r = self.inradius, self.circumradius
+        slack = BALL_SLACK * (r + abs(tol) + float(np.linalg.norm(self.center)))
+        return (r + tol - slack,
+                (r + tol + slack) * big_r / (r - BALL_SLACK * big_r))
+
+    def sure(self, pts, tol):
+        """Masks of the rows inside the inner and beyond the outer radius."""
+        inner, outer = self.radii(tol)
+        d = pts - self.center
+        dist2 = np.einsum("ij,ij->i", d, d)
+        return (dist2 <= math.copysign(inner * inner, inner),
+                dist2 > math.copysign(outer * outer, outer))
+
+
+def _undecided(decided):
+    """Rows the face path must still settle: those not ``decided``.
+
+    A one-row matmul goes through gemv, which rounds differently from the
+    gemm of a taller batch, so a lone undecided row is joined by a decided
+    one; the face path gives that row the answer it already has.
+    """
+    rest = ~decided
+    if np.count_nonzero(rest) == 1 < len(rest):
+        rest[np.argmin(rest)] = True
+    return rest
+
+
 def _polygon_vertices(normals, offsets, tol=1e-9):
-    """Feasible intersections of face-line pairs of a 2D half-space system."""
-    m = len(offsets)
-    verts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            mat = np.array([normals[i], normals[j]])
-            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            if abs(det) < 1e-12:
-                continue
-            v = np.linalg.solve(mat, np.array([offsets[i], offsets[j]]))
-            if np.all(normals @ v - offsets <= tol):
-                verts.append(v)
-    if not verts:
+    """Feasible intersections of face-line pairs of a 2D half-space system.
+
+    Pairs come in the order (0, 1), (0, 2), ..., (1, 2), ...; nearly
+    parallel pairs are skipped. All pairs go through one batched solve; the
+    feasibility test runs over blocks of pairs, so it holds at most
+    ``VERTEX_BLOCK`` violations at a time however many faces there are.
+    """
+    i, j = np.triu_indices(len(offsets), 1)
+    det = normals[i, 0] * normals[j, 1] - normals[i, 1] * normals[j, 0]
+    keep = np.abs(det) >= 1e-12
+    i, j = i[keep], j[keep]
+    mats = np.stack([normals[i], normals[j]], axis=1)
+    rhs = np.stack([offsets[i], offsets[j]], axis=1)[:, :, None]
+    verts = np.linalg.solve(mats, rhs)[:, :, 0]
+    feasible = np.empty(len(verts), dtype=bool)
+    block = max(1, VERTEX_BLOCK // len(offsets))
+    for start in range(0, len(verts), block):
+        viol = verts[start:start + block] @ normals.T
+        viol -= offsets
+        feasible[start:start + block] = viol.max(axis=1) <= tol
+    verts = verts[feasible]
+    if not len(verts):
         return np.empty((0, 2))
-    verts = np.array(verts)
     rounded = np.round(verts / 1e-9) * 1e-9
     _, unique_idx = np.unique(rounded, axis=0, return_index=True)
     return verts[np.sort(unique_idx)]
@@ -465,7 +559,13 @@ def polygon_approximation(ball: Ball, n: int) -> HalfspaceIntersection:
 
     Face j is tangent to the ball in direction ``(cos, sin)(2 pi j / n)``,
     so every n-gon contains the ball and the doubling sequence
-    n, 2n, 4n, ... is nested decreasing.
+    n, 2n, 4n, ... is nested decreasing. The source ball is recorded as
+    the n-gon's inscribed ball, together with its circumradius
+    ``r / cos(pi / n)``: points well inside the inscribed ball or well
+    outside the circumscribed one skip the violation matrix in
+    ``project`` and ``contains``, with bit for bit the same result. A
+    polygon rebuilt from ``to_config`` has no record and takes the full
+    path.
     """
     if not isinstance(ball, Ball) or ball.dim != 2:
         raise UnsupportedDimension("polygon approximation needs a 2D ball")
@@ -474,7 +574,17 @@ def polygon_approximation(ball: Ball, n: int) -> HalfspaceIntersection:
     angles = 2.0 * np.pi * np.arange(n) / n
     normals = np.column_stack([np.cos(angles), np.sin(angles)])
     offsets = normals @ ball.center + ball.radius
-    return HalfspaceIntersection(normals=normals, offsets=offsets)
+    gon = HalfspaceIntersection(normals=normals, offsets=offsets)
+    # cos(pi/n) as the stored normals have it: the cosine of the largest
+    # half-angle between neighbouring normals
+    cos_half = np.sqrt(
+        (1.0 + np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0)))
+        / 2.0).min()
+    radius = float(ball.radius)
+    object.__setattr__(gon, "_balls", _TwoBalls(
+        center=ball.center, inradius=radius,
+        circumradius=radius / float(cos_half)))
+    return gon
 
 
 def truncation_box(domain: ConvexDomain, tail_mass: float):

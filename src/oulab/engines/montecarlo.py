@@ -108,22 +108,19 @@ def reflected_path(domain: ConvexDomain, x0, t: float, h: float = DEFAULT_STEP,
 
 
 def _reduce(values: np.ndarray, chunk: int = 65536):
-    """Order-independent mean and standard error via compensated sums."""
+    """Order-independent mean and standard error via compensated sums.
+
+    The mean comes from exact (fsum) totals of the chunk sums; the variance
+    from a second pass over the chunks, centred on that mean, so a large
+    common offset cannot cancel it away.
+    """
     n = len(values)
-    sums, sqs = [], []
-    for start in range(0, n, chunk):
-        part = values[start:start + chunk]
-        sums.append(float(np.sum(part)))
-        sqs.append(float(np.sum(part * part)))
-    total = math.fsum(sums)
-    total_sq = math.fsum(sqs)
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
-    return mean, se
+    parts = [values[start:start + chunk] for start in range(0, n, chunk)]
+    mean = math.fsum(float(np.sum(part)) for part in parts) / n
+    if n < 2:
+        return mean, 0.0
+    m2 = math.fsum(float(np.sum((part - mean) ** 2)) for part in parts)
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 def mc_apply(f, domain: ConvexDomain, t: float, x, n_paths: int,

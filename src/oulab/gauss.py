@@ -115,11 +115,6 @@ def sample_gaussian(dim: int, count: int, seed: int) -> np.ndarray:
     return rng.standard_normal((count, dim))
 
 
-def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    """Deterministic independent sub-streams of a root seed."""
-    return np.random.SeedSequence(seed).spawn(n)
-
-
 @dataclass(frozen=True)
 class Estimate:
     """A Monte Carlo scalar with its standard error."""

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from oulab.domains import (Ball, CornerPoint, DimensionMismatch,
-                           HalfspaceIntersection, NoConvergence, Product, Slab,
-                           UnsupportedDimension, WholeSpace, _dykstra,
+from oulab.domains import (CONTAINS_TOL, DYKSTRA_TOL, Ball, CornerPoint,
+                           DimensionMismatch, HalfspaceIntersection,
+                           NoConvergence, Product, Slab, UnsupportedDimension,
+                           WholeSpace, _dykstra, _polygon_vertices,
                            domain_from_config, half_line, interval,
                            polygon_approximation, truncation_box)
+from oulab.engines.montecarlo import evolve_starts
 
 
 def quadrant():
@@ -169,6 +172,128 @@ def test_polygon_rejects_wrong_dimension():
         polygon_approximation(Ball(center=[0.0], radius=1.0), 8)
     with pytest.raises(ValueError):
         polygon_approximation(Ball(center=[0.0, 0.0], radius=1.0), 2)
+
+
+SHORTCUT_BALLS = [Ball(center=[0.0, 0.0], radius=1.0),
+                  Ball(center=[0.3, -1.7], radius=1.3)]
+
+
+def _shell_points(ball, n, radii, rng):
+    """Points at relative distances 1e-16..1e-9 on both sides of each
+    radius, along face normals, vertex directions and random angles."""
+    angles = np.concatenate([np.pi * np.arange(2 * n) / n,
+                             rng.uniform(0.0, 2.0 * np.pi, 64)])
+    rel = np.array([1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+    scale = np.concatenate([1.0 - rel, [1.0], 1.0 + rel])
+    dist = np.outer(np.asarray(radii, dtype=float), scale).ravel()
+    rows = np.stack(np.meshgrid(dist, angles, indexing="ij"), -1).reshape(-1, 2)
+    unit = np.column_stack([np.cos(rows[:, 1]), np.sin(rows[:, 1])])
+    return ball.center + rows[:, :1] * unit
+
+
+@pytest.mark.parametrize("n", [3, 4, 16, 256])
+@pytest.mark.parametrize("ball", SHORTCUT_BALLS, ids=["unit", "offcentre"])
+def test_polygon_shortcut_is_exact(ball, n):
+    # the rebuilt polygon has no recorded balls, so it runs the face path
+    # on every row: the shortcut must not change a single bit
+    gon = polygon_approximation(ball, n)
+    rebuilt = domain_from_config(gon.to_config())
+    assert gon.to_config() == rebuilt.to_config()
+    rng = np.random.default_rng(n)
+    cos_n = math.cos(math.pi / n)
+    radii = [ball.radius, ball.radius / cos_n]
+    for tol in (0.0, DYKSTRA_TOL, CONTAINS_TOL):
+        radii += list(gon._balls.radii(tol))
+        radii.append((ball.radius + tol) / cos_n)
+    pts = np.concatenate([_shell_points(ball, n, radii, rng),
+                          rng.standard_normal((1000, 2))])
+    assert np.array_equal(gon.project(pts), rebuilt.project(pts))
+    for tol in (0.0, DYKSTRA_TOL, CONTAINS_TOL, 0.5):
+        assert np.array_equal(gon.contains(pts, tol),
+                              rebuilt.contains(pts, tol))
+    # single points, and one undecided row beside a decided one: numpy
+    # sends a one-row matmul through gemv, which rounds differently
+    for p in pts[::len(pts) // 300]:
+        pair = np.stack([ball.center, p])
+        assert np.array_equal(gon.project(p), rebuilt.project(p))
+        assert np.array_equal(gon.project(pair), rebuilt.project(pair))
+        assert np.array_equal(gon.contains(pair), rebuilt.contains(pair))
+
+
+def test_polygon_shortcut_coupled_paths_are_exact():
+    ball = SHORTCUT_BALLS[1]
+    gon = polygon_approximation(ball, 256)
+    rebuilt = domain_from_config(gon.to_config())
+    starts = np.repeat(ball.center[None, :], 2000, axis=0)
+    ends_gon, ends_rebuilt = evolve_starts([gon, rebuilt], starts, 0.5,
+                                           1e-2, seed=4)
+    assert np.array_equal(ends_gon, ends_rebuilt)
+    # some paths end on the boundary, so the face path did run
+    assert not gon.contains(ends_gon, tol=-1e-9).all()
+
+
+def _reference_vertices(normals, offsets, tol=1e-9):
+    """The pairwise loop the batched enumeration replaced."""
+    m = len(offsets)
+    verts = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            mat = np.array([normals[i], normals[j]])
+            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+            if abs(det) < 1e-12:
+                continue
+            v = np.linalg.solve(mat, np.array([offsets[i], offsets[j]]))
+            if np.all(normals @ v - offsets <= tol):
+                verts.append(v)
+    if not verts:
+        return np.empty((0, 2))
+    verts = np.array(verts)
+    rounded = np.round(verts / 1e-9) * 1e-9
+    _, unique_idx = np.unique(rounded, axis=0, return_index=True)
+    return verts[np.sort(unique_idx)]
+
+
+def _vertex_panel():
+    panel = [pytest.param(polygon_approximation(ball, n), id=f"gon{n}-{name}")
+             for n in (3, 4, 5, 16, 64, 256)
+             for name, ball in zip(("unit", "offcentre"), SHORTCUT_BALLS)]
+    s = 1.0 / math.sqrt(2.0)
+    panel += [
+        # x <= 2 only touches the vertex (2, 0) of the triangle
+        pytest.param(HalfspaceIntersection(
+            normals=[[-1.0, 0.0], [0.0, -1.0], [s, s], [1.0, 0.0]],
+            offsets=[0.0, 0.0, 2.0 * s, 2.0]), id="redundant"),
+        pytest.param(HalfspaceIntersection(
+            normals=[[1.0, 0.0], [-1.0, 0.0]], offsets=[1.0, 1.0]),
+            id="parallel"),
+        pytest.param(quadrant(), id="quadrant"),
+    ]
+    return panel
+
+
+@pytest.mark.parametrize("dom", _vertex_panel())
+def test_polygon_vertices_match_pairwise_loop(dom):
+    expected = _reference_vertices(dom.normals, dom.offsets)
+    got = _polygon_vertices(dom.normals, dom.offsets)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_polygon_vertices_memory_is_bounded():
+    # all 523,776 face pairs of a 1024-gon against all faces would be a
+    # 4 GB feasibility matrix; with row blocks the peak is the per-pair
+    # arrays, about 50 MB
+    gon = polygon_approximation(Ball(center=[0.0, 0.0], radius=1.0), 1024)
+    tracemalloc.start()
+    try:
+        verts = gon.vertices
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verts.shape == (1024, 2)
+    assert np.allclose(np.linalg.norm(verts, axis=1),
+                       1.0 / math.cos(math.pi / 1024))
+    assert peak < 256e6
 
 
 def test_truncation_box_matches_tail_formula():

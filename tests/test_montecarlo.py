@@ -11,6 +11,7 @@ from oulab.engines.montecarlo import (_reduce, evolve_starts, mc_apply,
                                       simulate_endpoints)
 from oulab.engines.observables import dirichlet_energy, mean_value
 from oulab.expr import const, coordinate, from_profile, var
+from oulab.inequalities import _mean_se
 
 
 def test_time_zero_is_identity():
@@ -99,6 +100,16 @@ def test_reduction_is_chunk_order_independent():
         assert mean_a == mean_b and se_a == se_b
     assert abs(mean_a - math.fsum(values.tolist()) / len(values)) < 1e-15
     assert se_a > 0
+
+
+def test_reduction_survives_a_large_offset():
+    # a one-pass sum of squares cancels away the variance of 1e-3 noise
+    # on top of 1e6; the centred second pass keeps it
+    values = 1e6 + 1e-3 * np.random.default_rng(0).standard_normal(200_000)
+    mean, se = _reduce(values)
+    ref_mean, ref_se = _mean_se(values)
+    assert abs(mean - ref_mean) < 1e-9
+    assert abs(se - ref_se) <= 0.01 * ref_se
 
 
 def test_mc_apply_many_shares_endpoints():
