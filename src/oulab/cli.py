@@ -16,17 +16,15 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, load_default_config
-from .cylapprox import convergence_study, factorization_check
+from .config import (BUDGET_FORMATS, CHECK_KINDS, ConfigError, RunConfig,
+                     load_config, load_default_config)
+from .cylapprox import convergence_study
 from .engines.grid import grid_build, grid_apply, grid_spectrum
-from .inequalities import (InequalityReport, check_decay, check_entropy,
-                           check_gradient_bound, check_invariance,
-                           check_logsob, check_poincare,
-                           check_positivity_and_contraction,
-                           check_submultiplicative)
+from .inequalities import InequalityReport
 
 
 def _fmt(value) -> str:
@@ -52,63 +50,20 @@ def _csv(rows, header) -> str:
 
 
 def _run_one_check(cfg: RunConfig, index: int, check: dict):
-    kind = check["kind"]
-    seed = int(check.get("seed", cfg.seed + 1000 * index))
-    res = cfg.budget("grid_resolution", check)
-    paths = int(cfg.budget("mc_paths", check))
-    step = float(cfg.budget("mc_step", check))
-    samples = int(cfg.budget("samples", check))
-    t = float(check.get("t", 0.5))
-
-    if kind == "factorization":
-        base = cfg.domain(check["base"])
-        fn = cfg.function(check["function"])
-        report = factorization_check(
-            fn, base, int(check.get("free_dims", 1)), t,
-            n_points=int(check.get("points", 10)), n_paths=paths, h=step,
-            resolution=res, seed=seed)
-        return [report], "monte_carlo+grid", f"paths={paths};h={step};resolution={res}", seed
-
-    dom = cfg.domain(check["domain"])
-    fn = cfg.function(check["function"]) if "function" in check else None
-    if kind == "poincare":
-        reports = [check_poincare(fn, dom, n_samples=samples, seed=seed)]
-        return reports, "sampled", f"samples={samples}", seed
-    if kind == "log_sobolev":
-        reports = [check_logsob(fn, dom, n_samples=samples, seed=seed)]
-        return reports, "sampled", f"samples={samples}", seed
-    if kind == "gradient_bound":
-        reports = [check_gradient_bound(
-            fn, dom, t, resolution=res,
-            n_steps=int(cfg.budget("cn_steps", check)))]
-        return reports, "grid", f"resolution={res}", seed
-    if kind == "submultiplicative":
-        g = cfg.function(check["function2"])
-        reports = [check_submultiplicative(
-            fn, g, dom, t, n_panel=int(check.get("panel", 10)),
-            n_paths=paths, h=step, seed=seed)]
-        return reports, "monte_carlo", f"paths={paths};h={step}", seed
-    if kind == "invariance":
-        engine = check.get("engine", "monte_carlo")
-        reports = [check_invariance(fn, dom, t, engine=engine, n_paths=paths,
-                                    h=step, resolution=res, seed=seed)]
-        budget = f"resolution={res}" if engine == "grid" \
-            else f"paths={paths};h={step}"
-        return reports, engine, budget, seed
-    if kind == "decay":
-        times = [float(v) for v in check.get("times", [0.5, 1.0])]
-        reports = check_decay(fn, dom, times, resolution=res)
-        return reports, "grid", f"resolution={res}", seed
-    if kind == "positivity_contraction":
-        reports = [check_positivity_and_contraction(fn, dom, t, resolution=res)]
-        return reports, "grid", f"resolution={res}", seed
-    if kind == "entropy":
-        times = [float(v) for v in check.get(
-            "times", np.linspace(0.0, 4.0, 21))]
-        reports = check_entropy(fn, dom, times, resolution=res,
-                                floor=float(check.get("floor", 1e-6)))
-        return reports, "grid", f"resolution={res}", seed
-    raise ConfigError(f"check {index}: unhandled kind {kind!r}")
+    kind = CHECK_KINDS[check["kind"]]
+    b = SimpleNamespace(
+        seed=int(check.get("seed", cfg.seed + 1000 * index)),
+        t=float(check.get("t", 0.5)),
+        engine=check.get("engine", kind.engines[0]),
+        samples=int(cfg.budget("samples", check)),
+        paths=int(cfg.budget("mc_paths", check)),
+        step=float(cfg.budget("mc_step", check)),
+        res=cfg.budget("grid_resolution", check),
+        cn_steps=int(cfg.budget("cn_steps", check)))
+    reports = kind.run(check, b, cfg.domain(check[kind.domain_key]),
+                       *(cfg.function(check[k]) for k in kind.function_keys))
+    budget = BUDGET_FORMATS[b.engine].format(**vars(b))
+    return reports, b.engine, budget, b.seed
 
 
 def _apply_rhs_scale(report: InequalityReport, scale: float) -> InequalityReport:
@@ -166,7 +121,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_spectrum(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
+def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.spectrum
     names = spec.get("domains", list(cfg.domains))
     count = int(spec.get("count", 4))
@@ -186,7 +141,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     return 0
 
 
-def cmd_evolve(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
+def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.evolve
     dom = cfg.domain(spec["domain"])
     fn = cfg.function(spec["function"])
@@ -210,7 +165,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     return 0
 
 
-def cmd_converge(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
+def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.converge
     ball = cfg.domain(spec["ball"])
     fn = cfg.function(spec["function"])
@@ -269,7 +224,9 @@ def main(argv=None) -> int:
         cfg.seed = args.seed
     out_dir = args.out if args.out is not None else cfg.output_dir
     try:
-        return _COMMANDS[args.command](cfg, out_dir, jobs=max(1, args.jobs))
+        if args.command == "verify":
+            return cmd_verify(cfg, out_dir, jobs=max(1, args.jobs))
+        return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -8,17 +8,19 @@ a line/column diagnostic when one is available.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
+from .cylapprox import factorization_check
 from .domains import ConvexDomain, domain_from_config
 from .expr import CylFunction, DslError, function_from_config
-
-CHECK_KINDS = (
-    "poincare", "log_sobolev", "gradient_bound", "submultiplicative",
-    "invariance", "decay", "positivity_contraction", "entropy",
-    "factorization",
-)
+from .inequalities import (check_decay, check_entropy, check_gradient_bound,
+                           check_invariance, check_logsob, check_poincare,
+                           check_positivity_and_contraction,
+                           check_submultiplicative)
 
 ENGINE_DEFAULTS = {
     "samples": 100_000,
@@ -27,6 +29,65 @@ ENGINE_DEFAULTS = {
     "grid_resolution": 200,
     "tail_mass": 1e-12,
     "cn_steps": 200,
+}
+
+
+CheckKind = namedtuple("CheckKind", "domain_key function_keys engines run")
+
+# One row per check kind: the key naming its domain, the keys naming its
+# functions, its engine labels (the first is the default) and its runner.
+# A runner takes the check c, its budgets b (built by
+# ``cli._run_one_check``), the domain d and the functions, and returns a
+# list of reports.
+CHECK_KINDS = {
+    "poincare": CheckKind(
+        "domain", ("function",), ("sampled",),
+        lambda c, b, d, f: [check_poincare(f, d, b.samples, b.seed)]),
+    "log_sobolev": CheckKind(
+        "domain", ("function",), ("sampled",),
+        lambda c, b, d, f: [check_logsob(f, d, b.samples, b.seed)]),
+    "gradient_bound": CheckKind(
+        "domain", ("function",), ("grid",),
+        lambda c, b, d, f: [check_gradient_bound(
+            f, d, b.t, resolution=b.res, n_steps=b.cn_steps)]),
+    "submultiplicative": CheckKind(
+        "domain", ("function", "function2"), ("monte_carlo",),
+        lambda c, b, d, f, g: [check_submultiplicative(
+            f, g, d, b.t, n_panel=int(c.get("panel", 10)), n_paths=b.paths,
+            h=b.step, seed=b.seed)]),
+    "invariance": CheckKind(
+        "domain", ("function",), ("monte_carlo", "grid"),
+        lambda c, b, d, f: [check_invariance(
+            f, d, b.t, engine=b.engine, n_paths=b.paths, h=b.step,
+            resolution=b.res, seed=b.seed)]),
+    "decay": CheckKind(
+        "domain", ("function",), ("grid",),
+        lambda c, b, d, f: check_decay(
+            f, d, [float(v) for v in c.get("times", [0.5, 1.0])],
+            resolution=b.res)),
+    "positivity_contraction": CheckKind(
+        "domain", ("function",), ("grid",),
+        lambda c, b, d, f: [check_positivity_and_contraction(
+            f, d, b.t, resolution=b.res)]),
+    "entropy": CheckKind(
+        "domain", ("function",), ("grid",),
+        lambda c, b, d, f: check_entropy(
+            f, d, [float(v) for v in c.get("times", np.linspace(0, 4, 21))],
+            resolution=b.res, floor=float(c.get("floor", 1e-6)))),
+    "factorization": CheckKind(
+        "base", ("function",), ("monte_carlo+grid",),
+        lambda c, b, d, f: [factorization_check(
+            f, d, int(c.get("free_dims", 1)), b.t,
+            n_points=int(c.get("points", 10)), n_paths=b.paths, h=b.step,
+            resolution=b.res, seed=b.seed)]),
+}
+
+# the budget column of reports.csv, by engine label
+BUDGET_FORMATS = {
+    "sampled": "samples={samples}",
+    "grid": "resolution={res}",
+    "monte_carlo": "paths={paths};h={step}",
+    "monte_carlo+grid": "paths={paths};h={step};resolution={res}",
 }
 
 
@@ -82,13 +143,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config must be a JSON object")
 
     domains = {}
-    for name, cfg in raw.get("domains", {}).items():
+    for name, cfg in _section(raw, "domains", {}).items():
         try:
             domains[name] = domain_from_config(cfg)
         except (ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"domain {name!r}: {err}") from None
     functions = {}
-    for name, cfg in raw.get("functions", {}).items():
+    for name, cfg in _section(raw, "functions", {}).items():
         try:
             functions[name] = function_from_config(cfg)
         except DslError as err:
@@ -96,36 +157,55 @@ def parse_config(text: str) -> RunConfig:
         except (ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"function {name!r}: {err}") from None
 
-    checks = raw.get("checks", [])
+    checks = _section(raw, "checks", [])
     for i, check in enumerate(checks):
-        kind = check.get("kind")
-        if kind not in CHECK_KINDS:
-            raise ConfigError(f"check {i}: unknown kind {kind!r}")
-        for key in ("function", "function2"):
-            if key in check and check[key] not in functions:
-                raise ConfigError(f"check {i}: unknown function {check[key]!r}")
-        dom_key = "base" if kind == "factorization" else "domain"
-        name = check.get(dom_key)
-        if name is None or name not in domains:
-            raise ConfigError(f"check {i}: unknown domain {name!r}")
-        fn = functions.get(check.get("function", ""))
-        if fn is not None and kind != "factorization" \
-                and fn.dim != domains[name].dim:
-            raise ConfigError(
-                f"check {i}: function dimension {fn.dim} does not match "
-                f"domain dimension {domains[name].dim}")
+        if not isinstance(check, dict):
+            raise ConfigError(f"check {i}: must be a JSON object")
+        kind = _named(CHECK_KINDS, check.get("kind"))
+        if kind is None:
+            raise ConfigError(f"check {i}: unknown kind {check.get('kind')!r}")
+        engine = check.get("engine", kind.engines[0])
+        if engine not in kind.engines:
+            raise ConfigError(f"check {i}: unknown engine {engine!r}")
+        name = check.get(kind.domain_key)
+        dom = _named(domains, name)
+        if dom is None:
+            raise ConfigError(f"check {i}: unknown domain {name!r} "
+                              f"in {kind.domain_key!r}")
+        for key in kind.function_keys:
+            fn = _named(functions, check.get(key))
+            if fn is None:
+                raise ConfigError(f"check {i}: unknown function "
+                                  f"{check.get(key)!r} in {key!r}")
+            if fn.dim != dom.dim:
+                raise ConfigError(
+                    f"check {i}: function dimension {fn.dim} does not match "
+                    f"domain dimension {dom.dim}")
 
     return RunConfig(
         seed=int(raw.get("seed", 0)),
         output_dir=str(raw.get("output_dir", "out")),
         domains=domains,
         functions=functions,
-        engine=dict(raw.get("engine", {})),
+        engine=_section(raw, "engine", {}),
         checks=checks,
-        spectrum=dict(raw.get("spectrum", {})),
-        evolve=dict(raw.get("evolve", {})),
-        converge=dict(raw.get("converge", {})),
+        spectrum=_section(raw, "spectrum", {}),
+        evolve=_section(raw, "evolve", {}),
+        converge=_section(raw, "converge", {}),
     )
+
+
+def _section(raw: dict, key: str, default):
+    value = raw.get(key, default)
+    if type(value) is not type(default):
+        what = "an array" if isinstance(default, list) else "an object"
+        raise ConfigError(f"{key!r} must be {what}")
+    return value
+
+
+def _named(table: dict, name):
+    """The entry a config string names, or None (for non-strings too)."""
+    return table.get(name) if isinstance(name, str) else None
 
 
 def load_config(path: str) -> RunConfig:

@@ -16,29 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import Ball, ConvexDomain, Product, polygon_approximation
-from .gauss import restricted_sample, sample_gaussian
+from .gauss import mean_se, restricted_sample, sample_gaussian
 from .engines.grid import grid_build, grid_apply
 from .engines.montecarlo import evolve_starts
-from .inequalities import InequalityReport, _mean_se
-
-
-@dataclass(frozen=True)
-class ProjectionSpec:
-    """Projection of R^ambient onto its first ``base_dim`` coordinates."""
-
-    ambient_dim: int
-    base_dim: int
-
-    def __post_init__(self):
-        if not 1 <= self.base_dim <= self.ambient_dim:
-            raise ValueError("need 1 <= base_dim <= ambient_dim")
-
-    @property
-    def free_dims(self) -> int:
-        return self.ambient_dim - self.base_dim
-
-    def apply(self, x):
-        return np.asarray(x, dtype=float)[..., : self.base_dim]
+from .inequalities import InequalityReport
 
 
 def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
@@ -59,7 +40,6 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
         raise ValueError("the grid reference needs a one dimensional base")
     product = Product(base=base, free_dims=free_dims)
     lifted = v.lift(product.dim)
-    proj = ProjectionSpec(ambient_dim=product.dim, base_dim=base.dim)
 
     panel = restricted_sample(product, n_points, seed + 1).points
     op = grid_build(base, resolution, tail_mass)
@@ -72,8 +52,8 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
     excess = []
     values = []
     for i, x in enumerate(panel):
-        a, se = _mean_se(vals[i])
-        b = float(np.interp(proj.apply(x)[0], xs, u_t))
+        a, se = mean_se(vals[i])
+        b = float(np.interp(x[0], xs, u_t))
         excess.append(abs(a - b) - 3.0 * se)
         values.append((a, b, se))
     worst = int(np.argmax(excess))
@@ -89,27 +69,6 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
                  "grid_value": b, "mc_se": se, "bias_const": bias_const,
                  "disc_const": disc_const,
                  "tolerance_rule": "max(|A-B|-3se) <= C1*sqrt(h)+C2*h_grid^2"})
-
-
-def mean_compatibility(v, base: ConvexDomain, free_dims: int,
-                       n_samples: int = 100_000, seed: int = 0) -> InequalityReport:
-    """Conditional mean of the lift over the product equals the base mean.
-
-    The Gaussian factorizes over the split coordinates, so the two
-    conditional means agree; checked two-sided within three standard
-    errors of the difference.
-    """
-    product = Product(base=base, free_dims=free_dims)
-    lifted = v.lift(product.dim)
-    a, se_a = _mean_se(np.asarray(
-        lifted.eval(restricted_sample(product, n_samples, seed).points)))
-    b, se_b = _mean_se(np.asarray(
-        v.eval(restricted_sample(base, n_samples, seed + 1).points)))
-    tol = 3.0 * (se_a + se_b) + 1e-12
-    return InequalityReport(
-        name="mean_compatibility", lhs=abs(a - b), rhs=0.0, tolerance=tol,
-        details={"product_mean": a, "base_mean": b, "n_samples": n_samples,
-                 "seed": seed, "tolerance_rule": "3*(se_a+se_b)+eps"})
 
 
 @dataclass(frozen=True)
@@ -163,9 +122,8 @@ def convergence_study(ball: Ball, f, t: float, n_list,
     for i in range(len(n_list)):
         vals = np.asarray(f.eval(ends[i]), dtype=float) \
             .reshape(n_points, paths_per_point)
-        delta = vals - ball_vals
-        diffs[i] = delta.mean(axis=1)
-        ses[i] = delta.std(axis=1, ddof=1) / math.sqrt(paths_per_point)
+        for j, delta in enumerate(vals - ball_vals):
+            diffs[i, j], ses[i, j] = mean_se(delta)
 
     proposals = sample_gaussian(2, mass_samples, seed + 2)
     in_ball = ball.contains(proposals)

@@ -1,10 +1,9 @@
 """Open convex subsets of R^d.
 
-Membership, Euclidean projection, outward boundary normals, product
-structure with free Gaussian factors, and circumscribed polygon
-approximations of balls. All point operations accept a single point of
-shape ``(dim,)`` or a batch of shape ``(n, dim)``; batches are the fast
-path used by the reflected-path engine.
+Membership, Euclidean projection, product structure with free Gaussian
+factors, and circumscribed polygon approximations of balls. All point
+operations accept a single point of shape ``(dim,)`` or a batch of shape
+``(n, dim)``; batches are the fast path used by the reflected-path engine.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from scipy.stats import norm
 
 UNIT_TOL = 1e-12
 CONTAINS_TOL = 1e-9
-BOUNDARY_TOL = 1e-6
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10_000
 
@@ -30,20 +28,8 @@ class NoConvergence(RuntimeError):
     """Iterative projection failed to reach tolerance within the sweep cap."""
 
 
-class CornerPoint(ValueError):
-    """More than one constraint is active: the outward normal is not unique."""
-
-
 class UnsupportedDimension(ValueError):
     """Operation is only defined for a specific ambient dimension."""
-
-
-@dataclass(frozen=True)
-class BoundaryQuery:
-    """A boundary point together with its unit outward normal."""
-
-    point: np.ndarray
-    normal: np.ndarray
 
 
 def _as_batch(x, dim):
@@ -59,7 +45,7 @@ def _as_batch(x, dim):
 
 
 class ConvexDomain:
-    """Base class for open convex sets with projection and normal queries."""
+    """Base class for open convex sets with membership and projection."""
 
     dim: int
 
@@ -75,16 +61,6 @@ class ConvexDomain:
         out = self._project(pts)
         return out[0] if single else out
 
-    def boundary_normal(self, x, tol: float = BOUNDARY_TOL) -> BoundaryQuery:
-        """Outward unit normal at a smooth boundary point near ``x``.
-
-        Raises ``CornerPoint`` if more than one constraint is active within
-        ``tol`` and ``ValueError`` if ``x`` is not within ``tol`` of the
-        boundary.
-        """
-        pts, _ = _as_batch(x, self.dim)
-        return self._boundary_normal(pts[0], tol)
-
     def axis_bounds(self):
         """Per-axis bounding interval ``(lo, hi)`` with +-inf where unbounded."""
         raise NotImplementedError
@@ -98,9 +74,6 @@ class ConvexDomain:
         raise NotImplementedError
 
     def _project(self, pts):
-        raise NotImplementedError
-
-    def _boundary_normal(self, x, tol):
         raise NotImplementedError
 
 
@@ -119,9 +92,6 @@ class WholeSpace(ConvexDomain):
 
     def _project(self, pts):
         return pts.copy()
-
-    def _boundary_normal(self, x, tol):
-        raise ValueError("the whole space has no boundary")
 
     def axis_bounds(self):
         return np.full(self.dim, -np.inf), np.full(self.dim, np.inf)
@@ -213,13 +183,20 @@ class HalfspaceIntersection(ConvexDomain):
         violated at the point, so only violated faces contribute face
         candidates; vertices cover the rest. Closed form, unlike iterative
         projection, which stalls on nearly parallel adjacent faces.
+        Candidates are tested in blocks of at most ``VERTEX_BLOCK``
+        violations; a lone last row joins its predecessor (see
+        ``_undecided``).
         """
         n, m = len(pts), len(self.offsets)
         sviol = self._violations(pts)
         dist2 = np.full((n, m), np.inf)
         rows, faces = np.nonzero(sviol > 0.0)
         cand = pts[rows] - sviol[rows, faces][:, None] * self.normals[faces]
-        ok = self._contains(cand, DYKSTRA_TOL)
+        ok = np.empty(len(cand), dtype=bool)
+        block = max(2, VERTEX_BLOCK // m)
+        for start in range(0, len(cand), block):
+            sl = slice(max(0, min(start, len(cand) - 2)), start + block)
+            ok[sl] = self._contains(cand[sl], DYKSTRA_TOL)
         dist2[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]] ** 2
         verts = self.vertices
         if len(verts):
@@ -238,17 +215,6 @@ class HalfspaceIntersection(ConvexDomain):
         if len(verts):
             out[~from_face] = verts[best[~from_face] - m]
         return out
-
-    def _boundary_normal(self, x, tol):
-        gaps = np.abs(self._violations(x[None, :])[0])
-        active = np.flatnonzero(gaps <= tol)
-        if len(active) == 0:
-            raise ValueError("point is not within tolerance of the boundary")
-        if len(active) > 1:
-            raise CornerPoint(f"{len(active)} constraints active at {x}")
-        j = active[0]
-        point = x - (x @ self.normals[j] - self.offsets[j]) * self.normals[j]
-        return BoundaryQuery(point=point, normal=self.normals[j].copy())
 
     def axis_bounds(self):
         lo = np.full(self.dim, -np.inf)
@@ -299,14 +265,6 @@ class Ball(ConvexDomain):
         out[bad] = self.center + d[bad] * (self.radius / r[bad])[:, None]
         return out
 
-    def _boundary_normal(self, x, tol):
-        d = x - self.center
-        r = np.linalg.norm(d)
-        if abs(r - self.radius) > tol:
-            raise ValueError("point is not within tolerance of the sphere")
-        normal = d / r
-        return BoundaryQuery(point=self.center + self.radius * normal, normal=normal)
-
     def axis_bounds(self):
         return self.center - self.radius, self.center + self.radius
 
@@ -344,22 +302,6 @@ class Slab(ConvexDomain):
         s = self._coord(pts)
         shift = np.clip(s, self.lower, self.upper) - s
         return pts + shift[:, None] * self.direction
-
-    def _boundary_normal(self, x, tol):
-        s = float(x @ self.direction)
-        at_lower = abs(s - self.lower) <= tol
-        at_upper = abs(s - self.upper) <= tol
-        if at_lower and at_upper:
-            raise CornerPoint("both slab faces active")
-        if not (at_lower or at_upper):
-            raise ValueError("point is not within tolerance of a slab face")
-        if at_lower:
-            normal = -self.direction
-            point = x + (self.lower - s) * self.direction
-        else:
-            normal = self.direction.copy()
-            point = x + (self.upper - s) * self.direction
-        return BoundaryQuery(point=point, normal=normal)
 
     def axis_bounds(self):
         lo = np.full(self.dim, -np.inf)
@@ -401,14 +343,6 @@ class Product(ConvexDomain):
         out = pts.copy()
         out[:, : self.base.dim] = self.base._project(pts[:, : self.base.dim])
         return out
-
-    def _boundary_normal(self, x, tol):
-        q = self.base._boundary_normal(x[: self.base.dim], tol)
-        point = x.copy()
-        point[: self.base.dim] = q.point
-        normal = np.zeros(self.dim)
-        normal[: self.base.dim] = q.normal
-        return BoundaryQuery(point=point, normal=normal)
 
     def axis_bounds(self):
         lo_b, hi_b = self.base.axis_bounds()

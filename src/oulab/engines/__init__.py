@@ -12,14 +12,12 @@ from .mehler import mehler_apply
 from .montecarlo import reflected_path, simulate_endpoints, mc_apply, mc_apply_many
 from .grid import (GridOperator, SpectrumResult, grid_build, grid_apply,
                    grid_spectrum, dirichlet_energy_grid, weighted_mean, l2_norm,
-                   fd_gradient, export_values_csv, export_matrix_coo)
-from .observables import dirichlet_energy, mean_value
+                   fd_gradient)
 
 __all__ = [
     "SemigroupEstimate", "OrderTooHigh", "SolverError", "ResolutionTooCoarse",
     "mehler_apply", "reflected_path", "simulate_endpoints", "mc_apply",
     "mc_apply_many", "GridOperator", "SpectrumResult", "grid_build",
     "grid_apply", "grid_spectrum", "dirichlet_energy_grid", "weighted_mean",
-    "l2_norm", "fd_gradient", "export_values_csv", "export_matrix_coo",
-    "dirichlet_energy", "mean_value",
+    "l2_norm", "fd_gradient",
 ]

@@ -314,23 +314,3 @@ def fd_gradient(op: GridOperator, values):
         grad[ok, axis] = (u[right[ok]] - u[left[ok]]) / (2.0 * op.spacing[axis])
     grad[~interior] = 0.0
     return grad, interior
-
-
-def export_values_csv(op: GridOperator, values, path) -> None:
-    """Write node coordinates and values as CSV (LF line endings)."""
-    u = op.check_values(values)
-    cols = [f"x{i + 1}" for i in range(op.dim)]
-    with open(path, "w", newline="") as fh:
-        fh.write("node," + ",".join(cols) + ",value\n")
-        for i in range(op.n_nodes):
-            coords = ",".join(repr(float(c)) for c in op.nodes[i])
-            fh.write(f"{i},{coords},{float(u[i])!r}\n")
-
-
-def export_matrix_coo(op: GridOperator, path) -> None:
-    """Write the generator in coordinate text format: row col value."""
-    coo = op.matrix.tocoo()
-    with open(path, "w", newline="") as fh:
-        fh.write("# row col value\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

@@ -10,7 +10,6 @@ Gauss-Hermite rule.
 from __future__ import annotations
 
 import math
-import itertools
 
 import numpy as np
 

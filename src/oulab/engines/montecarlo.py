@@ -7,10 +7,10 @@ an O(sqrt(h)) contribution where paths press on the boundary; callers fold
 an explicit bias allowance into their tolerances.
 
 Determinism and coupling: paths are generated in fixed-size batches whose
-generators come from spawned children of the root seed, and batch results
-are reduced with compensated summation, so results do not depend on the
-order batches are processed in. Two calls with the same seed, path count,
-step size, and horizon consume identical noise, which is what the
+generators come from spawned children of the root seed, and every batch
+writes its own fixed rows of the endpoint array, so results do not depend
+on the order batches are processed in. Two calls with the same seed, path
+count, step size, and horizon consume identical noise, which is what the
 common-random-number comparisons across domains and integrands rely on.
 """
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from ..domains import ConvexDomain
+from ..gauss import mean_se
 from .types import SemigroupEstimate
 
 DEFAULT_STEP = 1e-3
@@ -79,26 +80,17 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
     return outs
 
 
-def simulate_endpoints_coupled(domains, x0, t: float, n_paths: int,
-                               h: float = DEFAULT_STEP, seed: int = 0,
-                               batch_size: int = BATCH_SIZE) -> list:
-    """Endpoints in several domains from one start, one shared noise stream."""
-    x0 = np.asarray(x0, dtype=float)
-    for dom in domains:
-        if not dom.contains(x0):
-            raise ValueError("start point must lie in every domain")
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    starts = np.repeat(x0[None, :], n_paths, axis=0)
-    return evolve_starts(domains, starts, t, h, seed, batch_size)
-
-
 def simulate_endpoints(domain: ConvexDomain, x0, t: float, n_paths: int,
                        h: float = DEFAULT_STEP, seed: int = 0,
                        batch_size: int = BATCH_SIZE) -> np.ndarray:
     """Endpoints of ``n_paths`` reflected paths started at ``x0``."""
-    return simulate_endpoints_coupled([domain], x0, t, n_paths, h, seed,
-                                      batch_size)[0]
+    x0 = np.asarray(x0, dtype=float)
+    if not domain.contains(x0):
+        raise ValueError("start point must lie in the domain")
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    starts = np.repeat(x0[None, :], n_paths, axis=0)
+    return evolve_starts([domain], starts, t, h, seed, batch_size)[0]
 
 
 def reflected_path(domain: ConvexDomain, x0, t: float, h: float = DEFAULT_STEP,
@@ -107,27 +99,11 @@ def reflected_path(domain: ConvexDomain, x0, t: float, h: float = DEFAULT_STEP,
     return simulate_endpoints(domain, x0, t, n_paths=1, h=h, seed=seed)[0]
 
 
-def _reduce(values: np.ndarray, chunk: int = 65536):
-    """Order-independent mean and standard error via compensated sums.
-
-    The mean comes from exact (fsum) totals of the chunk sums; the variance
-    from a second pass over the chunks, centred on that mean, so a large
-    common offset cannot cancel it away.
-    """
-    n = len(values)
-    parts = [values[start:start + chunk] for start in range(0, n, chunk)]
-    mean = math.fsum(float(np.sum(part)) for part in parts) / n
-    if n < 2:
-        return mean, 0.0
-    m2 = math.fsum(float(np.sum((part - mean) ** 2)) for part in parts)
-    return mean, math.sqrt(m2 / (n - 1) / n)
-
-
 def mc_apply(f, domain: ConvexDomain, t: float, x, n_paths: int,
              h: float = DEFAULT_STEP, seed: int = 0) -> SemigroupEstimate:
     """Monte Carlo semigroup value: sample mean of f over path endpoints."""
     endpoints = simulate_endpoints(domain, x, t, n_paths, h, seed)
-    mean, se = _reduce(np.asarray(f.eval(endpoints), dtype=float))
+    mean, se = mean_se(np.asarray(f.eval(endpoints), dtype=float))
     return SemigroupEstimate(value=mean, t=t, method="monte_carlo",
                              std_error=se)
 
@@ -138,7 +114,7 @@ def mc_apply_many(fs, domain: ConvexDomain, t: float, x, n_paths: int,
     endpoints = simulate_endpoints(domain, x, t, n_paths, h, seed)
     out = []
     for f in fs:
-        mean, se = _reduce(np.asarray(f.eval(endpoints), dtype=float))
+        mean, se = mean_se(np.asarray(f.eval(endpoints), dtype=float))
         out.append(SemigroupEstimate(value=mean, t=t, method="monte_carlo",
                                      std_error=se))
     return out

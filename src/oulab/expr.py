@@ -4,8 +4,7 @@ A function is ``f(x) = phi(l_1 . x, ..., l_k . x)``: a profile expression
 over k formal variables composed with k linear projections. The node set
 {constant, variable, sum, product, integer power, neg, exp, tanh, sin} is
 closed under differentiation (the sine derivative is a quarter-period
-shift), contains no division, and supports interval evaluation for
-boundedness certificates over a box.
+shift) and contains no division.
 
 Expressions serialize to prefix text, e.g. ``(exp (neg (pow v1 2)))``;
 parsing and formatting round-trip exactly.
@@ -245,80 +244,6 @@ def max_var_index(expr: Expr) -> int:
 
 
 # ---------------------------------------------------------------------------
-# interval arithmetic (closed intervals, +-inf endpoints allowed)
-
-def _imul(p, q):
-    (a, b), (c, d) = p, q
-    cands = []
-    for u in (a, b):
-        for v in (c, d):
-            if (u == 0.0 and math.isinf(v)) or (v == 0.0 and math.isinf(u)):
-                cands.append(0.0)
-            else:
-                cands.append(u * v)
-    return min(cands), max(cands)
-
-
-def _isin(lo, hi):
-    if hi - lo >= 2.0 * math.pi:
-        return -1.0, 1.0
-    vals = [math.sin(lo), math.sin(hi)]
-    # interior critical points pi/2 + 2 pi k (max) and -pi/2 + 2 pi k (min)
-    if math.ceil((lo - math.pi / 2) / (2 * math.pi)) <= math.floor(
-            (hi - math.pi / 2) / (2 * math.pi)):
-        vals.append(1.0)
-    if math.ceil((lo + math.pi / 2) / (2 * math.pi)) <= math.floor(
-            (hi + math.pi / 2) / (2 * math.pi)):
-        vals.append(-1.0)
-    return min(vals), max(vals)
-
-
-def interval_eval(expr: Expr, var_intervals) -> tuple[float, float]:
-    """Enclosing interval of the expression over per-variable intervals."""
-    if isinstance(expr, Const):
-        return expr.value, expr.value
-    if isinstance(expr, Var):
-        lo, hi = var_intervals[expr.index]
-        return float(lo), float(hi)
-    if isinstance(expr, Sum):
-        lo = hi = 0.0
-        for t in expr.terms:
-            a, b = interval_eval(t, var_intervals)
-            lo, hi = lo + a, hi + b
-        return lo, hi
-    if isinstance(expr, Prod):
-        out = (1.0, 1.0)
-        for f in expr.factors:
-            out = _imul(out, interval_eval(f, var_intervals))
-        return out
-    if isinstance(expr, Pow):
-        a, b = interval_eval(expr.base, var_intervals)
-        e = expr.exponent
-        if e == 0:
-            return 1.0, 1.0
-        if e % 2 == 0 and a < 0.0 < b:
-            return 0.0, max(abs(a), abs(b)) ** e
-        lo, hi = a ** e, b ** e
-        return (lo, hi) if lo <= hi else (hi, lo)
-    if isinstance(expr, Neg):
-        a, b = interval_eval(expr.arg, var_intervals)
-        return -b, -a
-    if isinstance(expr, Exp):
-        a, b = interval_eval(expr.arg, var_intervals)
-        return math.exp(a) if a > -np.inf else 0.0, \
-            math.exp(b) if b < 700 else np.inf
-    if isinstance(expr, Tanh):
-        a, b = interval_eval(expr.arg, var_intervals)
-        return math.tanh(a), math.tanh(b)
-    if isinstance(expr, Sin):
-        a, b = interval_eval(expr.arg, var_intervals)
-        if math.isinf(a) or math.isinf(b):
-            return -1.0, 1.0
-        return _isin(a, b)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
 # prefix text form
 
 _HEADS = {"sum", "prod", "pow", "neg", "exp", "tanh", "sin"}
@@ -498,24 +423,6 @@ class CylFunction:
         return CylFunction(dim=ambient_dim,
                            directions=np.hstack([self.directions, pad]),
                            profile=self.profile)
-
-    def var_intervals(self, lo, hi):
-        """Ranges of the k projections over the box [lo, hi]."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        a = np.minimum(self.directions * lo, self.directions * hi).sum(axis=1)
-        b = np.maximum(self.directions * lo, self.directions * hi).sum(axis=1)
-        return list(zip(a, b))
-
-    def is_bounded(self, lo, hi) -> bool:
-        """Interval certificate that f and its gradient are bounded on the box."""
-        ivals = self.var_intervals(lo, hi)
-        exprs = (self.profile,) + self._partials
-        for e in exprs:
-            a, b = interval_eval(e, ivals)
-            if not (np.isfinite(a) and np.isfinite(b)):
-                return False
-        return True
 
     def to_config(self) -> dict:
         return {"dim": self.dim, "directions": self.directions.tolist(),

@@ -2,7 +2,8 @@
 
 Gauss-Hermite quadrature against the standard normal density, closed-form
 moments, probabilists' Hermite polynomials, seeded sampling, rejection
-sampling restricted to a convex domain, and Monte Carlo mass estimates.
+sampling restricted to a convex domain, Monte Carlo mass estimates, and
+``mean_se``, the shared sample mean and standard error.
 All stochastic routines take an explicit integer seed and are bit-stable;
 independent sub-streams are derived by spawning ``numpy.random.SeedSequence``
 children, so batches may run in parallel without changing results.
@@ -126,6 +127,15 @@ class Estimate:
         return abs(self.value - target) <= n_sigma * self.std_error
 
 
+def mean_se(values: np.ndarray):
+    """Sample mean and its standard error, two-pass so that a large common
+    offset cannot cancel the variance away."""
+    n = len(values)
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return mean, se
+
+
 @dataclass(frozen=True)
 class RestrictedSample:
     """Rejection-sampled points of the Gaussian conditioned on a domain."""
@@ -172,7 +182,4 @@ def restricted_sample(domain: ConvexDomain, count: int, seed: int,
 def gaussian_mass(domain: ConvexDomain, count: int, seed: int) -> Estimate:
     """Monte Carlo estimate of the Gaussian mass of the domain."""
     draw = sample_gaussian(domain.dim, count, seed)
-    inside = domain.contains(draw).astype(float)
-    p = float(inside.mean())
-    se = float(inside.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-    return Estimate(value=p, std_error=se)
+    return Estimate(*mean_se(domain.contains(draw).astype(float)))

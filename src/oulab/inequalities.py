@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import ConvexDomain
-from .gauss import restricted_sample
+from .gauss import mean_se, restricted_sample
 from .engines.grid import (grid_build, grid_apply, fd_gradient, weighted_mean,
                            l2_norm, GridOperator)
 from .engines.montecarlo import evolve_starts, DEFAULT_STEP
@@ -54,21 +54,10 @@ class InequalityReport:
     def passed(self) -> bool:
         return self.margin >= -self.tolerance
 
-    def row(self) -> tuple:
-        return (self.name, self.lhs, self.rhs, self.margin, self.tolerance,
-                self.passed)
-
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
         return (f"[{status}] {self.name}: lhs={self.lhs:.6g} rhs={self.rhs:.6g} "
                 f"margin={self.margin:.3g} tol={self.tolerance:.3g}")
-
-
-def _mean_se(values: np.ndarray):
-    n = len(values)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
 
 
 def _var_se(values: np.ndarray):
@@ -93,7 +82,7 @@ def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
     vals = np.asarray(f.eval(pts), dtype=float)
     grad = f.gradient(pts)
     lhs, se_lhs = _var_se(vals)
-    rhs, se_rhs = _mean_se(np.einsum("ij,ij->i", grad, grad))
+    rhs, se_rhs = mean_se(np.einsum("ij,ij->i", grad, grad))
     tol = 3.0 * (se_lhs + se_rhs) + _scale_floor(lhs, rhs)
     return InequalityReport(
         name="poincare", lhs=lhs, rhs=rhs, tolerance=tol,
@@ -117,9 +106,9 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
     clipped = int(np.count_nonzero(absv < clip))
     logs = np.log(np.maximum(absv, clip))
     integrand = np.where(absv > 0.0, vals * vals * logs, 0.0)
-    lhs, se_lhs = _mean_se(integrand)
-    energy, se_energy = _mean_se(np.einsum("ij,ij->i", grad, grad))
-    nrm2, se_nrm2 = _mean_se(vals * vals)
+    lhs, se_lhs = mean_se(integrand)
+    energy, se_energy = mean_se(np.einsum("ij,ij->i", grad, grad))
+    nrm2, se_nrm2 = mean_se(vals * vals)
     norm_term = 0.5 * nrm2 * math.log(nrm2) if nrm2 > 0 else 0.0
     se_norm = abs(0.5 * (math.log(nrm2) + 1.0)) * se_nrm2 if nrm2 > 0 else 0.0
     rhs = energy + norm_term
@@ -245,10 +234,10 @@ def check_invariance(f, domain: ConvexDomain, t: float,
     if engine != "monte_carlo":
         raise ValueError("engine must be 'grid' or 'monte_carlo'")
     starts = restricted_sample(domain, n_paths, seed + 1).points
-    ends = _evolve_cloud(domain, starts, t, h, seed)
+    ends = evolve_starts([domain], starts, t, h, seed=seed)[0]
     diffs = (np.asarray(f.eval(ends), dtype=float)
              - np.asarray(f.eval(starts), dtype=float))
-    mean_d, se_d = _mean_se(diffs)
+    mean_d, se_d = mean_se(diffs)
     # the projection scheme is weak order 1/2 at the boundary, so the
     # stationary mean drifts by O(sqrt(h)) times the gradient scale
     grad_scale = max(1.0, float(np.max(f.gradient_norm(starts))))
@@ -260,12 +249,6 @@ def check_invariance(f, domain: ConvexDomain, t: float,
                  "mean_shift": mean_d, "se": se_d, "bias_const": bias_const,
                  "bias_allowance": allowance,
                  "tolerance_rule": "3*se(paired diff)+bias_const*sqrt(h)*scale+eps"})
-
-
-def _evolve_cloud(domain: ConvexDomain, starts: np.ndarray, t: float, h: float,
-                  seed: int) -> np.ndarray:
-    """Evolve a cloud of start points, one reflected path each."""
-    return evolve_starts([domain], starts, t, h, seed=seed)[0]
 
 
 def check_decay(f, domain: ConvexDomain, t_list, resolution=400,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oulab.cli import main
-from oulab.config import (ConfigError, load_default_config, parse_config)
+from oulab.config import (CHECK_KINDS, ConfigError, default_config_text,
+                          load_default_config, parse_config)
 from oulab.domains import interval
 from oulab.expr import coordinate
 
@@ -65,10 +66,10 @@ def test_default_config_is_consistent():
     cfg = load_default_config()
     assert cfg.checks
     for check in cfg.checks:
-        key = "base" if check["kind"] == "factorization" else "domain"
-        assert check[key] in cfg.domains
-        if "function" in check:
-            assert check["function"] in cfg.functions
+        kind = CHECK_KINDS[check["kind"]]
+        assert check[kind.domain_key] in cfg.domains
+        for key in kind.function_keys:
+            assert check[key] in cfg.functions
 
 
 def test_verify_small_config(tmp_path):
@@ -133,14 +134,29 @@ def test_malformed_dsl_exits_2(tmp_path, capsys):
     assert "position" in capsys.readouterr().err
 
 
-def test_unknown_names_exit_2(tmp_path, capsys):
-    cfg = json.loads(json.dumps(SMALL_CONFIG))
-    cfg["checks"][0]["domain"] = "nowhere"
-    assert main(["verify", write_config(tmp_path, cfg)]) == 2
+def _check_of(cfg, kind):
+    return next(c for c in cfg["checks"] if c["kind"] == kind)
 
-    cfg = json.loads(json.dumps(SMALL_CONFIG))
-    cfg["checks"][0]["kind"] = "teleport"
-    assert main(["verify", write_config(tmp_path, cfg)]) == 2
+
+MALFORMED = [
+    lambda cfg: cfg["checks"][0].update(domain="nowhere"),
+    lambda cfg: cfg["checks"][0].update(kind="teleport"),
+    lambda cfg: cfg["checks"].__setitem__(0, "poincare"),
+    lambda cfg: _check_of(cfg, "submultiplicative").pop("function2"),
+    lambda cfg: _check_of(cfg, "poincare").pop("function"),
+    lambda cfg: _check_of(cfg, "factorization").pop("function"),
+    lambda cfg: _check_of(cfg, "invariance").update(engine="gird"),
+    lambda cfg: cfg.update(domains=[]),
+]
+
+
+def test_unknown_names_exit_2(tmp_path, capsys):
+    for i, corrupt in enumerate(MALFORMED):
+        cfg = json.loads(default_config_text())
+        corrupt(cfg)
+        path = write_config(tmp_path, cfg, name=f"bad{i}.json")
+        assert main(["verify", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 def test_dimension_mismatch_exits_2(tmp_path):
@@ -195,9 +211,45 @@ def test_converge_command(tmp_path):
     assert float(rows[0]["excess_mass"]) > float(rows[1]["excess_mass"])
 
 
+# check, name, engine, budget and seed of every bundled report: the
+# dispatch from check kind to runner, engine label and budget string
+BUNDLED_DISPATCH = [
+    ("0.0:poincare", "poincare", "sampled", "samples=200000", "20260809"),
+    ("1.0:poincare", "poincare", "sampled", "samples=200000", "20261809"),
+    ("2.0:poincare", "poincare", "sampled", "samples=200000", "20262809"),
+    ("3.0:poincare", "poincare", "sampled", "samples=200000", "20263809"),
+    ("4.0:poincare", "poincare", "sampled", "samples=200000", "20264809"),
+    ("5.0:log_sobolev", "log_sobolev", "sampled", "samples=200000",
+     "20265809"),
+    ("6.0:log_sobolev", "log_sobolev", "sampled", "samples=200000",
+     "20266809"),
+    ("7.0:log_sobolev", "log_sobolev", "sampled", "samples=200000",
+     "20267809"),
+    ("8.0:gradient_bound", "gradient_bound", "grid", "resolution=200",
+     "20268809"),
+    ("9.0:submultiplicative", "submultiplicative", "monte_carlo",
+     "paths=20000;h=0.005", "20269809"),
+    ("10.0:invariance", "invariance_grid", "grid", "resolution=200",
+     "20270809"),
+    ("11.0:invariance", "invariance_mc", "monte_carlo", "paths=50000;h=0.002",
+     "20271809"),
+    ("12.0:decay", "decay", "grid", "resolution=300", "20272809"),
+    ("12.1:decay", "decay", "grid", "resolution=300", "20272809"),
+    ("13.0:positivity_contraction", "positivity_contraction", "grid",
+     "resolution=200", "20273809"),
+    ("14.0:entropy", "entropy_production", "grid", "resolution=200",
+     "20274809"),
+    ("14.1:entropy", "entropy_terminal", "grid", "resolution=200",
+     "20274809"),
+    ("15.0:factorization", "factorization", "monte_carlo+grid",
+     "paths=10000;h=0.005;resolution=300", "20275809"),
+]
+
+
 def test_bundled_default_verify_runs_clean(tmp_path):
     out = tmp_path / "default"
     assert main(["verify", "--out", str(out)]) == 0
     rows = read_reports(out)
     assert all(r["pass"] == "true" for r in rows)
-    assert len(rows) >= 16
+    assert [tuple(r[k] for k in ("check", "name", "engine", "budget", "seed"))
+            for r in rows] == BUNDLED_DISPATCH

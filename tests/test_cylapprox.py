@@ -3,21 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oulab.cylapprox import (ConvergenceStudy, ProjectionSpec,
-                             convergence_study, factorization_check,
-                             mean_compatibility)
+from oulab.cylapprox import (ConvergenceStudy, convergence_study,
+                             factorization_check)
 from oulab.domains import Ball, WholeSpace, interval
 from oulab.engines.mehler import mehler_apply
 from oulab.expr import const, coordinate, from_profile, tanh, var
-
-
-def test_projection_spec():
-    proj = ProjectionSpec(ambient_dim=4, base_dim=1)
-    assert proj.free_dims == 3
-    pts = np.arange(8.0).reshape(2, 4)
-    assert np.array_equal(proj.apply(pts), pts[:, :1])
-    with pytest.raises(ValueError):
-        ProjectionSpec(ambient_dim=2, base_dim=3)
 
 
 def test_factorization_constant_is_trivial():
@@ -51,13 +41,6 @@ def test_factorization_requires_1d_base():
     with pytest.raises(ValueError):
         factorization_check(coordinate(2), Ball(center=[0.0, 0.0], radius=1.0),
                             1, 0.5)
-
-
-def test_mean_compatibility_fubini():
-    f = from_profile(tanh(var(1)), [[1.0]])
-    rep = mean_compatibility(f, interval(-1.0, 1.0), 2, n_samples=100_000,
-                             seed=4)
-    assert rep.passed
 
 
 def test_convergence_study_constant_function():

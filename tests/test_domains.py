@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from oulab.domains import (CONTAINS_TOL, DYKSTRA_TOL, Ball, CornerPoint,
-                           DimensionMismatch, HalfspaceIntersection,
-                           NoConvergence, Product, Slab, UnsupportedDimension,
-                           WholeSpace, _dykstra, _polygon_vertices,
-                           domain_from_config, half_line, interval,
-                           polygon_approximation, truncation_box)
+from oulab.domains import (CONTAINS_TOL, DYKSTRA_TOL, Ball, DimensionMismatch,
+                           HalfspaceIntersection, NoConvergence, Product, Slab,
+                           UnsupportedDimension, WholeSpace, _dykstra,
+                           _polygon_vertices, domain_from_config, half_line,
+                           interval, polygon_approximation, truncation_box)
 from oulab.engines.montecarlo import evolve_starts
 
 
@@ -98,35 +97,6 @@ def test_product_projection_splits_exactly():
     proj = prod.project(pts)
     assert np.array_equal(proj[:, 1:], pts[:, 1:])
     assert np.array_equal(proj[:, :1], prod.base.project(pts[:, :1]))
-
-
-def test_outward_normals():
-    ball = Ball(center=[0.0, 0.0], radius=1.0)
-    q = ball.boundary_normal([1.0, 0.0])
-    assert np.allclose(q.normal, [1.0, 0.0])
-    assert np.allclose(q.point, [1.0, 0.0])
-
-    halfplane = HalfspaceIntersection(normals=[[1.0, 0.0]], offsets=[0.0])
-    q = halfplane.boundary_normal([0.0, 3.0])
-    assert np.allclose(q.normal, [1.0, 0.0])
-
-    slab = Slab(direction=[1.0, 0.0], lower=-1.0, upper=1.0)
-    q = slab.boundary_normal([-1.0, 0.0])
-    assert np.allclose(q.normal, [-1.0, 0.0])
-    q = slab.boundary_normal([1.0, 0.4])
-    assert np.allclose(q.normal, [1.0, 0.0])
-
-
-def test_normal_error_cases():
-    with pytest.raises(CornerPoint):
-        quadrant().boundary_normal([0.0, 0.0])
-    with pytest.raises(ValueError):
-        Ball(center=[0.0, 0.0], radius=1.0).boundary_normal([0.5, 0.0])
-    with pytest.raises(ValueError):
-        WholeSpace(2).boundary_normal([0.0, 0.0])
-    prod = Product(base=interval(-1.0, 1.0), free_dims=1)
-    q = prod.boundary_normal([1.0, 5.0])
-    assert np.allclose(q.normal, [1.0, 0.0])
 
 
 def test_polygon_square_case():
@@ -294,6 +264,58 @@ def test_polygon_vertices_memory_is_bounded():
     assert np.allclose(np.linalg.norm(verts, axis=1),
                        1.0 / math.cos(math.pi / 1024))
     assert peak < 256e6
+
+
+def _reference_project_candidates(self, pts):
+    """The unblocked candidate enumeration: every candidate of every row
+    checked against every face in one violation matrix."""
+    n, m = len(pts), len(self.offsets)
+    sviol = self._violations(pts)
+    dist2 = np.full((n, m), np.inf)
+    rows, faces = np.nonzero(sviol > 0.0)
+    cand = pts[rows] - sviol[rows, faces][:, None] * self.normals[faces]
+    ok = self._contains(cand, DYKSTRA_TOL)
+    dist2[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]] ** 2
+    verts = self.vertices
+    if len(verts):
+        dv = pts[:, None, :] - verts[None, :, :]
+        dist2 = np.concatenate(
+            [dist2, np.einsum("ijk,ijk->ij", dv, dv)], axis=1)
+    best = np.argmin(dist2, axis=1)
+    if not np.all(np.isfinite(dist2[np.arange(n), best])):
+        raise NoConvergence("no feasible projection candidate found")
+    out = np.empty_like(pts)
+    from_face = best < m
+    if np.any(from_face):
+        j = best[from_face]
+        sel = np.flatnonzero(from_face)
+        out[sel] = pts[sel] - sviol[sel, j][:, None] * self.normals[j]
+    if len(verts):
+        out[~from_face] = verts[best[~from_face] - m]
+    return out
+
+
+def test_polygon_candidate_memory_is_bounded(monkeypatch):
+    # a config-built polygon has no recorded balls, so every point outside
+    # it reaches the candidate enumeration; unblocked, its feasibility test
+    # held rows x violated faces x faces values (about 2.9 GB here)
+    gon = domain_from_config(polygon_approximation(
+        Ball(center=[0.0, 0.0], radius=1.0), 256).to_config())
+    pts = 1.5 * np.random.default_rng(0).standard_normal((20_000, 2))
+    gon.vertices
+    tracemalloc.start()
+    try:
+        got = gon.project(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256e6
+    # the reference runs on 1,000-row slices, which keeps it near 140 MB
+    monkeypatch.setattr(HalfspaceIntersection, "_project_candidates",
+                        _reference_project_candidates)
+    expected = np.concatenate([gon.project(pts[i:i + 1000])
+                               for i in range(0, len(pts), 1000)])
+    assert np.array_equal(got, expected)
 
 
 def test_truncation_box_matches_tail_formula():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from oulab.domains import DimensionMismatch
 from oulab.expr import (Const, CylFunction, DslError, Exp, Neg, Pow, Prod,
-                        Sin, Sum, Tanh, Var, coordinate, const, differentiate,
+                        Sin, Sum, Tanh, Var, coordinate, differentiate,
                         evaluate, exp, format_expr, from_profile,
-                        function_from_config, interval_eval, parse_expr, sin,
+                        function_from_config, parse_expr, sin,
                         tanh, var)
 
 SQRT2 = math.sqrt(2.0)
@@ -141,39 +141,6 @@ def test_parse_errors_carry_positions(bad, pos):
     with pytest.raises(DslError) as err:
         parse_expr(bad)
     assert err.value.pos == pos
-
-
-def test_interval_boundedness():
-    box = ([-7.2], [7.2])
-    bounded = from_profile(exp(-(var(1) ** 2)), [[1.0]])
-    assert bounded.is_bounded(*box)
-    linear = coordinate(1)
-    assert linear.is_bounded(*box)  # bounded over the finite box
-    blowup = from_profile(exp(const(200.0) * var(1)), [[1.0]])
-    assert not blowup.is_bounded(*box)  # e^(200 * 7.2) overflows float range
-
-
-def test_sin_interval_hits_extrema():
-    assert interval_eval(Sin(Var(0)), [(0.0, 10.0)]) == (-1.0, 1.0)
-    lo, hi = interval_eval(Sin(Var(0)), [(0.1, 0.2)])
-    assert math.isclose(lo, math.sin(0.1)) and math.isclose(hi, math.sin(0.2))
-    lo, hi = interval_eval(Sin(Var(0)), [(1.0, 2.0)])  # crosses pi/2
-    assert hi == 1.0 and math.isclose(lo, math.sin(1.0))
-
-
-def test_interval_even_power_straddles_zero():
-    assert interval_eval(Pow(Var(0), 2), [(-2.0, 1.0)]) == (0.0, 4.0)
-    assert interval_eval(Pow(Var(0), 3), [(-2.0, 1.0)]) == (-8.0, 1.0)
-
-
-def test_interval_contains_sampled_values():
-    f = from_profile(PROFILE_PANEL[4], [[1.0, 0.0], [0.0, 1.0]])
-    lo, hi = interval_eval(f.profile, f.var_intervals([-2.0, -2.0],
-                                                      [2.0, 2.0]))
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-2, 2, size=(2000, 2))
-    vals = f.eval(pts)
-    assert vals.min() >= lo - 1e-12 and vals.max() <= hi + 1e-12
 
 
 def test_validation_errors():

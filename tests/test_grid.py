@@ -7,10 +7,9 @@ from scipy.special import ndtr
 from oulab.domains import (Ball, HalfspaceIntersection, Product, Slab,
                            UnsupportedDimension, WholeSpace, half_line,
                            interval)
-from oulab.engines.grid import (dirichlet_energy_grid, export_matrix_coo,
-                                export_values_csv, fd_gradient, grid_apply,
-                                grid_build, grid_spectrum, l2_norm,
-                                weighted_mean)
+from oulab.engines.grid import (dirichlet_energy_grid, fd_gradient,
+                                grid_apply, grid_build, grid_spectrum,
+                                l2_norm, weighted_mean)
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.types import ResolutionTooCoarse, SolverError
 from oulab.expr import coordinate, exp, from_profile, var
@@ -201,25 +200,6 @@ def test_product_domain_meshes_like_a_strip():
     op = grid_build(Product(base=interval(-1.0, 1.0), free_dims=1), 24)
     assert np.abs(op.nodes[:, 0]).max() <= 1.0
     assert np.abs(op.nodes[:, 1]).max() > 6.0
-
-
-def test_exports_round_trip(tmp_path):
-    op = grid_build(interval(-1.0, 1.0), 16)
-    values = op.sample(coordinate(1))
-    path = tmp_path / "values.csv"
-    export_values_csv(op, values, path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "node,x1,value"
-    assert len(rows) == op.n_nodes + 1
-    first = rows[1].split(",")
-    assert float(first[1]) == op.nodes[0, 0] and float(first[2]) == values[0]
-
-    mpath = tmp_path / "matrix.txt"
-    export_matrix_coo(op, mpath)
-    lines = mpath.read_text().splitlines()
-    assert lines[0] == "# row col value"
-    r, c, v = lines[1].split()
-    assert op.matrix[int(r), int(c)] == float(v)
 
 
 def test_weighted_mean_and_norm():

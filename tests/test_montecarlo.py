@@ -6,12 +6,11 @@ from scipy.stats import kstest
 
 from oulab.domains import Ball, WholeSpace, half_line, interval
 from oulab.engines.mehler import mehler_apply
-from oulab.engines.montecarlo import (_reduce, evolve_starts, mc_apply,
+from oulab.engines.montecarlo import (evolve_starts, mc_apply,
                                       mc_apply_many, reflected_path,
                                       simulate_endpoints)
-from oulab.engines.observables import dirichlet_energy, mean_value
 from oulab.expr import const, coordinate, from_profile, var
-from oulab.inequalities import _mean_se
+from oulab.gauss import mean_se
 
 
 def test_time_zero_is_identity():
@@ -89,27 +88,13 @@ def test_symmetric_invariant_mean_on_interval():
     assert abs(u[node]) < 1e-4
 
 
-def test_reduction_is_chunk_order_independent():
-    rng = np.random.default_rng(11)
-    values = rng.standard_normal(4 * 65536) * 10.0
-    mean_a, se_a = _reduce(values)
-    # permuting whole chunks must not change a single bit (fsum is exact)
-    chunks = [values[i:i + 65536] for i in range(0, len(values), 65536)]
-    for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
-        mean_b, se_b = _reduce(np.concatenate([chunks[k] for k in order]))
-        assert mean_a == mean_b and se_a == se_b
-    assert abs(mean_a - math.fsum(values.tolist()) / len(values)) < 1e-15
-    assert se_a > 0
-
-
 def test_reduction_survives_a_large_offset():
     # a one-pass sum of squares cancels away the variance of 1e-3 noise
-    # on top of 1e6; the centred second pass keeps it
+    # on top of 1e6; the two-pass (centred) variance keeps it
     values = 1e6 + 1e-3 * np.random.default_rng(0).standard_normal(200_000)
-    mean, se = _reduce(values)
-    ref_mean, ref_se = _mean_se(values)
-    assert abs(mean - ref_mean) < 1e-9
-    assert abs(se - ref_se) <= 0.01 * ref_se
+    mean, se = mean_se(values)
+    assert abs(mean - math.fsum(values.tolist()) / len(values)) < 1e-9
+    assert math.isclose(se, 2.2388e-6, rel_tol=1e-4)
 
 
 def test_mc_apply_many_shares_endpoints():
@@ -138,32 +123,3 @@ def test_start_validation():
         simulate_endpoints(interval(-1, 1), np.array([2.0]), 0.5, 10, seed=0)
     with pytest.raises(ValueError):
         simulate_endpoints(interval(-1, 1), np.array([0.0]), 0.5, 0, seed=0)
-
-
-# observables ---------------------------------------------------------------
-
-def test_mean_value_examples():
-    one = from_profile(const(1.0), [[1.0]])
-    est = mean_value(one, half_line(), 1000, seed=1)
-    assert est.value == 1.0 and est.std_error == 0.0
-
-    est = mean_value(coordinate(1), WholeSpace(1), 200_000, seed=2)
-    assert est.within(0.0)
-
-    # half-normal mean sqrt(2/pi)
-    est = mean_value(coordinate(1), half_line(), 200_000, seed=3)
-    assert est.within(math.sqrt(2.0 / math.pi))
-
-
-def test_dirichlet_energy_examples():
-    est = dirichlet_energy(coordinate(1), WholeSpace(1), 1000, seed=4)
-    assert est.value == 1.0 and est.std_error == 0.0
-
-    const_fn = from_profile(const(3.0), [[1.0]])
-    est = dirichlet_energy(const_fn, WholeSpace(1), 1000, seed=5)
-    assert est.value == 0.0
-
-    # grad(x^2) = 2x, so the energy is 4 E[x^2] = 4
-    fsq = from_profile(var(1) ** 2, [[1.0]])
-    est = dirichlet_energy(fsq, WholeSpace(1), 400_000, seed=6)
-    assert est.within(4.0)
