@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,23 +48,6 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_one_check(cfg: RunConfig, index: int, check: dict):
-    kind = CHECK_KINDS[check["kind"]]
-    b = SimpleNamespace(
-        seed=int(check.get("seed", cfg.seed + 1000 * index)),
-        t=float(check.get("t", 0.5)),
-        engine=check.get("engine", kind.engines[0]),
-        samples=int(cfg.budget("samples", check)),
-        paths=int(cfg.budget("mc_paths", check)),
-        step=float(cfg.budget("mc_step", check)),
-        res=cfg.budget("grid_resolution", check),
-        cn_steps=int(cfg.budget("cn_steps", check)))
-    reports = kind.run(check, b, cfg.domain(check[kind.domain_key]),
-                       *(cfg.function(check[k]) for k in kind.function_keys))
-    budget = BUDGET_FORMATS[b.engine].format(**vars(b))
-    return reports, b.engine, budget, b.seed
-
-
 def _apply_rhs_scale(report: InequalityReport, scale: float) -> InequalityReport:
     if scale == 1.0:
         return report
@@ -76,14 +58,21 @@ def _apply_rhs_scale(report: InequalityReport, scale: float) -> InequalityReport
                             tolerance=report.tolerance, details=details)
 
 
+def _run_one_check(cfg: RunConfig, index: int, check: dict):
+    kind = CHECK_KINDS[check["kind"]]
+    b = cfg.budgets[index]
+    reports = kind.run(b, cfg.domain(check[kind.domain_key]),
+                       *(cfg.function(check[k]) for k in kind.function_keys))
+    reports = [_apply_rhs_scale(r, b.rhs_scale) for r in reports]
+    budget = BUDGET_FORMATS[b.engine].format(**vars(b))
+    return reports, b.engine, budget, b.seed
+
+
 def run_checks(cfg: RunConfig, jobs: int = 1):
     """Execute all configured checks; returns rows for reports.csv."""
     def work(item):
         index, check = item
-        reports, engine, budget, seed = _run_one_check(cfg, index, check)
-        scale = float(check.get("rhs_scale", 1.0))
-        reports = [_apply_rhs_scale(r, scale) for r in reports]
-        return index, check, reports, engine, budget, seed
+        return (index, check, *_run_one_check(cfg, index, check))
 
     items = list(enumerate(cfg.checks))
     if jobs > 1:
@@ -143,8 +132,8 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.evolve
-    dom = cfg.domain(spec["domain"])
-    fn = cfg.function(spec["function"])
+    dom = cfg.domain(spec.get("domain"))
+    fn = cfg.function(spec.get("function"))
     times = [float(v) for v in spec.get("times", [0.0, 0.5, 1.0])]
     res = spec.get("resolution", cfg.budget("grid_resolution"))
     op = grid_build(dom, res, float(cfg.budget("tail_mass")))
@@ -167,8 +156,8 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.converge
-    ball = cfg.domain(spec["ball"])
-    fn = cfg.function(spec["function"])
+    ball = cfg.domain(spec.get("ball"))
+    fn = cfg.function(spec.get("function"))
     study = convergence_study(
         ball, fn, float(spec.get("t", 0.5)),
         spec.get("sides", [4, 8, 16, 32, 64]),
@@ -215,13 +204,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_default_config() if args.config is None \
-            else load_config(args.config)
+        cfg = load_default_config(args.seed) if args.config is None \
+            else load_config(args.config, args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     out_dir = args.out if args.out is not None else cfg.output_dir
     try:
         if args.command == "verify":

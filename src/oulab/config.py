@@ -11,6 +11,7 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,54 +33,63 @@ ENGINE_DEFAULTS = {
 }
 
 
-CheckKind = namedtuple("CheckKind", "domain_key function_keys engines run")
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+CheckKind = namedtuple(
+    "CheckKind", "domain_key function_keys engines run options dim",
+    defaults=({}, None))
 
 # One row per check kind: the key naming its domain, the keys naming its
-# functions, its engine labels (the first is the default) and its runner.
-# A runner takes the check c, its budgets b (built by
-# ``cli._run_one_check``), the domain d and the functions, and returns a
-# list of reports.
+# functions, its engine labels (the first is the default), its runner, the
+# check keys only this kind reads (key -> (conversion, default)) and the
+# domain dimension it needs (None for any). A runner takes the check's
+# budgets b (built by ``_budgets`` at parse time), the domain d and the
+# functions, and returns a list of reports.
 CHECK_KINDS = {
     "poincare": CheckKind(
         "domain", ("function",), ("sampled",),
-        lambda c, b, d, f: [check_poincare(f, d, b.samples, b.seed)]),
+        lambda b, d, f: [check_poincare(f, d, b.samples, b.seed)]),
     "log_sobolev": CheckKind(
         "domain", ("function",), ("sampled",),
-        lambda c, b, d, f: [check_logsob(f, d, b.samples, b.seed)]),
+        lambda b, d, f: [check_logsob(f, d, b.samples, b.seed)]),
     "gradient_bound": CheckKind(
         "domain", ("function",), ("grid",),
-        lambda c, b, d, f: [check_gradient_bound(
+        lambda b, d, f: [check_gradient_bound(
             f, d, b.t, resolution=b.res, n_steps=b.cn_steps)]),
     "submultiplicative": CheckKind(
         "domain", ("function", "function2"), ("monte_carlo",),
-        lambda c, b, d, f, g: [check_submultiplicative(
-            f, g, d, b.t, n_panel=int(c.get("panel", 10)), n_paths=b.paths,
-            h=b.step, seed=b.seed)]),
+        lambda b, d, f, g: [check_submultiplicative(
+            f, g, d, b.t, n_panel=b.panel, n_paths=b.paths, h=b.step,
+            seed=b.seed)],
+        options={"panel": (int, 10)}),
     "invariance": CheckKind(
         "domain", ("function",), ("monte_carlo", "grid"),
-        lambda c, b, d, f: [check_invariance(
+        lambda b, d, f: [check_invariance(
             f, d, b.t, engine=b.engine, n_paths=b.paths, h=b.step,
             resolution=b.res, seed=b.seed)]),
     "decay": CheckKind(
         "domain", ("function",), ("grid",),
-        lambda c, b, d, f: check_decay(
-            f, d, [float(v) for v in c.get("times", [0.5, 1.0])],
-            resolution=b.res)),
+        lambda b, d, f: check_decay(f, d, b.times, resolution=b.res),
+        options={"times": (_floats, [0.5, 1.0])}),
     "positivity_contraction": CheckKind(
         "domain", ("function",), ("grid",),
-        lambda c, b, d, f: [check_positivity_and_contraction(
+        lambda b, d, f: [check_positivity_and_contraction(
             f, d, b.t, resolution=b.res)]),
     "entropy": CheckKind(
         "domain", ("function",), ("grid",),
-        lambda c, b, d, f: check_entropy(
-            f, d, [float(v) for v in c.get("times", np.linspace(0, 4, 21))],
-            resolution=b.res, floor=float(c.get("floor", 1e-6)))),
+        lambda b, d, f: check_entropy(f, d, b.times, resolution=b.res,
+                                      floor=b.floor),
+        options={"times": (_floats, np.linspace(0, 4, 21)),
+                 "floor": (float, 1e-6)}),
     "factorization": CheckKind(
         "base", ("function",), ("monte_carlo+grid",),
-        lambda c, b, d, f: [factorization_check(
-            f, d, int(c.get("free_dims", 1)), b.t,
-            n_points=int(c.get("points", 10)), n_paths=b.paths, h=b.step,
-            resolution=b.res, seed=b.seed)]),
+        lambda b, d, f: [factorization_check(
+            f, d, b.free_dims, b.t, n_points=b.points, n_paths=b.paths,
+            h=b.step, resolution=b.res, seed=b.seed)],
+        options={"free_dims": (int, 1), "points": (int, 10)},
+        dim=1),
 }
 
 # the budget column of reports.csv, by engine label
@@ -111,6 +121,7 @@ class RunConfig:
     functions: dict
     engine: dict
     checks: list = field(default_factory=list)
+    budgets: list = field(default_factory=list)
     spectrum: dict = field(default_factory=dict)
     evolve: dict = field(default_factory=dict)
     converge: dict = field(default_factory=dict)
@@ -133,7 +144,9 @@ class RunConfig:
         return self.engine.get(key, ENGINE_DEFAULTS[key])
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, seed: int | None = None) -> RunConfig:
+    """Parse and check a run configuration; ``seed``, when given, replaces
+    the configured one (the CLI's ``--seed``)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
@@ -157,21 +170,28 @@ def parse_config(text: str) -> RunConfig:
         except (ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"function {name!r}: {err}") from None
 
+    raw_seed = _number(int, raw.get("seed", 0), "seed")
+    seed = raw_seed if seed is None else seed
+    engine = _section(raw, "engine", {})
     checks = _section(raw, "checks", [])
+    budgets = []
     for i, check in enumerate(checks):
         if not isinstance(check, dict):
             raise ConfigError(f"check {i}: must be a JSON object")
         kind = _named(CHECK_KINDS, check.get("kind"))
         if kind is None:
             raise ConfigError(f"check {i}: unknown kind {check.get('kind')!r}")
-        engine = check.get("engine", kind.engines[0])
-        if engine not in kind.engines:
-            raise ConfigError(f"check {i}: unknown engine {engine!r}")
+        b = _budgets(check, kind, engine, seed + 1000 * i, f"check {i}: ")
+        if b.engine not in kind.engines:
+            raise ConfigError(f"check {i}: unknown engine {b.engine!r}")
         name = check.get(kind.domain_key)
         dom = _named(domains, name)
         if dom is None:
             raise ConfigError(f"check {i}: unknown domain {name!r} "
                               f"in {kind.domain_key!r}")
+        if kind.dim is not None and dom.dim != kind.dim:
+            raise ConfigError(f"check {i}: {check['kind']} needs a "
+                              f"{kind.dim} dimensional {kind.domain_key!r}")
         for key in kind.function_keys:
             fn = _named(functions, check.get(key))
             if fn is None:
@@ -181,14 +201,16 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"check {i}: function dimension {fn.dim} does not match "
                     f"domain dimension {dom.dim}")
+        budgets.append(b)
 
     return RunConfig(
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         output_dir=str(raw.get("output_dir", "out")),
         domains=domains,
         functions=functions,
-        engine=_section(raw, "engine", {}),
+        engine=engine,
         checks=checks,
+        budgets=budgets,
         spectrum=_section(raw, "spectrum", {}),
         evolve=_section(raw, "evolve", {}),
         converge=_section(raw, "converge", {}),
@@ -203,18 +225,47 @@ def _section(raw: dict, key: str, default):
     return value
 
 
+def _budgets(check: dict, kind: CheckKind, engine: dict, seed: int,
+             where: str) -> SimpleNamespace:
+    """A check's budgets and its kind's options, converted once: the
+    namespace its runner reads."""
+    def value(key, convert, default):
+        return _number(convert, check.get(key, default), key, where)
+
+    def budget(key, convert=lambda v: v):
+        return value(key, convert, engine.get(key, ENGINE_DEFAULTS[key]))
+
+    return SimpleNamespace(
+        seed=value("seed", int, seed), t=value("t", float, 0.5),
+        engine=check.get("engine", kind.engines[0]),
+        samples=budget("samples", int), paths=budget("mc_paths", int),
+        step=budget("mc_step", float), res=budget("grid_resolution"),
+        cn_steps=budget("cn_steps", int),
+        rhs_scale=value("rhs_scale", float, 1.0),
+        **{key: value(key, *option) for key, option in kind.options.items()})
+
+
+def _number(convert, value, key: str, where: str = ""):
+    """``convert(value)``, or a ``ConfigError`` naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}{key!r} must be numeric, got {value!r}") \
+            from None
+
+
 def _named(table: dict, name):
     """The entry a config string names, or None (for non-strings too)."""
     return table.get(name) if isinstance(name, str) else None
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, seed: int | None = None) -> RunConfig:
     try:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
-    return parse_config(text)
+    return parse_config(text, seed)
 
 
 def default_config_text() -> str:
@@ -222,5 +273,5 @@ def default_config_text() -> str:
     return resources.files("oulab").joinpath("data/default.json").read_text()
 
 
-def load_default_config() -> RunConfig:
-    return parse_config(default_config_text())
+def load_default_config(seed: int | None = None) -> RunConfig:
+    return parse_config(default_config_text(), seed)

@@ -18,7 +18,7 @@ import numpy as np
 from .domains import Ball, ConvexDomain, Product, polygon_approximation
 from .gauss import mean_se, restricted_sample, sample_gaussian
 from .engines.grid import grid_build, grid_apply
-from .engines.montecarlo import evolve_starts
+from .engines.montecarlo import evolve_starts, transition
 from .inequalities import InequalityReport
 
 
@@ -65,7 +65,8 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
         tolerance=0.0,
         details={"t": t, "free_dims": free_dims, "n_points": n_points,
                  "n_paths": n_paths, "h": h, "resolution": resolution,
-                 "seed": seed, "worst_point": worst, "mc_value": a,
+                 "seed": seed, "transition": transition([product]),
+                 "worst_point": worst, "mc_value": a,
                  "grid_value": b, "mc_se": se, "bias_const": bias_const,
                  "disc_const": disc_const,
                  "tolerance_rule": "max(|A-B|-3se) <= C1*sqrt(h)+C2*h_grid^2"})
@@ -140,4 +141,5 @@ def convergence_study(ball: Ball, f, t: float, n_list,
                                    excess_mass=excess))
     return ConvergenceStudy(rows=rows, details={
         "t": t, "n_points": n_points, "paths_per_point": paths_per_point,
-        "h": h, "seed": seed, "mass_samples": mass_samples})
+        "h": h, "seed": seed, "mass_samples": mass_samples,
+        "transition": transition(domains)})

@@ -2,8 +2,9 @@
 
 - ``mehler_apply``: exact whole-space oracle via tensorized Gauss-Hermite
   quadrature of the Mehler integral.
-- ``mc_apply`` / ``reflected_path``: projected-Euler simulation of the
-  normally reflected diffusion on any convex domain.
+- ``mc_apply`` / ``reflected_path``: simulation of the normally
+  reflected diffusion on any convex domain, by exact one-draw transitions
+  where the law is known in closed form and projected Euler elsewhere.
 - ``grid_build`` / ``grid_apply`` / ``grid_spectrum``: weighted
   finite-difference operator in 1D/2D with natural Neumann faces.
 """

@@ -1,17 +1,36 @@
 """Reflected-path Monte Carlo for the semigroup on convex domains.
 
-One projected Euler step is ``X <- project(X (1 - h) + sqrt(2 h) xi)``:
-the projection realizes normal reflection at the boundary, so endpoints
-never leave the closed domain. The weak bias is O(h) in the interior with
-an O(sqrt(h)) contribution where paths press on the boundary; callers fold
-an explicit bias allowance into their tolerances.
+``evolve_starts`` picks one of three transitions from the domain types
+alone (``transition`` names it):
+
+- ``"exact"``: where the reflected law is known in closed form, each
+  endpoint is one draw ``Y = e^{-t} x + sqrt(1 - e^{-2t}) xi`` of the free
+  OU transition, folded into the domain. The fold is the identity on
+  ``WholeSpace`` and the mirror image on a single half-space whose face
+  passes through the origin (OU is symmetric about every such hyperplane,
+  so the reflected process is the free one mirrored, e.g. ``|Y|`` on
+  ``half_line()``); a ``Product`` folds its base coordinates by its base's
+  fold. There is no step bias.
+- ``"split"``: on a ``Product`` whose base has no exact transition, the free
+  coordinates take the one exact draw and only the base coordinates march
+  with projected Euler steps through ``base.project``.
+- ``"euler"``: everywhere else, one projected Euler step is
+  ``X <- project(X (1 - h) + sqrt(2 h) xi)``; the projection realizes
+  normal reflection at the boundary, so endpoints never leave the closed
+  domain. The weak bias is O(h) in the interior with an O(sqrt(h))
+  contribution where paths press on the boundary; callers fold an explicit
+  bias allowance into their tolerances.
+
+Coupled domains take the exact or split transition only when all of them
+allow it; a call that mixes kinds runs Euler for all of them.
 
 Determinism and coupling: paths are generated in fixed-size batches whose
 generators come from spawned children of the root seed, and every batch
 writes its own fixed rows of the endpoint array, so results do not depend
 on the order batches are processed in. Two calls with the same seed, path
-count, step size, and horizon consume identical noise, which is what the
-common-random-number comparisons across domains and integrands rely on.
+count, step size, horizon and transition consume identical noise, which is
+what the common-random-number comparisons across domains and integrands
+rely on.
 """
 from __future__ import annotations
 
@@ -19,7 +38,7 @@ import math
 
 import numpy as np
 
-from ..domains import ConvexDomain
+from ..domains import ConvexDomain, HalfspaceIntersection, Product, WholeSpace
 from ..gauss import mean_se
 from .types import SemigroupEstimate
 
@@ -47,13 +66,59 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _fold(dom):
+    """Map from free OU endpoints to reflected ones on ``dom``, or None
+    where the reflected transition has no closed form."""
+    if isinstance(dom, WholeSpace):
+        return lambda y: y
+    if (isinstance(dom, HalfspaceIntersection) and len(dom.offsets) == 1
+            and dom.offsets[0] == 0.0):
+        n = dom.normals[0]
+        return lambda y: y - 2.0 * np.maximum(y @ n, 0.0)[:, None] * n
+    if isinstance(dom, Product):
+        fold_base, k = _fold(dom.base), dom.base.dim
+        if fold_base is not None:
+            return lambda y: np.concatenate([fold_base(y[:, :k]), y[:, k:]],
+                                            axis=1)
+    return None
+
+
+def _plan(domains):
+    """The transition on these coupled domains and each domain's fold."""
+    folds = [_fold(dom) for dom in domains]
+    if all(fold is not None for fold in folds):
+        return "exact", folds
+    if (all(isinstance(dom, Product) and dom.free_dims for dom in domains)
+            and len({dom.base.dim for dom in domains}) == 1):
+        return "split", folds
+    return "euler", folds
+
+
+def transition(domains) -> str:
+    """The transition ``evolve_starts`` runs on these coupled domains:
+    ``"exact"``, ``"split"`` or ``"euler"`` (see the module docstring)."""
+    return _plan(domains)[0]
+
+
+def _march(projects, block, steps, rng):
+    """Projected Euler paths from ``block``, one per projection, all driven
+    by the same increments."""
+    states = [block.copy() for _ in projects]
+    for dt in steps:
+        noise = rng.standard_normal(block.shape)
+        scale = math.sqrt(2.0 * dt)
+        for i, project in enumerate(projects):
+            states[i] = project(states[i] * (1.0 - dt) + scale * noise)
+    return states
+
+
 def evolve_starts(domains, starts: np.ndarray, t: float,
                   h: float = DEFAULT_STEP, seed: int = 0,
                   batch_size: int = BATCH_SIZE) -> list:
-    """March one noise stream through several domains from per-path starts.
+    """Evolve per-path starts through several coupled domains.
 
-    ``starts`` has one row per path; every domain sees the same increments,
-    so runs coupled by a shared seed differ only through the projections.
+    ``starts`` has one row per path; every domain sees the same noise, so
+    runs coupled by a shared seed differ only through the reflections.
     Returns one endpoint array per domain.
     """
     starts = np.asarray(starts, dtype=float)
@@ -62,21 +127,32 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
         if dom.dim != dim:
             raise ValueError("coupled domains must share a dimension")
     steps = _schedule(t, h)
+    kind, folds = _plan(domains)
+    decay, spread = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
     n_batches = math.ceil(n / batch_size)
     seeds = _seed_sequence(seed).spawn(n_batches)
     outs = [np.empty((n, dim)) for _ in domains]
     for b in range(n_batches):
         sl = slice(b * batch_size, min((b + 1) * batch_size, n))
         rng = np.random.default_rng(seeds[b])
-        states = [starts[sl].copy() for _ in domains]
-        nb = states[0].shape[0]
-        for dt in steps:
-            noise = rng.standard_normal((nb, dim))
-            scale = math.sqrt(2.0 * dt)
-            for i, dom in enumerate(domains):
-                states[i] = dom.project(states[i] * (1.0 - dt) + scale * noise)
-        for i in range(len(domains)):
-            outs[i][sl] = states[i]
+        block = starts[sl]
+        if kind == "exact":
+            y = decay * block + spread * rng.standard_normal(block.shape)
+            for i, fold in enumerate(folds):
+                outs[i][sl] = fold(y)
+        elif kind == "split":
+            k = domains[0].base.dim
+            free = block[:, k:]
+            free = decay * free + spread * rng.standard_normal(free.shape)
+            bases = _march([dom.base.project for dom in domains],
+                           block[:, :k], steps, rng)
+            for i in range(len(domains)):
+                outs[i][sl, :k] = bases[i]
+                outs[i][sl, k:] = free
+        else:
+            ends = _march([dom.project for dom in domains], block, steps, rng)
+            for i in range(len(domains)):
+                outs[i][sl] = ends[i]
     return outs
 
 

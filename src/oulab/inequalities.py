@@ -25,7 +25,7 @@ from .domains import ConvexDomain
 from .gauss import mean_se, restricted_sample
 from .engines.grid import (grid_build, grid_apply, fd_gradient, weighted_mean,
                            l2_norm, GridOperator)
-from .engines.montecarlo import evolve_starts, DEFAULT_STEP
+from .engines.montecarlo import evolve_starts, transition, DEFAULT_STEP
 
 EPS_FLOOR = 1e-12
 GRID_EXACT_TOL = 1e-9
@@ -191,8 +191,8 @@ def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
         reports.append(InequalityReport(
             name="submultiplicative", lhs=lhs, rhs=rhs, tolerance=tol,
             details={"t": t, "n_panel": len(x_panel), "n_paths": n_paths,
-                     "h": h, "seed": seed, "worst_point": worst,
-                     "points_failing": n_fail,
+                     "h": h, "seed": seed, "transition": transition([domain]),
+                     "worst_point": worst, "points_failing": n_fail,
                      "tolerance_rule": "3*propagated_se+eps"}))
     return reports
 
@@ -238,15 +238,17 @@ def check_invariance(f, domain: ConvexDomain, t: float,
     diffs = (np.asarray(f.eval(ends), dtype=float)
              - np.asarray(f.eval(starts), dtype=float))
     mean_d, se_d = mean_se(diffs)
-    # the projection scheme is weak order 1/2 at the boundary, so the
-    # stationary mean drifts by O(sqrt(h)) times the gradient scale
+    # the projected Euler scheme is weak order 1/2 at the boundary, so the
+    # stationary mean drifts by O(sqrt(h)) times the gradient scale; the
+    # allowance is kept (and loose) on exact transitions too
     grad_scale = max(1.0, float(np.max(f.gradient_norm(starts))))
     allowance = bias_const * math.sqrt(h) * grad_scale
     tol = 3.0 * se_d + allowance + _scale_floor(mean_d)
     return InequalityReport(
         name="invariance_mc", lhs=abs(mean_d), rhs=0.0, tolerance=tol,
         details={"t": t, "n_paths": n_paths, "h": h, "seed": seed,
-                 "mean_shift": mean_d, "se": se_d, "bias_const": bias_const,
+                 "transition": transition([domain]), "mean_shift": mean_d,
+                 "se": se_d, "bias_const": bias_const,
                  "bias_allowance": allowance,
                  "tolerance_rule": "3*se(paired diff)+bias_const*sqrt(h)*scale+eps"})
 

@@ -62,6 +62,17 @@ def test_parse_round_trip_preserves_objects():
     assert np.array_equal(fn.eval(pts), coordinate(1).eval(pts))
 
 
+def test_check_budgets_are_converted_at_parse():
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    # "panel" is a submultiplicative option, so a poincare check ignores it
+    cfg["checks"][0].update(t="0.25", panel="many")
+    parsed = parse_config(json.dumps(cfg), seed=5)
+    first, _, decay = parsed.budgets
+    assert (first.t, first.seed, first.samples) == (0.25, 5, 20000)
+    assert not hasattr(first, "panel")
+    assert (decay.seed, decay.times) == (2005, [0.5])
+
+
 def test_default_config_is_consistent():
     cfg = load_default_config()
     assert cfg.checks
@@ -93,6 +104,26 @@ def test_verify_outputs_are_byte_identical(tmp_path):
     main(["verify", path, "--out", str(out3), "--jobs", "3"])
     data = (out1 / "reports.csv").read_bytes()
     assert data == (out2 / "reports.csv").read_bytes()
+    assert data == (out3 / "reports.csv").read_bytes()
+
+
+def test_path_checks_are_byte_identical_across_jobs(tmp_path):
+    # an exact transition (half-line at 0) and a split one (interval x R)
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["domains"]["halfline"] = {"shape": "halfspaces", "normals": [[-1.0]],
+                                  "offsets": [0.0]}
+    cfg["checks"] += [
+        {"kind": "invariance", "function": "square", "domain": "halfline",
+         "engine": "monte_carlo", "t": 0.5},
+        {"kind": "factorization", "function": "square", "base": "interval",
+         "free_dims": 1, "t": 0.5, "points": 4},
+    ]
+    path = write_config(tmp_path, cfg)
+    out1, out3 = tmp_path / "j1", tmp_path / "j3"
+    assert main(["verify", path, "--out", str(out1)]) == 0
+    assert main(["verify", path, "--out", str(out3), "--jobs", "3"]) == 0
+    data = (out1 / "reports.csv").read_bytes()
+    assert len(read_reports(out1)) == 5
     assert data == (out3 / "reports.csv").read_bytes()
 
 
@@ -147,6 +178,10 @@ MALFORMED = [
     lambda cfg: _check_of(cfg, "factorization").pop("function"),
     lambda cfg: _check_of(cfg, "invariance").update(engine="gird"),
     lambda cfg: cfg.update(domains=[]),
+    lambda cfg: cfg.update(seed="abc"),
+    lambda cfg: _check_of(cfg, "invariance").update(t="x"),
+    lambda cfg: _check_of(cfg, "factorization").update(base="ball2",
+                                                       function="diag2"),
 ]
 
 
@@ -156,6 +191,16 @@ def test_unknown_names_exit_2(tmp_path, capsys):
         corrupt(cfg)
         path = write_config(tmp_path, cfg, name=f"bad{i}.json")
         assert main(["verify", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+    # a command section that does not name its domain fails when the
+    # command runs
+    for command, corrupt in (("evolve", lambda c: c["evolve"].pop("domain")),
+                             ("evolve", lambda c: c.pop("evolve")),
+                             ("converge", lambda c: c.pop("converge"))):
+        cfg = json.loads(default_config_text())
+        corrupt(cfg)
+        path = write_config(tmp_path, cfg, name=f"no_{command}.json")
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 2
         assert "config error:" in capsys.readouterr().err
 
 

@@ -22,7 +22,7 @@ def test_factorization_whole_line_base_matches_oracle():
     lin = coordinate(1)
     rep = factorization_check(lin, WholeSpace(1), 2, 0.5, n_points=10,
                               n_paths=20_000, h=5e-3, resolution=400, seed=2)
-    assert rep.passed
+    assert rep.passed and rep.details["transition"] == "exact"
     # both sides reproduce the whole-space decay e^{-t} x at the worst point
     oracle = mehler_apply(lin, 0.5, [rep.details["grid_value"]])  # smoke
     assert oracle.method == "mehler"
@@ -34,7 +34,7 @@ def test_factorization_interval_base():
     lin = coordinate(1)
     rep = factorization_check(lin, interval(-1.0, 1.0), 1, 0.5, n_points=10,
                               n_paths=20_000, h=5e-3, resolution=400, seed=3)
-    assert rep.passed
+    assert rep.passed and rep.details["transition"] == "split"
 
 
 def test_factorization_requires_1d_base():
@@ -49,6 +49,7 @@ def test_convergence_study_constant_function():
     study = convergence_study(ball, one, 0.4, [4, 8], n_points=4,
                               paths_per_point=500, h=5e-3, seed=5)
     assert all(abs(row.error) < 1e-12 for row in study.rows)
+    assert study.details["transition"] == "euler"
 
 
 def test_convergence_study_decays_with_side_count():

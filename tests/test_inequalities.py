@@ -144,6 +144,7 @@ def test_submultiplicative_reports_share_endpoints():
                                         n_paths=3000, h=5e-3, seed=13)
     assert len(reports) == 3
     assert all(rep.passed for rep in reports)
+    assert all(rep.details["transition"] == "euler" for rep in reports)
 
 
 # invariance ---------------------------------------------------------------------
@@ -163,7 +164,7 @@ def test_invariance_mc_whole_space_square():
     # oracle: integral of T(t) x^2 over gamma is e^{-2t} + 1 - e^{-2t} = 1
     rep = check_invariance(SQ, WholeSpace(1), 0.7, engine="monte_carlo",
                            n_paths=100_000, h=1e-3, seed=15)
-    assert rep.passed
+    assert rep.passed and rep.details["transition"] == "exact"
     val = mehler_apply(SQ, 0.7, [0.0]).value  # T(t)x^2 at 0
     assert abs(val - (1 - math.exp(-1.4))) < 1e-12
 
@@ -171,7 +172,7 @@ def test_invariance_mc_whole_space_square():
 def test_invariance_symmetric_interval():
     rep = check_invariance(LIN, IVAL, 1.0, engine="monte_carlo",
                            n_paths=50_000, h=2e-3, seed=16)
-    assert rep.passed
+    assert rep.passed and rep.details["transition"] == "euler"
     grid_rep = check_invariance(LIN, IVAL, 1.0, engine="grid", resolution=300)
     assert grid_rep.lhs < 1e-9
 

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
-from oulab.domains import Ball, WholeSpace, half_line, interval
+from oulab.domains import (Ball, Product, WholeSpace, half_line, interval,
+                           polygon_approximation)
 from oulab.engines.mehler import mehler_apply
-from oulab.engines.montecarlo import (evolve_starts, mc_apply,
+from oulab.engines.montecarlo import (_schedule, evolve_starts, mc_apply,
                                       mc_apply_many, reflected_path,
-                                      simulate_endpoints)
+                                      simulate_endpoints, transition)
 from oulab.expr import const, coordinate, from_profile, var
 from oulab.gauss import mean_se
 
@@ -22,7 +23,8 @@ def test_time_zero_is_identity():
 
 def test_endpoints_stay_in_the_domain():
     for dom in (interval(-1.0, 1.0), half_line(),
-                Ball(center=[0.0, 0.0], radius=1.0)):
+                Ball(center=[0.0, 0.0], radius=1.0),
+                Product(interval(-1.0, 1.0), 1), Product(half_line(), 1)):
         x0 = np.zeros(dom.dim) + 0.25
         ends = simulate_endpoints(dom, x0, 1.0, n_paths=5000, h=5e-3, seed=2)
         assert dom.contains(ends).all()
@@ -37,18 +39,93 @@ def test_same_seed_reproduces():
     assert not np.array_equal(a, c)
 
 
+def _free_law(x0, t):
+    """Mean and standard deviation of the free OU transition."""
+    return math.exp(-t) * x0, math.sqrt(1 - math.exp(-2 * t))
+
+
 def test_whole_space_endpoint_law():
-    # oracle: the exact transition is N(e^{-t} x0, 1 - e^{-2t}) per coordinate
-    t, h, x0 = 0.5, 1e-3, 1.0
+    # oracle: the exact transition is N(e^{-t} x0, 1 - e^{-2t}) per
+    # coordinate, drawn in one step, so no step-bias allowance
+    t, x0 = 0.5, 1.0
     ends = simulate_endpoints(WholeSpace(1), np.array([x0]), t, 100_000,
-                              h=h, seed=3)[:, 0]
-    mean = math.exp(-t) * x0
-    std = math.sqrt(1 - math.exp(-2 * t))
-    stat = kstest(ends, "norm", args=(mean, std)).statistic
-    assert stat < math.sqrt(h) * 1.0  # scheme bias allowance O(sqrt(h))
-    assert abs(ends.mean() - mean) < 3 * ends.std() / math.sqrt(len(ends)) \
-        + 2 * h * abs(x0)
+                              h=1e-3, seed=3)[:, 0]
+    mean, std = _free_law(x0, t)
+    assert kstest(ends, "norm", args=(mean, std)).pvalue > 1e-3
+    assert abs(ends.mean() - mean) < 3 * ends.std() / math.sqrt(len(ends))
     assert abs(ends.std() - std) < 0.01
+
+
+def test_half_line_endpoint_law_is_folded_normal():
+    # OU is symmetric about 0, so the reflected endpoint is |free endpoint|
+    t, x0 = 0.5, 0.3
+    dom = half_line()
+    ends = simulate_endpoints(dom, np.array([x0]), t, 100_000, h=1e-3,
+                              seed=4)
+    assert dom.contains(ends).all()
+    mean, std = _free_law(x0, t)
+    folded_cdf = lambda y: norm.cdf((y - mean) / std) \
+        - norm.cdf((-y - mean) / std)
+    assert kstest(ends[:, 0], folded_cdf).pvalue > 1e-3
+
+
+def test_product_free_coordinate_is_exact():
+    t, x0 = 0.5, np.array([0.5, 1.0])
+    dom = Product(interval(-1.0, 1.0), 1)
+    ends = simulate_endpoints(dom, x0, t, 50_000, h=5e-3, seed=5)
+    assert dom.contains(ends).all()
+    assert kstest(ends[:, 1], "norm", args=_free_law(x0[1], t)).pvalue > 1e-3
+
+
+def test_transition_follows_the_domain_types():
+    ball = Ball(center=[0.0, 0.0], radius=1.0)
+    cases = [
+        ([WholeSpace(1)], "exact"),
+        ([half_line()], "exact"),
+        ([Product(half_line(), 2)], "exact"),
+        ([Product(WholeSpace(1), 1)], "exact"),
+        ([WholeSpace(1), half_line()], "exact"),
+        ([Product(interval(-1.0, 1.0), 1)], "split"),
+        ([Product(interval(-1.0, 1.0), 1), Product(half_line(), 1)], "split"),
+        ([half_line(0.5)], "euler"),
+        ([interval(-1.0, 1.0)], "euler"),
+        ([half_line(), interval(-4.0, 4.0)], "euler"),
+        ([Product(interval(-1.0, 1.0), 1), WholeSpace(2)], "euler"),
+        ([ball, polygon_approximation(ball, 16)], "euler"),
+    ]
+    for domains, expected in cases:
+        assert transition(domains) == expected, domains
+
+
+def projected_euler(domains, starts, t, h, seed, batch_size):
+    """Reference: the projected Euler loop with its noise consumption."""
+    n, dim = starts.shape
+    n_batches = math.ceil(n / batch_size)
+    seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    outs = [np.empty((n, dim)) for _ in domains]
+    for b in range(n_batches):
+        sl = slice(b * batch_size, min((b + 1) * batch_size, n))
+        rng = np.random.default_rng(seeds[b])
+        states = [starts[sl].copy() for _ in domains]
+        for dt in _schedule(t, h):
+            noise = rng.standard_normal(states[0].shape)
+            for i, dom in enumerate(domains):
+                states[i] = dom.project(states[i] * (1.0 - dt)
+                                        + math.sqrt(2.0 * dt) * noise)
+        for i in range(len(domains)):
+            outs[i][sl] = states[i]
+    return outs
+
+
+def test_euler_fallback_is_unchanged():
+    starts = 0.5 + np.abs(np.random.default_rng(14).standard_normal((700, 1)))
+    for domains in ([interval(-1.0, 1.0)], [half_line(0.5)],
+                    [half_line(), interval(-4.0, 4.0)]):
+        ours = evolve_starts(domains, np.minimum(starts, 1.0), 0.3, 1e-2,
+                             seed=15, batch_size=256)
+        ref = projected_euler(domains, np.minimum(starts, 1.0), 0.3, 1e-2,
+                              seed=15, batch_size=256)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
 
 
 def test_reflected_path_single():
