@@ -19,11 +19,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import (BUDGET_FORMATS, CHECK_KINDS, ConfigError, RunConfig,
-                     load_config, load_default_config)
+from .config import (BUDGET_FORMATS, CHECK_KINDS, ENGINE_DEFAULTS,
+                     ConfigError, RunConfig, _floats, load_config,
+                     load_default_config)
 from .cylapprox import convergence_study
+from .domains import Ball, UnsupportedDimension
 from .engines.grid import grid_build, grid_apply, grid_spectrum
-from .inequalities import InequalityReport
+from .engines.types import ResolutionTooCoarse
+from .inequalities import BelowFloor, InequalityReport
 
 
 def _fmt(value) -> str:
@@ -61,8 +64,13 @@ def _apply_rhs_scale(report: InequalityReport, scale: float) -> InequalityReport
 def _run_one_check(cfg: RunConfig, index: int, check: dict):
     kind = CHECK_KINDS[check["kind"]]
     b = cfg.budgets[index]
-    reports = kind.run(b, cfg.domain(check[kind.domain_key]),
-                       *(cfg.function(check[k]) for k in kind.function_keys))
+    try:
+        reports = kind.run(b, cfg.domain(check[kind.domain_key]),
+                           *(cfg.function(check[k])
+                             for k in kind.function_keys))
+    except BelowFloor as err:
+        # the configured function does not suit the check's kind
+        raise ConfigError(f"check {index}: {err}") from None
     reports = [_apply_rhs_scale(r, b.rhs_scale) for r in reports]
     budget = BUDGET_FORMATS[b.engine].format(**vars(b))
     return reports, b.engine, budget, b.seed
@@ -110,16 +118,48 @@ def cmd_verify(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     return 0 if all_pass else 1
 
 
+def _ints(values) -> list:
+    return [int(v) for v in values]
+
+
+def _resolution(value):
+    return np.asarray(value, dtype=int)
+
+
+def _grid(cfg: RunConfig, section: str, name: str):
+    """``grid_build`` on a configured domain at the section's resolution,
+    with the mesh problems of the config (dimension, too few cells) as
+    ``ConfigError``."""
+    res = cfg.option(section, "resolution", _resolution,
+                     cfg.budget("grid_resolution"))
+    tail = cfg.option("engine", "tail_mass", float,
+                      ENGINE_DEFAULTS["tail_mass"])
+    try:
+        return grid_build(cfg.domain(name), res, tail)
+    except (UnsupportedDimension, ResolutionTooCoarse) as err:
+        raise ConfigError(f"{section}: domain {name!r}: {err}") from None
+
+
+def _function_on(cfg: RunConfig, section: str, name, dom):
+    fn = cfg.function(name)
+    if fn.dim != dom.dim:
+        raise ConfigError(f"{section}: function dimension {fn.dim} does not "
+                          f"match domain dimension {dom.dim}")
+    return fn
+
+
 def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.spectrum
     names = spec.get("domains", list(cfg.domains))
-    count = int(spec.get("count", 4))
+    if not isinstance(names, list):
+        raise ConfigError("spectrum: 'domains' must be an array")
+    count = cfg.option("spectrum", "count", int, 4)
+    if count < 1:
+        raise ConfigError("spectrum: 'count' must be at least 1")
     res = spec.get("resolution", cfg.budget("grid_resolution"))
     rows = []
     for name in names:
-        op = grid_build(cfg.domain(name), res,
-                        float(cfg.budget("tail_mass")))
-        result = grid_spectrum(op, count)
+        result = grid_spectrum(_grid(cfg, "spectrum", name), count)
         for i, lam in enumerate(result.eigenvalues):
             rows.append((name, i, float(lam), result.gap, "grid",
                          f"resolution={res}", cfg.seed))
@@ -133,15 +173,17 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.evolve
     dom = cfg.domain(spec.get("domain"))
-    fn = cfg.function(spec.get("function"))
-    times = [float(v) for v in spec.get("times", [0.0, 0.5, 1.0])]
+    fn = _function_on(cfg, "evolve", spec.get("function"), dom)
+    times = cfg.option("evolve", "times", _floats, [0.0, 0.5, 1.0])
+    if any(t < 0 for t in times):
+        raise ConfigError("evolve: 'times' must be nonnegative")
+    steps = cfg.option("engine", "cn_steps", int, ENGINE_DEFAULTS["cn_steps"])
     res = spec.get("resolution", cfg.budget("grid_resolution"))
-    op = grid_build(dom, res, float(cfg.budget("tail_mass")))
+    op = _grid(cfg, "evolve", spec["domain"])
     u0 = op.sample(fn)
     rows = []
     for t in times:
-        u_t = grid_apply(op, u0, t,
-                         n_steps=int(cfg.budget("cn_steps")))
+        u_t = grid_apply(op, u0, t, n_steps=steps)
         for i in range(op.n_nodes):
             x2 = float(op.nodes[i, 1]) if op.dim == 2 else ""
             rows.append((spec["domain"], spec["function"], t, i,
@@ -157,13 +199,18 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
 def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.converge
     ball = cfg.domain(spec.get("ball"))
-    fn = cfg.function(spec.get("function"))
+    if not isinstance(ball, Ball) or ball.dim != 2:
+        raise ConfigError(f"converge: 'ball' must name a 2D ball, "
+                          f"got {spec.get('ball')!r}")
+    fn = _function_on(cfg, "converge", spec.get("function"), ball)
+    sides = cfg.option("converge", "sides", _ints, [4, 8, 16, 32, 64])
+    if not sides or min(sides) < 3:
+        raise ConfigError("converge: 'sides' must be side counts >= 3")
     study = convergence_study(
-        ball, fn, float(spec.get("t", 0.5)),
-        spec.get("sides", [4, 8, 16, 32, 64]),
-        n_points=int(spec.get("points", 20)),
-        paths_per_point=int(spec.get("paths_per_point", 5000)),
-        h=float(spec.get("step", cfg.budget("mc_step"))),
+        ball, fn, cfg.option("converge", "t", float, 0.5), sides,
+        n_points=cfg.option("converge", "points", int, 20),
+        paths_per_point=cfg.option("converge", "paths_per_point", int, 5000),
+        h=cfg.option("converge", "step", float, cfg.budget("mc_step")),
         seed=cfg.seed)
     rows = [(s, e, se, m, "monte_carlo",
              f"paths_per_point={study.details['paths_per_point']};"

@@ -143,6 +143,13 @@ class RunConfig:
             return check[key]
         return self.engine.get(key, ENGINE_DEFAULTS[key])
 
+    def option(self, section: str, key: str, convert, default):
+        """``convert`` of ``key`` in a section (``spectrum``, ``evolve``,
+        ``converge`` or ``engine``), or of ``default`` when it is absent;
+        a ``ConfigError`` naming the section and key when that fails."""
+        return _number(convert, getattr(self, section).get(key, default),
+                       key, f"{section}: ")
+
 
 def parse_config(text: str, seed: int | None = None) -> RunConfig:
     """Parse and check a run configuration; ``seed``, when given, replaces

@@ -10,17 +10,34 @@ approximation: rows of the generator sum to zero, the weighted matrix
 domain or truncation boundaries are exactly the natural (zero-flux)
 Neumann condition.
 
+The solvers use that structure. With ``A = -W^-1 K``, ``K`` symmetric
+positive semidefinite and ``W`` the diagonal of cell masses:
+
+- Crank-Nicolson solves the symmetric positive definite form
+  ``(W + dt/2 K) y = (W - dt/2 K) x``, factored once per step size with a
+  symmetric minimum-degree ordering and no pivoting;
+- spectra use the symmetrized matrix ``S = -W^-1/2 K W^-1/2``: on a 1D
+  mesh it is tridiagonal (``eigh_tridiagonal``); on a 2D mesh it is dense
+  ``eigh`` up to ``DENSE_EIG_CAP`` nodes and shift-invert ``eigsh`` beyond,
+  on the same symmetric factorization of ``S - 1/2 I``;
+- the ``expm`` scheme is the exact propagator through the eigenvectors of
+  ``S`` while the cell masses stay within ``SPECTRAL_WEIGHT_RATIO_CAP`` of
+  each other, and Jensen's uniformization of the generator beyond (long
+  truncated tails), where every term is nonnegative, so positivity holds
+  exactly in floating point.
+
 Unbounded domains are truncated by ``truncation_box``; the truncation
 radius travels with the operator so results can report it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm as scipy_expm
-from scipy.sparse.linalg import splu, eigsh
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.special import ndtr
 
 from ..domains import ConvexDomain, UnsupportedDimension, truncation_box
@@ -32,6 +49,7 @@ DENSE_EIG_CAP = 2600
 DEFAULT_CN_STEPS = 200
 CLUSTER_TOL = 1e-10
 SPECTRAL_WEIGHT_RATIO_CAP = 1e10
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _phi(x):
@@ -53,7 +71,6 @@ class GridOperator:
     stiffness: sp.csr_matrix  # K = -W A, symmetric positive semidefinite
     neighbors: np.ndarray     # (n, dim, 2) node ids of (lower, upper) or -1
     _cn_cache: dict = field(default_factory=dict, repr=False)
-    _expm_cache: dict = field(default_factory=dict, repr=False)
     _spectral_cache: tuple | None = field(default=None, repr=False)
 
     @property
@@ -179,53 +196,151 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
     """Evolve node values by the semigroup for time ``t``.
 
     Crank-Nicolson (default) is unconditionally stable and takes
-    ``n_steps`` (default 200) equal steps of size ``t / n_steps``. The
-    ``expm`` scheme evaluates the matrix-exponential action directly and is
-    reserved for operators up to 2000 nodes.
+    ``n_steps`` (default 200) equal steps of size ``t / n_steps``, each one
+    solve with the factored ``W + dt/2 K``. The ``expm`` scheme evaluates
+    the matrix-exponential action directly and is reserved for operators
+    up to 2000 nodes: through the eigenvectors of the symmetrized operator
+    while the weight ratio stays below ``SPECTRAL_WEIGHT_RATIO_CAP``, by
+    uniformization beyond it. ``propagator_details`` names the solver that
+    runs and, for uniformization, its term count and error bounds.
     """
     u = op.check_values(values)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return u.copy()
-    if scheme == "crank_nicolson":
+    propagator = _propagator(op, scheme)
+    if propagator == "crank_nicolson":
         steps = DEFAULT_CN_STEPS if n_steps is None else int(n_steps)
         dt = t / steps
         key = float(dt)
         if key not in op._cn_cache:
-            eye = sp.identity(op.n_nodes, format="csc")
-            try:
-                lu = splu((eye - 0.5 * dt * op.matrix).tocsc())
-            except RuntimeError as err:
-                raise SolverError(f"Crank-Nicolson factorization failed: {err}")
-            op._cn_cache[key] = (lu, (eye + 0.5 * dt * op.matrix).tocsr())
+            # W (I - dt/2 A) = W + dt/2 K: the Crank-Nicolson step in its
+            # symmetric positive definite form
+            w = sp.diags(op.weights)
+            half = 0.5 * dt * op.stiffness
+            op._cn_cache[key] = (_factor_symmetric(w + half),
+                                 (w - half).tocsr())
         lu, forward = op._cn_cache[key]
         out = u.copy()
         for _ in range(steps):
             out = lu.solve(forward @ out)
         return out
-    if scheme == "expm":
-        if op.n_nodes > EXPM_NODE_CAP:
-            raise SolverError(
-                f"expm scheme reserved for <= {EXPM_NODE_CAP} nodes")
-        ratio = float(op.weights.max() / op.weights.min())
-        if ratio < SPECTRAL_WEIGHT_RATIO_CAP:
-            # exact propagator through the symmetric eigendecomposition;
-            # safe only while the similarity scaling stays well conditioned
-            if op._spectral_cache is None:
-                sqrt_w = np.sqrt(op.weights)
-                sym = -(op.stiffness.toarray() / sqrt_w[:, None]) / sqrt_w
-                lam, q = np.linalg.eigh(0.5 * (sym + sym.T))
-                op._spectral_cache = (lam, q, sqrt_w)
-            lam, q, sqrt_w = op._spectral_cache
-            return (q @ (np.exp(t * lam) * (q.T @ (sqrt_w * u)))) / sqrt_w
-        # badly scaled weights (long truncated tails): dense exponential,
-        # which is deterministic and keeps far-tail nodes at full accuracy
-        key = float(t)
-        if key not in op._expm_cache:
-            op._expm_cache[key] = scipy_expm(op.matrix.toarray() * t)
-        return op._expm_cache[key] @ u
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if propagator == "eigh":
+        # exact propagator through the symmetric eigendecomposition;
+        # safe only while the similarity scaling stays well conditioned
+        if op._spectral_cache is None:
+            sqrt_w = np.sqrt(op.weights)
+            sym = -(op.stiffness.toarray() / sqrt_w[:, None]) / sqrt_w
+            lam, q = np.linalg.eigh(0.5 * (sym + sym.T))
+            op._spectral_cache = (lam, q, sqrt_w)
+        lam, q, sqrt_w = op._spectral_cache
+        return (q @ (np.exp(t * lam) * (q.T @ (sqrt_w * u)))) / sqrt_w
+    return _uniformized(op, u, t)
+
+
+def propagator_details(op: GridOperator, t: float,
+                       scheme: str = "crank_nicolson") -> dict:
+    """Which solver ``grid_apply(op, u, t, scheme)`` runs: ``propagator`` is
+    ``crank_nicolson``, ``eigh`` or ``uniformized``. For uniformization
+    the dict also holds ``poisson_terms`` and the ``truncation_bound`` and
+    ``roundoff_bound`` of the result, per unit of ``max |u|``."""
+    propagator = _propagator(op, scheme)
+    if propagator != "uniformized":
+        return {"propagator": propagator}
+    _, terms, truncation, roundoff = _uniformization(op, t)
+    return {"propagator": propagator, "poisson_terms": terms + 1,
+            "truncation_bound": truncation, "roundoff_bound": roundoff}
+
+
+def _propagator(op: GridOperator, scheme: str) -> str:
+    if scheme == "crank_nicolson":
+        return scheme
+    if scheme != "expm":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if op.n_nodes > EXPM_NODE_CAP:
+        raise SolverError(f"expm scheme reserved for <= {EXPM_NODE_CAP} nodes")
+    ratio = float(op.weights.max() / op.weights.min())
+    return "eigh" if ratio < SPECTRAL_WEIGHT_RATIO_CAP else "uniformized"
+
+
+def _uniformization(op: GridOperator, t: float):
+    """Rate q, last Poisson index K, and the truncation and roundoff bounds
+    (per unit of max |u|) of ``e^{tA} u ~ sum_{k<=K} Pois(k; qt) P^k u``
+    with ``P = I + A/q``.
+
+    Truncation: for N ~ Pois(lam), lam = qt, Bernstein's inequality gives
+    P(N >= lam + x) <= exp(-x^2 / (2 (lam + x/3))). That equals the unit
+    roundoff eps = e^-L at x = L/3 + sqrt(L^2/9 + 2 L lam), so K =
+    ceil(lam + x) leaves out a Poisson mass tau <= eps. Since P is
+    row-stochastic, |P^k u| <= max |u|; dropping the tail and rescaling the
+    kept weights to sum to one each move the result by at most tau.
+
+    Roundoff, to first order in eps, with m the most entries in a row of P:
+    each row of the stored P is off by at most 2 eps in sum (a division,
+    then the diagonal's addition), and each product P v is a nonnegative
+    sum of at most m terms, so the k-th power collects k (m + 2) eps. Each
+    weight is a product of at most K rounded ratios from the mode, then
+    normalized: (2K + 2) eps. lam = qt is rounded once, which moves the sum
+    by 2 lam eps <= 2K eps (its derivative in lam is bounded by 2). The
+    K + 1 products and additions into the result add (K + 2) eps. In total
+    (K (m + 7) + 4) eps.
+    """
+    q = float(-op.matrix.diagonal().min())
+    lam = q * t
+    big_l = -math.log(UNIT_ROUNDOFF)
+    terms = math.ceil(lam + big_l / 3.0
+                      + math.sqrt(big_l * big_l / 9.0 + 2.0 * big_l * lam))
+    m = int(np.diff(op.matrix.indptr).max())
+    return q, terms, 2.0 * UNIT_ROUNDOFF, (terms * (m + 7) + 4) * UNIT_ROUNDOFF
+
+
+def _uniformized(op: GridOperator, u: np.ndarray, t: float) -> np.ndarray:
+    """Jensen's uniformization: ``sum_k Pois(k; qt) P^k u``.
+
+    ``q = max(-a_ii)``, so ``a_ii / q >= -1`` with equality exact where the
+    maximum sits, and every entry of ``P = I + A/q`` is nonnegative in
+    floating point. All terms are then nonnegative for ``u >= 0``.
+    """
+    q, terms, _, _ = _uniformization(op, t)
+    if q == 0.0:
+        return u.copy()
+    p = op.matrix.copy()
+    p.data /= q
+    p.setdiag(p.diagonal() + 1.0)
+    weights = _poisson_weights(q * t, terms)
+    out = weights[0] * u
+    v = u
+    for w in weights[1:]:
+        v = p @ v
+        out += w * v
+    return out
+
+
+def _poisson_weights(lam: float, last: int) -> np.ndarray:
+    """Pois(k; lam) for k = 0..last, rescaled to sum to one.
+
+    Built by ratios outward from the mode, where the weight is largest, so
+    the relative error of weight k is at most (2 |k - mode| + 2) eps. Weights
+    from logarithms, exp(k log lam - lam - log k!), would carry an error of
+    eps times the size of those logarithms, about lam log lam, in every term.
+    """
+    mode = int(lam)
+    weights = np.concatenate([
+        np.cumprod(np.arange(mode, 0, -1) / lam)[::-1], [1.0],
+        np.cumprod(lam / np.arange(mode + 1, last + 1))])
+    return weights / math.fsum(weights)
+
+
+def _factor_symmetric(matrix: sp.spmatrix):
+    """Sparse LU of a symmetric definite matrix: minimum-degree ordering of
+    ``A^T + A`` and pivots on the diagonal, so the factors keep the fill of
+    a symmetric factorization (definite matrices need no pivoting)."""
+    try:
+        return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as err:
+        raise SolverError(f"sparse factorization failed: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -243,18 +358,32 @@ class SpectrumResult:
 
 
 def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
-    """Top ``k`` eigenvalues via the symmetrized matrix ``W^1/2 A W^-1/2``."""
-    if op.n_nodes < k + 2:
+    """Top ``k`` eigenvalues via the symmetrized matrix ``W^1/2 A W^-1/2``.
+
+    1D meshes are one run of consecutive cells, so the matrix is
+    tridiagonal and ``eigh_tridiagonal`` picks the top ``k`` at any size.
+    2D meshes take dense ``eigh`` up to ``DENSE_EIG_CAP`` nodes and
+    shift-invert ``eigsh`` about 1/2 beyond, on a symmetric factorization.
+    """
+    n = op.n_nodes
+    if n < k + 2:
         raise ValueError("need at least k + 2 nodes")
     inv_sqrt = 1.0 / np.sqrt(op.weights)
     sym = -sp.diags(inv_sqrt) @ op.stiffness @ sp.diags(inv_sqrt)
     sym = 0.5 * (sym + sym.T)
-    if op.n_nodes <= DENSE_EIG_CAP:
+    if op.dim == 1:
+        lam, vec = eigh_tridiagonal(sym.diagonal(), sym.diagonal(1),
+                                    select="i", select_range=(n - k, n - 1))
+        lam, vec = lam[::-1], vec[:, ::-1]
+    elif n <= DENSE_EIG_CAP:
         lam, vec = np.linalg.eigh(sym.toarray())
         lam, vec = lam[::-1][:k], vec[:, ::-1][:, :k]
     else:
+        lu = _factor_symmetric(sym - 0.5 * sp.identity(n))
         try:
-            lam, vec = eigsh(sym.tocsc(), k=k, sigma=0.5, which="LM")
+            lam, vec = eigsh(sym, k=k, sigma=0.5, which="LM",
+                             OPinv=LinearOperator((n, n), matvec=lu.solve,
+                                                  dtype=float))
         except Exception as err:
             raise SolverError(f"sparse eigensolver failed: {err}")
         order = np.argsort(lam)[::-1]

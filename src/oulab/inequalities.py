@@ -24,7 +24,7 @@ import numpy as np
 from .domains import ConvexDomain
 from .gauss import mean_se, restricted_sample
 from .engines.grid import (grid_build, grid_apply, fd_gradient, weighted_mean,
-                           l2_norm, GridOperator)
+                           l2_norm, propagator_details, GridOperator)
 from .engines.montecarlo import evolve_starts, transition, DEFAULT_STEP
 
 EPS_FLOOR = 1e-12
@@ -33,7 +33,8 @@ MAXPRINCIPLE_TOL = 1e-10
 
 
 class BelowFloor(ValueError):
-    """The entropy trace needs a function bounded away from zero."""
+    """The check needs a function bounded below on the mesh: nonnegative
+    for positivity, above a floor > 0 for the entropy trace."""
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def check_decay(f, domain: ConvexDomain, t_list, resolution=400,
         reports.append(InequalityReport(
             name="decay", lhs=lhs, rhs=rhs, tolerance=tol,
             details={"t": t, "resolution": resolution, "scheme": scheme,
-                     "mean": m, "h": h,
+                     **propagator_details(op, t, scheme), "mean": m, "h": h,
                      "tolerance_rule": "disc_const*h^2*scale*max(t,1)+eps"}))
     return reports
 
@@ -286,13 +287,15 @@ def check_positivity_and_contraction(f, domain: ConvexDomain, t: float,
 
     Uses the matrix-exponential scheme, for which the discrete evolution
     is a convex combination of node values up to roundoff; the reported
-    lhs is the worst violation across the three legs.
+    lhs is the worst violation across the three legs. Raises
+    ``BelowFloor`` when f is negative on the mesh (beyond ``tol``).
     """
     if op is None:
         op = grid_build(domain, resolution, tail_mass)
     u0 = op.sample(f)
     if float(u0.min()) < -tol:
-        raise ValueError("positivity leg needs a nonnegative function")
+        raise BelowFloor(f"positivity leg needs a nonnegative function, "
+                         f"min f = {u0.min():.3g}")
     u_t = grid_apply(op, u0, t, scheme="expm")
     pos_violation = max(0.0, -float(u_t.min()))
     upper_violation = max(0.0, float(u_t.max()) - float(u0.max()))
@@ -302,6 +305,7 @@ def check_positivity_and_contraction(f, domain: ConvexDomain, t: float,
     return InequalityReport(
         name="positivity_contraction", lhs=lhs, rhs=0.0, tolerance=tol,
         details={"t": t, "resolution": resolution,
+                 **propagator_details(op, t, "expm"),
                  "min_after": float(u_t.min()), "max_after": float(u_t.max()),
                  "min_before": float(u0.min()), "max_before": float(u0.max()),
                  "l2_before": l2_norm(op, u0), "l2_after": l2_norm(op, u_t),
@@ -343,8 +347,11 @@ def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
     terminal entropy to sit at m log m up to the grid allowance plus the
     explicitly computed residual of the exponential decay.
     """
+    if op is None:
+        op = grid_build(domain, resolution, tail_mass)
     trace = entropy_trace(f, domain, t_grid, resolution=resolution,
                           tail_mass=tail_mass, floor=floor, op=op)
+    solver = propagator_details(op, float(trace.times[-1]), "expm")
     h = trace.details["h"]
     scale = max(1.0, abs(trace.entropy[0]), trace.details["fisher"])
     worst = int(np.argmin(trace.production - trace.bound[:-1]))
@@ -352,7 +359,7 @@ def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
         name="entropy_production", lhs=float(trace.bound[worst]),
         rhs=float(trace.production[worst]),
         tolerance=disc_const * h * h * scale + EPS_FLOOR,
-        details={"resolution": resolution, "worst_step": worst,
+        details={"resolution": resolution, **solver, "worst_step": worst,
                  "n_steps": len(trace.production), "h": h,
                  "nonincreasing": trace.is_nonincreasing(),
                  "tolerance_rule": "disc_const*h^2*scale+eps"})
@@ -363,7 +370,7 @@ def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
         name="entropy_terminal",
         lhs=abs(float(trace.entropy[-1]) - trace.terminal_target), rhs=0.0,
         tolerance=disc_const * h * h * scale + residual + EPS_FLOOR,
-        details={"resolution": resolution, "t_end": t_end,
+        details={"resolution": resolution, **solver, "t_end": t_end,
                  "terminal_target": trace.terminal_target,
                  "terminal_entropy": float(trace.entropy[-1]),
                  "decay_residual": residual,
@@ -378,7 +385,8 @@ def entropy_trace(f, domain: ConvexDomain, t_grid, resolution=400,
 
     Requires f >= floor > 0 on the mesh (raises ``BelowFloor`` otherwise);
     the evolved square then stays above floor^2 by the discrete maximum
-    principle, keeping every logarithm finite.
+    principle, keeping every logarithm finite. ``details`` name the
+    propagator, with its term count and bounds at the largest time.
     """
     if op is None:
         op = grid_build(domain, resolution, tail_mass)
@@ -404,4 +412,5 @@ def entropy_trace(f, domain: ConvexDomain, t_grid, resolution=400,
         times=times, entropy=entropy, production=production, bound=bound,
         terminal_target=m * math.log(m),
         details={"resolution": resolution, "fisher": fisher, "floor": floor,
-                 "mean_phi": m, "h": float(op.spacing.max())})
+                 "mean_phi": m, "h": float(op.spacing.max()),
+                 **propagator_details(op, float(times[-1]), "expm")})

@@ -204,6 +204,63 @@ def test_unknown_names_exit_2(tmp_path, capsys):
         assert "config error:" in capsys.readouterr().err
 
 
+def test_signed_positivity_function_exits_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["checks"] = [{"kind": "positivity_contraction", "function": "linear",
+                      "domain": "interval", "t": 0.5}]
+    for jobs in ("1", "2"):
+        assert main(["verify", write_config(tmp_path, cfg), "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "nonnegative" in err
+
+
+def _with_2d_ball(cfg):
+    cfg["domains"]["ball2"] = {"shape": "ball", "center": [0.0, 0.0],
+                               "radius": 1.0}
+    cfg["functions"]["diag"] = {
+        "dim": 2, "directions": [[0.7071067811865476, 0.7071067811865476]],
+        "profile": "(tanh v1)"}
+    cfg["converge"] = {"ball": "ball2", "function": "diag", "t": 0.3,
+                       "sides": [4, 8], "points": 3, "paths_per_point": 400,
+                       "step": 0.005}
+    return cfg
+
+
+# command sections are checked when their command runs
+BAD_SECTIONS = [
+    ("converge", lambda c: None),  # SMALL_CONFIG's converge.ball is 1D
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(t="x")),
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(sides=[2])),
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(
+        function="linear")),
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(
+        points="many")),
+    ("evolve", lambda c: c["evolve"].update(times=["x"])),
+    ("evolve", lambda c: c["evolve"].update(times=[-1.0])),
+    ("evolve", lambda c: c["evolve"].update(function="nothing")),
+    ("evolve", lambda c: c["evolve"].update(resolution="fine")),
+    ("evolve", lambda c: c["evolve"].update(resolution=4)),
+    ("evolve", lambda c: c["engine"].update(cn_steps="x")),
+    ("spectrum", lambda c: c["spectrum"].update(count="x")),
+    ("spectrum", lambda c: c["spectrum"].update(count=0)),
+    ("spectrum", lambda c: c["spectrum"].update(domains="line")),
+    ("spectrum", lambda c: c["engine"].update(tail_mass="x")),
+    ("spectrum", lambda c: (c["domains"].update(cube={
+        "shape": "whole_space", "dim": 3}),
+        c["spectrum"].update(domains=["cube"]))),
+]
+
+
+def test_bad_command_sections_exit_2(tmp_path, capsys):
+    for i, (command, corrupt) in enumerate(BAD_SECTIONS):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        corrupt(cfg)
+        path = write_config(tmp_path, cfg, name=f"bad{i}.json")
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 2, i
+        assert "config error:" in capsys.readouterr().err
+
+
 def test_dimension_mismatch_exits_2(tmp_path):
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     cfg["functions"]["linear"]["dim"] = 2

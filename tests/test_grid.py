@@ -1,15 +1,21 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
+from scipy.sparse.linalg import eigsh, splu
 from scipy.special import ndtr
 
 from oulab.domains import (Ball, HalfspaceIntersection, Product, Slab,
                            UnsupportedDimension, WholeSpace, half_line,
                            interval)
-from oulab.engines.grid import (dirichlet_energy_grid, fd_gradient,
-                                grid_apply, grid_build, grid_spectrum,
-                                l2_norm, weighted_mean)
+from oulab.engines.grid import (DENSE_EIG_CAP, _poisson_weights,
+                                dirichlet_energy_grid,
+                                fd_gradient, grid_apply, grid_build,
+                                grid_spectrum, l2_norm, propagator_details,
+                                weighted_mean)
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.types import ResolutionTooCoarse, SolverError
 from oulab.expr import coordinate, exp, from_profile, var
@@ -207,3 +213,175 @@ def test_weighted_mean_and_norm():
     ones = np.ones(op.n_nodes)
     assert abs(weighted_mean(op, ones) - 1.0) < 1e-12
     assert abs(l2_norm(op, ones) ** 2 - op.weights.sum()) < 1e-12
+
+
+# structure-exploiting solvers against the generic ones they replaced ---------
+
+def symmetrized(op):
+    """S = -W^-1/2 K W^-1/2, dense."""
+    inv_sqrt = 1.0 / np.sqrt(op.weights)
+    sym = -(op.stiffness.toarray() * inv_sqrt[:, None]) * inv_sqrt
+    return 0.5 * (sym + sym.T)
+
+
+def unsymmetric_crank_nicolson(op, u, t, steps=200):
+    """The Crank-Nicolson loop on ``(I - dt/2 A) y = (I + dt/2 A) x``,
+    factored by the default (unsymmetric) sparse LU."""
+    dt = t / steps
+    eye = sp.identity(op.n_nodes, format="csc")
+    lu = splu((eye - 0.5 * dt * op.matrix).tocsc())
+    forward = (eye + 0.5 * dt * op.matrix).tocsr()
+    out = u.copy()
+    for _ in range(steps):
+        out = lu.solve(forward @ out)
+    return out
+
+
+UNIFORMIZED = [
+    ("line", WholeSpace(1), 800),
+    ("halfline", half_line(), 800),
+    ("quadrant", quadrant_2d(), 40),
+]
+
+
+@pytest.mark.parametrize("name, dom, res", UNIFORMIZED,
+                         ids=[g[0] for g in UNIFORMIZED])
+def test_uniformized_expm_matches_dense_reference(name, dom, res):
+    op = grid_build(dom, res)
+    assert op.weights.max() / op.weights.min() >= 1e10
+    r = np.linalg.norm(op.nodes, axis=1)
+    panel = [np.exp(-r * r),                    # the positivity bump
+             (op.nodes[:, 0] > 1.0) * 1.0,      # zero on most of the mesh
+             np.tanh(op.nodes[:, 0]) - 2.0]     # signed
+    t = 0.5
+    reference = expm(op.matrix.toarray() * t)
+    info = propagator_details(op, t, "expm")
+    assert info["propagator"] == "uniformized"
+    bound = info["truncation_bound"] + info["roundoff_bound"]
+    assert bound < 1e-10
+    for u in panel:
+        u_t = grid_apply(op, u, t, scheme="expm")
+        sup = np.abs(u).max()
+        assert np.abs(u_t - reference @ u).max() <= bound * sup
+        if u.min() >= 0.0:
+            assert u_t.min() >= 0.0  # exact: every term is nonnegative
+            assert u_t.max() <= u.max() * (1.0 + bound)
+
+
+def poisson_pmf_decimal(lam, last):
+    """Pois(k; lam), k = 0..last, in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lam_d = Decimal(lam)  # the double lam, exactly
+        log_fact = Decimal(0)
+        out = []
+        for k in range(last + 1):
+            if k:
+                log_fact += Decimal(k).ln()
+            out.append(float((k * lam_d.ln() - lam_d - log_fact).exp()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lam", [0.3, 37.5, 3152.8306])
+def test_poisson_weights_are_accurate_to_their_distance_from_the_mode(lam):
+    last = int(lam + 12 * math.sqrt(lam) + 40)
+    weights = _poisson_weights(lam, last)
+    exact = poisson_pmf_decimal(lam, last)
+    exact = exact / math.fsum(exact)
+    k = np.arange(last + 1)
+    eps = 2.0 ** -53
+    # (2 |k - mode| + 2) eps for the weights, 3 eps for rounding and
+    # normalizing the reference; absolute below the normal doubles
+    allowed = (2 * np.abs(k - int(lam)) + 5) * eps * exact + 1e-300
+    assert np.all(np.abs(weights - exact) <= allowed)
+
+
+def test_uniformized_semigroup_and_constants():
+    op = grid_build(half_line(), 800)
+    u0 = op.sample(from_profile(exp(-(var(1) ** 2)), [[1.0]]))
+    two = grid_apply(op, grid_apply(op, u0, 0.3, scheme="expm"), 0.4,
+                     scheme="expm")
+    direct = grid_apply(op, u0, 0.7, scheme="expm")
+    bound = sum(propagator_details(op, s, "expm")["roundoff_bound"]
+                for s in (0.3, 0.4, 0.7))
+    assert np.abs(two - direct).max() <= bound
+    ones = np.ones(op.n_nodes)
+    out = grid_apply(op, ones, 0.7, scheme="expm")
+    assert np.abs(out - 1.0).max() <= bound
+
+
+def test_propagator_details_name_the_branch():
+    line = grid_build(WholeSpace(1), 800)
+    ival = grid_build(interval(-1.0, 1.0), 200)
+    assert propagator_details(ival, 0.5) == {"propagator": "crank_nicolson"}
+    assert propagator_details(ival, 0.5, "expm") == {"propagator": "eigh"}
+    info = propagator_details(line, 0.5, "expm")
+    assert info["propagator"] == "uniformized"
+    # Bernstein's tail bound puts the last term a few sqrt(qt) past qt
+    q = float(-line.matrix.diagonal().min())
+    assert q * 0.5 < info["poisson_terms"] < q * 0.5 + 20 * math.sqrt(q * 0.5)
+    assert info["truncation_bound"] <= 2.0 ** -52
+    longer = propagator_details(line, 2.0, "expm")
+    assert longer["poisson_terms"] > info["poisson_terms"]
+    assert longer["roundoff_bound"] > info["roundoff_bound"]
+    with pytest.raises(ValueError):
+        propagator_details(line, 0.5, "leapfrog")
+
+
+@pytest.mark.parametrize("dom, res", [(WholeSpace(1), 800), (half_line(), 800),
+                                      (interval(-1.0, 1.0), 800)])
+def test_tridiagonal_spectrum_matches_dense_eigh(dom, res):
+    op = grid_build(dom, res)
+    sym = symmetrized(op)
+    lam, vec = np.linalg.eigh(sym)
+    lam, vec = lam[::-1][:4], vec[:, ::-1][:, :4]
+    spec = grid_spectrum(op, 4)
+    # both solvers are backward stable: eigenvalues within n eps ||S||
+    scale = op.n_nodes * np.finfo(float).eps * np.abs(sym).sum(axis=1).max()
+    assert np.abs(spec.eigenvalues - lam).max() <= scale
+    dense = vec / np.sqrt(op.weights)[:, None]
+    for j in range(4):
+        a, b = spec.eigenvectors[:, j], dense[:, j]
+        cos = abs(a @ (op.weights * b)) / (l2_norm(op, a) * l2_norm(op, b))
+        assert cos > 1.0 - 1e-10
+    kernel = spec.kernel_vector / np.mean(spec.kernel_vector)
+    assert np.abs(kernel - 1.0).max() < 1e-6
+
+
+def test_tridiagonal_spectrum_on_a_long_line():
+    # 4000 cells: beyond DENSE_EIG_CAP, where shift-invert eigsh ran before
+    op = grid_build(WholeSpace(1), 4000)
+    assert op.n_nodes > DENSE_EIG_CAP
+    spec = grid_spectrum(op, 4)
+    hermite = np.array([0.0, -1.0, -2.0, -3.0])
+    assert np.abs(spec.eigenvalues - hermite).max() < 1e-4
+    kernel = spec.kernel_vector / np.mean(spec.kernel_vector)
+    assert np.abs(kernel - 1.0).max() < 1e-6
+    lam = eigsh(sp.csc_matrix(symmetrized(op)), k=4, sigma=0.5,
+                which="LM")[0]
+    assert np.abs(np.sort(lam)[::-1] - spec.eigenvalues).max() < 1e-8
+
+
+def test_shift_invert_spectrum_on_a_large_2d_mesh():
+    op = grid_build(Ball(center=[0.0, 0.0], radius=1.0), 60)
+    assert op.n_nodes > DENSE_EIG_CAP
+    spec = grid_spectrum(op, 4)
+    lam = np.linalg.eigvalsh(symmetrized(op))[::-1][:4]
+    assert np.abs(spec.eigenvalues - lam).max() < 1e-8
+    kernel = spec.kernel_vector / np.mean(spec.kernel_vector)
+    assert np.abs(kernel - 1.0).max() < 1e-6
+    assert spec.multiplicities[:2] == (1, 2)  # the rotation pair
+
+
+@pytest.mark.parametrize("dom, res", [(WholeSpace(1), 400), (half_line(), 800),
+                                      (interval(-1.0, 1.0), 300),
+                                      (Ball(center=[0.0, 0.0], radius=1.0),
+                                       40),
+                                      (quadrant_2d(), 40)])
+def test_symmetric_crank_nicolson_matches_the_unsymmetric_loop(dom, res):
+    op = grid_build(dom, res)
+    for u in (np.tanh(op.nodes[:, 0]), np.exp(-op.nodes[:, -1] ** 2)):
+        for t in (0.1, 1.0):
+            new = grid_apply(op, u, t)
+            old = unsymmetric_crank_nicolson(op, u, t)
+            assert np.abs(new - old).max() < 1e-12

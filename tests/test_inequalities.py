@@ -219,6 +219,39 @@ def test_positivity_rejects_signed_function():
         check_positivity_and_contraction(LIN, IVAL, 0.5, resolution=100)
 
 
+def test_signed_function_is_below_the_floor():
+    with pytest.raises(BelowFloor, match="nonnegative"):
+        check_positivity_and_contraction(LIN, IVAL, 0.5, resolution=100)
+
+
+def test_grid_checks_record_their_propagator():
+    bump = from_profile(exp(-(var(1) ** 2)), [[1.0]])
+    line = grid_build(WholeSpace(1), 800)
+    rep = check_positivity_and_contraction(bump, line.domain, 0.5, op=line)
+    assert rep.passed and rep.details["propagator"] == "uniformized"
+    assert rep.details["poisson_terms"] > 1000
+    assert rep.details["roundoff_bound"] + rep.details["truncation_bound"] \
+        < rep.tolerance
+    rep = check_positivity_and_contraction(bump, IVAL, 0.5, resolution=200)
+    assert rep.details["propagator"] == "eigh"
+    assert "poisson_terms" not in rep.details
+    assert check_decay(SQ, IVAL, [0.5], resolution=200)[0] \
+        .details["propagator"] == "crank_nicolson"
+    expm_decay = check_decay(bump, line.domain, [0.5], scheme="expm", op=line)
+    assert expm_decay[0].details["propagator"] == "uniformized"
+    f = from_profile(2 + tanh(var(1)), [[1.0]])
+    trace = entropy_trace(f, IVAL, [0.0, 1.0], resolution=200)
+    assert trace.details["propagator"] == "eigh"
+    half = grid_build(half_line(), 400)
+    trace = entropy_trace(f, half.domain, [0.0, 0.5, 1.0], op=half)
+    assert trace.details["propagator"] == "uniformized"
+    # the count and the bounds are those of the largest time
+    one = entropy_trace(f, half.domain, [0.0, 1.0], op=half)
+    assert trace.details["poisson_terms"] == one.details["poisson_terms"]
+    for rep in check_entropy(f, half.domain, [0.0, 0.5, 1.0], op=half):
+        assert rep.details["poisson_terms"] == one.details["poisson_terms"]
+
+
 # entropy --------------------------------------------------------------------------
 
 def test_entropy_trace_constant_function():
