@@ -6,13 +6,13 @@ from . import domains, expr, gauss, engines, inequalities, cylapprox, config
 from .domains import (ConvexDomain, WholeSpace, HalfspaceIntersection, Ball,
                       Slab, Product, interval, half_line,
                       polygon_approximation, truncation_box, domain_from_config)
-from .gauss import (QuadratureRule, gauss_hermite, gaussian_moment, hermite_he,
-                    sample_gaussian, restricted_sample, gaussian_mass, Estimate)
+from .gauss import (QuadratureRule, gauss_hermite, sample_gaussian,
+                    restricted_sample)
 from .expr import (CylFunction, parse_expr, format_expr, var, const, exp, tanh,
                    sin, coordinate, from_profile, function_from_config)
-from .engines import (SemigroupEstimate, mehler_apply, reflected_path,
-                      simulate_endpoints, mc_apply, mc_apply_many, GridOperator,
-                      SpectrumResult, grid_build, grid_apply, grid_spectrum)
+from .engines import (SemigroupEstimate, mehler_apply, simulate_endpoints,
+                      mc_apply, mc_apply_many, GridOperator, SpectrumResult,
+                      grid_build, grid_apply, grid_spectrum)
 from .inequalities import (InequalityReport, EntropyTrace, check_poincare,
                            check_logsob, check_gradient_bound,
                            check_submultiplicative, check_invariance,

@@ -23,7 +23,7 @@ from .config import (BUDGET_FORMATS, CHECK_KINDS, ENGINE_DEFAULTS,
                      ConfigError, RunConfig, _floats, load_config,
                      load_default_config)
 from .cylapprox import convergence_study
-from .domains import Ball, UnsupportedDimension
+from .domains import Ball, EmptyDomain, UnsupportedDimension
 from .engines.grid import grid_build, grid_apply, grid_spectrum
 from .engines.types import ResolutionTooCoarse
 from .inequalities import BelowFloor, InequalityReport
@@ -68,8 +68,9 @@ def _run_one_check(cfg: RunConfig, index: int, check: dict):
         reports = kind.run(b, cfg.domain(check[kind.domain_key]),
                            *(cfg.function(check[k])
                              for k in kind.function_keys))
-    except BelowFloor as err:
-        # the configured function does not suit the check's kind
+    except (BelowFloor, EmptyDomain) as err:
+        # the configured function does not suit the check's kind, or the
+        # configured domain has no interior
         raise ConfigError(f"check {index}: {err}") from None
     reports = [_apply_rhs_scale(r, b.rhs_scale) for r in reports]
     budget = BUDGET_FORMATS[b.engine].format(**vars(b))
@@ -128,15 +129,15 @@ def _resolution(value):
 
 def _grid(cfg: RunConfig, section: str, name: str):
     """``grid_build`` on a configured domain at the section's resolution,
-    with the mesh problems of the config (dimension, too few cells) as
-    ``ConfigError``."""
+    with the mesh problems of the config (dimension, too few cells, a
+    domain with no interior) as ``ConfigError``."""
     res = cfg.option(section, "resolution", _resolution,
                      cfg.budget("grid_resolution"))
     tail = cfg.option("engine", "tail_mass", float,
                       ENGINE_DEFAULTS["tail_mass"])
     try:
         return grid_build(cfg.domain(name), res, tail)
-    except (UnsupportedDimension, ResolutionTooCoarse) as err:
+    except (UnsupportedDimension, ResolutionTooCoarse, EmptyDomain) as err:
         raise ConfigError(f"{section}: domain {name!r}: {err}") from None
 
 

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import norm
+from scipy.special import ndtri
 
 UNIT_TOL = 1e-12
 CONTAINS_TOL = 1e-9
@@ -30,6 +29,11 @@ class NoConvergence(RuntimeError):
 
 class UnsupportedDimension(ValueError):
     """Operation is only defined for a specific ambient dimension."""
+
+
+class EmptyDomain(ValueError):
+    """The half-space system has no interior: its constraints exclude each
+    other."""
 
 
 def _as_batch(x, dim):
@@ -139,7 +143,11 @@ class HalfspaceIntersection(ConvexDomain):
             raise UnsupportedDimension("vertices are enumerated in 2D only")
         cached = getattr(self, "_vertices", None)
         if cached is None:
-            cached = _polygon_vertices(self.normals, self.offsets)
+            # a polygon_approximation (the only system with recorded balls)
+            # has its vertices where adjacent faces meet
+            pairs = None if getattr(self, "_balls", None) is None \
+                else _adjacent_pairs(len(self.offsets))
+            cached = _polygon_vertices(self.normals, self.offsets, pairs)
             object.__setattr__(self, "_vertices", cached)
         return cached
 
@@ -217,6 +225,24 @@ class HalfspaceIntersection(ConvexDomain):
         return out
 
     def axis_bounds(self):
+        """Per-axis bounding interval ``(lo, hi)`` with +-inf where unbounded.
+
+        In 1D it is closed form: ``a x <= b`` bounds x above by ``b / a``
+        when ``a > 0`` and below when ``a < 0`` (a zero bound is +0.0).
+        Above 1D each side is a linear program; ``linprog`` is imported
+        here, so only a grid built on such a system loads
+        ``scipy.optimize``. Raises ``EmptyDomain`` when the constraints
+        leave no interior and ``NoConvergence`` when the solver gives up.
+        """
+        if self.dim == 1:
+            a, bound = self.normals[:, 0], self.offsets / self.normals[:, 0]
+            lo = bound[a < 0].max(initial=-np.inf) + 0.0
+            hi = bound[a > 0].min(initial=np.inf) + 0.0
+            if lo >= hi:
+                raise EmptyDomain(f"half-spaces leave no interior: "
+                                  f"lower bound {lo} >= upper bound {hi}")
+            return np.array([lo]), np.array([hi])
+        from scipy.optimize import linprog
         lo = np.full(self.dim, -np.inf)
         hi = np.full(self.dim, np.inf)
         free = [(None, None)] * self.dim
@@ -228,6 +254,10 @@ class HalfspaceIntersection(ConvexDomain):
                               bounds=free, method="highs")
                 if res.status == 0:
                     target[i] = sign * res.fun
+                elif res.status == 2:
+                    raise EmptyDomain("half-space system is infeasible")
+                elif res.status != 3:  # 3: unbounded along this axis
+                    raise NoConvergence(f"linprog: {res.message}")
                 c[i] = 0.0
         return lo, hi
 
@@ -424,15 +454,24 @@ def _undecided(decided):
     return rest
 
 
-def _polygon_vertices(normals, offsets, tol=1e-9):
+def _adjacent_pairs(n):
+    """The n neighbouring face pairs of an n-gon in ``triu_indices`` order:
+    (0, 1), (0, n - 1), (1, 2), ..., (n - 2, n - 1)."""
+    i = np.concatenate([[0, 0], np.arange(1, n - 1)])
+    j = np.concatenate([[1, n - 1], np.arange(2, n)])
+    return i, j
+
+
+def _polygon_vertices(normals, offsets, pairs=None, tol=1e-9):
     """Feasible intersections of face-line pairs of a 2D half-space system.
 
-    Pairs come in the order (0, 1), (0, 2), ..., (1, 2), ...; nearly
-    parallel pairs are skipped. All pairs go through one batched solve; the
-    feasibility test runs over blocks of pairs, so it holds at most
-    ``VERTEX_BLOCK`` violations at a time however many faces there are.
+    ``pairs`` (two index arrays, ``i < j``) defaults to all pairs in the
+    order (0, 1), (0, 2), ..., (1, 2), ...; nearly parallel pairs are
+    skipped. All pairs go through one batched solve; the feasibility test
+    runs over blocks of pairs, so it holds at most ``VERTEX_BLOCK``
+    violations at a time however many faces there are.
     """
-    i, j = np.triu_indices(len(offsets), 1)
+    i, j = np.triu_indices(len(offsets), 1) if pairs is None else pairs
     det = normals[i, 0] * normals[j, 1] - normals[i, 1] * normals[j, 0]
     keep = np.abs(det) >= 1e-12
     i, j = i[keep], j[keep]
@@ -497,9 +536,10 @@ def polygon_approximation(ball: Ball, n: int) -> HalfspaceIntersection:
     the n-gon's inscribed ball, together with its circumradius
     ``r / cos(pi / n)``: points well inside the inscribed ball or well
     outside the circumscribed one skip the violation matrix in
-    ``project`` and ``contains``, with bit for bit the same result. A
+    ``project`` and ``contains``, with bit for bit the same result, and
+    its vertices are solved from the n adjacent face pairs alone. A
     polygon rebuilt from ``to_config`` has no record and takes the full
-    path.
+    paths.
     """
     if not isinstance(ball, Ball) or ball.dim != 2:
         raise UnsupportedDimension("polygon approximation needs a 2D ball")
@@ -525,12 +565,14 @@ def truncation_box(domain: ConvexDomain, tail_mass: float):
     """Axis-aligned box carrying all but ``tail_mass`` of the Gaussian mass.
 
     Each unbounded axis side is cut at ``R`` with ``2(1 - Phi(R))`` equal to
-    the per-axis share ``tail_mass / dim``; sides the domain already bounds
+    the per-axis share ``tail_mass / dim``, that is ``R = -ndtri(p)`` with
+    ``p = tail_mass / (2 dim)`` (bit for bit ``scipy.stats.norm.isf(p)``,
+    without importing ``scipy.stats``); sides the domain already bounds
     keep the domain's own bound regardless of ``tail_mass``.
     """
     if not 0.0 < tail_mass < 1.0:
         raise ValueError("tail_mass must lie in (0, 1)")
-    radius = float(norm.isf(tail_mass / (2.0 * domain.dim)))
+    radius = float(-ndtri(tail_mass / (2.0 * domain.dim)))
     lo_d, hi_d = domain.axis_bounds()
     lo = np.where(np.isfinite(lo_d), lo_d, -radius)
     hi = np.where(np.isfinite(hi_d), hi_d, radius)

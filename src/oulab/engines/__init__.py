@@ -2,7 +2,7 @@
 
 - ``mehler_apply``: exact whole-space oracle via tensorized Gauss-Hermite
   quadrature of the Mehler integral.
-- ``mc_apply`` / ``reflected_path``: simulation of the normally
+- ``mc_apply`` / ``simulate_endpoints``: simulation of the normally
   reflected diffusion on any convex domain, by exact one-draw transitions
   where the law is known in closed form and projected Euler elsewhere.
 - ``grid_build`` / ``grid_apply`` / ``grid_spectrum``: weighted
@@ -10,15 +10,13 @@
 """
 from .types import SemigroupEstimate, OrderTooHigh, SolverError, ResolutionTooCoarse
 from .mehler import mehler_apply
-from .montecarlo import reflected_path, simulate_endpoints, mc_apply, mc_apply_many
+from .montecarlo import simulate_endpoints, mc_apply, mc_apply_many
 from .grid import (GridOperator, SpectrumResult, grid_build, grid_apply,
-                   grid_spectrum, dirichlet_energy_grid, weighted_mean, l2_norm,
-                   fd_gradient)
+                   grid_spectrum, weighted_mean, l2_norm, fd_gradient)
 
 __all__ = [
     "SemigroupEstimate", "OrderTooHigh", "SolverError", "ResolutionTooCoarse",
-    "mehler_apply", "reflected_path", "simulate_endpoints", "mc_apply",
-    "mc_apply_many", "GridOperator", "SpectrumResult", "grid_build",
-    "grid_apply", "grid_spectrum", "dirichlet_energy_grid", "weighted_mean",
-    "l2_norm", "fd_gradient",
+    "mehler_apply", "simulate_endpoints", "mc_apply", "mc_apply_many",
+    "GridOperator", "SpectrumResult", "grid_build", "grid_apply",
+    "grid_spectrum", "weighted_mean", "l2_norm", "fd_gradient",
 ]

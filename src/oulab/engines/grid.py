@@ -420,12 +420,6 @@ def l2_norm(op: GridOperator, values) -> float:
     return float(np.sqrt(op.weights @ (u * u)))
 
 
-def dirichlet_energy_grid(op: GridOperator, values) -> float:
-    """Discrete form energy ``u . K u >= 0``."""
-    u = op.check_values(values)
-    return float(u @ (op.stiffness @ u))
-
-
 def fd_gradient(op: GridOperator, values):
     """Central-difference gradient and the mask of nodes where it exists.
 

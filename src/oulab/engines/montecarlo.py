@@ -169,12 +169,6 @@ def simulate_endpoints(domain: ConvexDomain, x0, t: float, n_paths: int,
     return evolve_starts([domain], starts, t, h, seed, batch_size)[0]
 
 
-def reflected_path(domain: ConvexDomain, x0, t: float, h: float = DEFAULT_STEP,
-                   seed: int = 0) -> np.ndarray:
-    """Endpoint of a single reflected path (lands exactly at time t)."""
-    return simulate_endpoints(domain, x0, t, n_paths=1, h=h, seed=seed)[0]
-
-
 def mc_apply(f, domain: ConvexDomain, t: float, x, n_paths: int,
              h: float = DEFAULT_STEP, seed: int = 0) -> SemigroupEstimate:
     """Monte Carlo semigroup value: sample mean of f over path endpoints."""

@@ -1,8 +1,7 @@
 """Standard Gaussian measure utilities.
 
-Gauss-Hermite quadrature against the standard normal density, closed-form
-moments, probabilists' Hermite polynomials, seeded sampling, rejection
-sampling restricted to a convex domain, Monte Carlo mass estimates, and
+Gauss-Hermite quadrature against the standard normal density, seeded
+sampling, rejection sampling restricted to a convex domain, and
 ``mean_se``, the shared sample mean and standard error.
 All stochastic routines take an explicit integer seed and are bit-stable;
 independent sub-streams are derived by spawning ``numpy.random.SeedSequence``
@@ -81,50 +80,12 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights / weights.sum())
 
 
-def gaussian_moment(degree: int) -> float:
-    """Closed-form standard normal moment: 0 for odd degree, (2m-1)!! for 2m."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree % 2 == 1:
-        return 0.0
-    out = 1.0
-    for k in range(1, degree, 2):
-        out *= k
-    return out
-
-
-def hermite_he(n: int, x) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_n evaluated by recurrence.
-
-    These are the eigenfunctions of the whole-space generator with
-    eigenvalue -n, and are orthogonal with ``E[He_m He_n] = n! delta_mn``.
-    """
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)
-    prev, cur = np.ones_like(x), x.copy()
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-    return cur
-
-
 def sample_gaussian(dim: int, count: int, seed: int) -> np.ndarray:
     """``count`` i.i.d. standard normal vectors in R^dim, deterministic in seed."""
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.standard_normal((count, dim))
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A Monte Carlo scalar with its standard error."""
-
-    value: float
-    std_error: float
-
-    def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - target) <= n_sigma * self.std_error
 
 
 def mean_se(values: np.ndarray):
@@ -177,9 +138,3 @@ def restricted_sample(domain: ConvexDomain, count: int, seed: int,
     points = np.concatenate(kept)[:count]
     return RestrictedSample(points=points, acceptance_rate=accepted / proposed,
                             proposed=proposed)
-
-
-def gaussian_mass(domain: ConvexDomain, count: int, seed: int) -> Estimate:
-    """Monte Carlo estimate of the Gaussian mass of the domain."""
-    draw = sample_gaussian(domain.dim, count, seed)
-    return Estimate(*mean_se(domain.contains(draw).astype(float)))

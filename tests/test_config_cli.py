@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -259,6 +262,37 @@ def test_bad_command_sections_exit_2(tmp_path, capsys):
         path = write_config(tmp_path, cfg, name=f"bad{i}.json")
         assert main([command, path, "--out", str(tmp_path / "out")]) == 2, i
         assert "config error:" in capsys.readouterr().err
+
+
+EMPTY_HALFLINES = {"shape": "halfspaces", "normals": [[1.0], [-1.0]],
+                   "offsets": [-1.0, -1.0]}  # x <= -1 and x >= 1
+
+
+def test_empty_domain_exits_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["domains"]["nothing"] = EMPTY_HALFLINES
+    cfg["spectrum"]["domains"] = ["nothing"]
+    cfg["evolve"]["domain"] = "nothing"
+    cfg["checks"] = [{"kind": "decay", "function": "square",
+                      "domain": "nothing", "times": [0.5]}]
+    path = write_config(tmp_path, cfg)
+    for command in ("spectrum", "evolve", "verify"):
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "no interior" in err, command
+
+
+def test_import_leaves_out_stats_and_optimize():
+    # the engines need scipy.linalg, scipy.sparse and scipy.special only;
+    # scipy.stats and scipy.optimize would double the import time
+    code = ("import sys, oulab, oulab.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_dimension_mismatch_exits_2(tmp_path):

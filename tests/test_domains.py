@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.optimize
+from scipy.special import ndtri
 from scipy.stats import norm
 
+from oulab.config import load_default_config
 from oulab.domains import (CONTAINS_TOL, DYKSTRA_TOL, Ball, DimensionMismatch,
-                           HalfspaceIntersection, NoConvergence, Product, Slab,
-                           UnsupportedDimension, WholeSpace, _dykstra,
-                           _polygon_vertices, domain_from_config, half_line,
-                           interval, polygon_approximation, truncation_box)
+                           EmptyDomain, HalfspaceIntersection, NoConvergence,
+                           Product, Slab, UnsupportedDimension, WholeSpace,
+                           _dykstra, _polygon_vertices, domain_from_config,
+                           half_line, interval, polygon_approximation,
+                           truncation_box)
 from oulab.engines.montecarlo import evolve_starts
 
 
@@ -247,16 +251,21 @@ def test_polygon_vertices_match_pairwise_loop(dom):
     got = _polygon_vertices(dom.normals, dom.offsets)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+    # a polygon_approximation solves only its n adjacent face pairs
+    assert np.array_equal(dom.vertices, expected)
 
 
 def test_polygon_vertices_memory_is_bounded():
     # all 523,776 face pairs of a 1024-gon against all faces would be a
     # 4 GB feasibility matrix; with row blocks the peak is the per-pair
-    # arrays, about 50 MB
+    # arrays, about 50 MB. Only a polygon rebuilt from config enumerates
+    # them all; the polygon_approximation itself solves its 1,024 adjacent
+    # pairs and must find the same vertices bit for bit.
     gon = polygon_approximation(Ball(center=[0.0, 0.0], radius=1.0), 1024)
+    rebuilt = domain_from_config(gon.to_config())
     tracemalloc.start()
     try:
-        verts = gon.vertices
+        verts = rebuilt.vertices
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -264,6 +273,7 @@ def test_polygon_vertices_memory_is_bounded():
     assert np.allclose(np.linalg.norm(verts, axis=1),
                        1.0 / math.cos(math.pi / 1024))
     assert peak < 256e6
+    assert np.array_equal(gon.vertices, verts)
 
 
 def _reference_project_candidates(self, pts):
@@ -343,6 +353,85 @@ def test_truncation_box_quadrant_linprog_bounds():
     lo, hi = truncation_box(quadrant(), 1e-10)
     assert hi[0] == 0.0 and hi[1] == 0.0
     assert lo[0] < -6.0
+
+
+def test_ndtri_is_bitwise_norm_isf():
+    # truncation_box cuts at -ndtri(p) so that scipy.stats is not imported;
+    # it must be the same float as norm.isf(p) over the whole tail range
+    p = np.logspace(-300, math.log10(0.5), 10_000)
+    assert np.array_equal(-ndtri(p), norm.isf(p))
+
+
+def _linprog_bounds(dom):
+    """The bounds by one linear program per side, as computed in every
+    dimension before 1D got its closed form."""
+    lo, hi = np.full(dom.dim, -np.inf), np.full(dom.dim, np.inf)
+    for i in range(dom.dim):
+        for sign, target in ((1.0, lo), (-1.0, hi)):
+            c = np.zeros(dom.dim)
+            c[i] = sign
+            res = scipy.optimize.linprog(
+                c, A_ub=dom.normals, b_ub=dom.offsets,
+                bounds=[(None, None)] * dom.dim, method="highs")
+            if res.status == 0:
+                target[i] = sign * res.fun
+    return lo, hi
+
+
+ONE_D_SYSTEMS = [
+    half_line(0.0), half_line(0.3), half_line(-1.5),
+    load_default_config().domain("halfline"),
+    HalfspaceIntersection(normals=[[1.0]], offsets=[2.0]),
+    HalfspaceIntersection(normals=[[1.0], [-1.0]], offsets=[1.0, 1.0]),
+    HalfspaceIntersection(normals=[[1.0], [-1.0]], offsets=[1.0 / 3.0, -0.1]),
+    HalfspaceIntersection(normals=[[-1.0], [1.0], [-1.0]],
+                          offsets=[-0.2, 2.0, 0.5]),
+    HalfspaceIntersection(normals=[[1.0], [-1.0], [1.0], [-1.0]],
+                          offsets=[0.7, 0.2, 0.5, -0.1]),
+]
+
+
+@pytest.mark.parametrize("dom", ONE_D_SYSTEMS, ids=[
+    "halfline0", "halfline0.3", "halfline-1.5", "bundled", "upper", "interval",
+    "skewed", "redundant", "doubled"])
+def test_one_d_bounds_are_bitwise_linprog(dom):
+    got, expected = dom.axis_bounds(), _linprog_bounds(dom)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def test_one_d_zero_bounds_are_positive_zero():
+    # linprog gives x <= 0 the upper bound -0.0; the closed form gives +0.0,
+    # as it does (like linprog) for the lower bound of half_line(0)
+    _, hi = HalfspaceIntersection(normals=[[1.0]], offsets=[0.0]).axis_bounds()
+    assert hi[0] == 0.0 and not np.signbit(hi[0])
+
+
+EMPTY_SYSTEMS = [
+    HalfspaceIntersection(normals=[[1.0], [-1.0]], offsets=[-1.0, -1.0]),
+    HalfspaceIntersection(normals=[[1.0], [-1.0]], offsets=[0.5, -0.5]),
+    HalfspaceIntersection(normals=[[1.0, 0.0], [-1.0, 0.0]],
+                          offsets=[-1.0, -1.0]),
+    HalfspaceIntersection(normals=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                          offsets=[-1.0, -1.0, 3.0]),
+]
+
+
+@pytest.mark.parametrize("dom", EMPTY_SYSTEMS,
+                         ids=["1d", "1d-point", "2d", "2d-redundant"])
+def test_empty_halfspace_system_raises(dom):
+    with pytest.raises(EmptyDomain):
+        dom.axis_bounds()
+    with pytest.raises(EmptyDomain):
+        truncation_box(dom, 1e-12)
+
+
+def test_linprog_failure_is_no_convergence(monkeypatch):
+    class Stalled:
+        status, message = 4, "numerical difficulties"
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Stalled)
+    with pytest.raises(NoConvergence):
+        quadrant().axis_bounds()
 
 
 def test_dykstra_agrees_with_exact_projection():

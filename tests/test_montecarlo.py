@@ -8,8 +8,8 @@ from oulab.domains import (Ball, Product, WholeSpace, half_line, interval,
                            polygon_approximation)
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.montecarlo import (_schedule, evolve_starts, mc_apply,
-                                      mc_apply_many, reflected_path,
-                                      simulate_endpoints, transition)
+                                      mc_apply_many, simulate_endpoints,
+                                      transition)
 from oulab.expr import const, coordinate, from_profile, var
 from oulab.gauss import mean_se
 
@@ -130,7 +130,8 @@ def test_euler_fallback_is_unchanged():
 
 def test_reflected_path_single():
     dom = interval(-1.0, 1.0)
-    end = reflected_path(dom, np.array([0.9]), 0.3, h=1e-2, seed=5)
+    end = simulate_endpoints(dom, np.array([0.9]), 0.3, n_paths=1, h=1e-2,
+                             seed=5)[0]
     assert end.shape == (1,)
     assert dom.contains(end)
 
