@@ -26,6 +26,7 @@ from .cylapprox import convergence_study
 from .domains import Ball, EmptyDomain, UnsupportedDimension
 from .engines.grid import grid_build, grid_apply, grid_spectrum
 from .engines.types import ResolutionTooCoarse
+from .gauss import MassTooSmall
 from .inequalities import BelowFloor, InequalityReport
 
 
@@ -68,9 +69,11 @@ def _run_one_check(cfg: RunConfig, index: int, check: dict):
         reports = kind.run(b, cfg.domain(check[kind.domain_key]),
                            *(cfg.function(check[k])
                              for k in kind.function_keys))
-    except (BelowFloor, EmptyDomain) as err:
+    except (BelowFloor, EmptyDomain, MassTooSmall) as err:
         # the configured function does not suit the check's kind, or the
-        # configured domain has no interior
+        # configured domain has no interior (a grid sees that from its
+        # bounds) or too little Gaussian mass to sample from (a sampler
+        # sees that from its first batch's acceptance)
         raise ConfigError(f"check {index}: {err}") from None
     reports = [_apply_rhs_scale(r, b.rhs_scale) for r in reports]
     budget = BUDGET_FORMATS[b.engine].format(**vars(b))

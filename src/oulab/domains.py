@@ -227,21 +227,37 @@ class HalfspaceIntersection(ConvexDomain):
     def axis_bounds(self):
         """Per-axis bounding interval ``(lo, hi)`` with +-inf where unbounded.
 
-        In 1D it is closed form: ``a x <= b`` bounds x above by ``b / a``
-        when ``a > 0`` and below when ``a < 0`` (a zero bound is +0.0).
-        Above 1D each side is a linear program; ``linprog`` is imported
-        here, so only a grid built on such a system loads
-        ``scipy.optimize``. Raises ``EmptyDomain`` when the constraints
-        leave no interior and ``NoConvergence`` when the solver gives up.
+        A face ``a x_i <= b`` whose normal is ``+-e_i`` bounds axis i
+        exactly by ``b / a``: above when ``a > 0``, below when ``a < 0``
+        (a zero bound is +0.0). In 1D every face is one of these, so the
+        bounds are closed form. Above 1D each side is first a linear
+        program, which such faces then tighten: ``linprog`` meets its
+        constraints only to 1e-7, so it can misplace a bound or miss an
+        empty system near 1e-8. ``linprog`` is imported here, so only a
+        grid built on such a system loads ``scipy.optimize``. Raises
+        ``EmptyDomain`` when the constraints leave no interior and
+        ``NoConvergence`` when the solver gives up.
         """
         if self.dim == 1:
-            a, bound = self.normals[:, 0], self.offsets / self.normals[:, 0]
-            lo = bound[a < 0].max(initial=-np.inf) + 0.0
-            hi = bound[a > 0].min(initial=np.inf) + 0.0
-            if lo >= hi:
-                raise EmptyDomain(f"half-spaces leave no interior: "
-                                  f"lower bound {lo} >= upper bound {hi}")
-            return np.array([lo]), np.array([hi])
+            lo, hi = np.full(1, -np.inf), np.full(1, np.inf)
+        else:
+            lo, hi = self._linprog_bounds()
+        single = np.count_nonzero(self.normals, axis=1) == 1
+        axis = np.argmax(np.abs(self.normals[single]), axis=1)
+        a = self.normals[single, axis]
+        bound = self.offsets[single] / a
+        np.maximum.at(lo, axis[a < 0], bound[a < 0])
+        np.minimum.at(hi, axis[a > 0], bound[a > 0])
+        lo += 0.0
+        hi += 0.0
+        if np.any(lo >= hi):
+            i = int(np.argmax(lo >= hi))
+            raise EmptyDomain(f"half-spaces leave no interior: lower bound "
+                              f"{lo[i]} >= upper bound {hi[i]} on axis {i}")
+        return lo, hi
+
+    def _linprog_bounds(self):
+        """Each axis side by one linear program (``dim >= 2``)."""
         from scipy.optimize import linprog
         lo = np.full(self.dim, -np.inf)
         hi = np.full(self.dim, np.inf)
@@ -322,6 +338,11 @@ class Slab(ConvexDomain):
         object.__setattr__(self, "dim", direction.shape[0])
 
     def _coord(self, pts):
+        if self.dim == 1:
+            # the one product the matmul would form, without its per-call
+            # cost (most of a 1D projection); only the sign of a zero
+            # coordinate can differ, and neither clip nor shift sees it
+            return pts[:, 0] * self.direction[0]
         return pts @ self.direction
 
     def _contains(self, pts, tol):
@@ -329,9 +350,13 @@ class Slab(ConvexDomain):
         return (s >= self.lower - tol) & (s <= self.upper + tol)
 
     def _project(self, pts):
+        # pts + (clip(s) - s) d, in one output array and one scratch vector
         s = self._coord(pts)
-        shift = np.clip(s, self.lower, self.upper) - s
-        return pts + shift[:, None] * self.direction
+        shift = np.clip(s, self.lower, self.upper)
+        shift -= s
+        out = np.multiply(shift[:, None], self.direction)
+        out += pts
+        return out
 
     def axis_bounds(self):
         lo = np.full(self.dim, -np.inf)

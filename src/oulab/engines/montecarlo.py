@@ -26,8 +26,13 @@ allow it; a call that mixes kinds runs Euler for all of them.
 
 Determinism and coupling: paths are generated in fixed-size batches whose
 generators come from spawned children of the root seed, and every batch
-writes its own fixed rows of the endpoint array, so results do not depend
-on the order batches are processed in. Two calls with the same seed, path
+writes its own fixed rows of the endpoint array. The batches of a call run
+on a thread pool of its own, with one thread per CPU in the process's
+affinity mask. numpy releases the GIL while it fills noise and runs ufuncs,
+so the batches really run at the same time. Neither the pool size nor the
+order batches finish in can change a result: a batch's noise depends only
+on its own generator, and its rows only on its noise and starts. There is
+deliberately no knob for the pool. Two calls with the same seed, path
 count, step size, horizon and transition consume identical noise, which is
 what the common-random-number comparisons across domains and integrands
 rely on.
@@ -35,6 +40,8 @@ rely on.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -102,14 +109,49 @@ def transition(domains) -> str:
 
 def _march(projects, block, steps, rng):
     """Projected Euler paths from ``block``, one per projection, all driven
-    by the same increments."""
-    states = [block.copy() for _ in projects]
+    by the same increments.
+
+    The noise and the drifted state live in two buffers reused by every
+    step; the noise is scaled once per step for all projections, and
+    ``state (1 - dt) + scale noise`` is formed in the drift buffer with the
+    same two roundings as the expression, so the paths are bit for bit
+    those of the plain loop. Every ``project`` returns a new array, so the
+    drift buffer is free again once it has been projected.
+    """
+    states = [block] * len(projects)
+    noise = np.empty(block.shape)
+    drift = np.empty(block.shape)
     for dt in steps:
-        noise = rng.standard_normal(block.shape)
-        scale = math.sqrt(2.0 * dt)
+        rng.standard_normal(out=noise)
+        noise *= math.sqrt(2.0 * dt)
         for i, project in enumerate(projects):
-            states[i] = project(states[i] * (1.0 - dt) + scale * noise)
+            np.multiply(states[i], 1.0 - dt, out=drift)
+            drift += noise
+            states[i] = project(drift)
     return states
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _run_batches(run, n_batches):
+    """``run(b)`` for every batch b, on a pool of one thread per CPU.
+
+    The first exception in batch order is re-raised as it was raised;
+    batches not yet started are cancelled and the running ones finish
+    before it propagates, so no batch outlives the call.
+    """
+    pool = ThreadPoolExecutor(_cpus(), thread_name_prefix="oulab-paths")
+    try:
+        for future in [pool.submit(run, b) for b in range(n_batches)]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def evolve_starts(domains, starts: np.ndarray, t: float,
@@ -132,7 +174,8 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
     n_batches = math.ceil(n / batch_size)
     seeds = _seed_sequence(seed).spawn(n_batches)
     outs = [np.empty((n, dim)) for _ in domains]
-    for b in range(n_batches):
+
+    def run(b):
         sl = slice(b * batch_size, min((b + 1) * batch_size, n))
         rng = np.random.default_rng(seeds[b])
         block = starts[sl]
@@ -153,6 +196,8 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
             ends = _march([dom.project for dom in domains], block, steps, rng)
             for i in range(len(domains)):
                 outs[i][sl] = ends[i]
+
+    _run_batches(run, n_batches)
     return outs
 
 

@@ -282,6 +282,26 @@ def test_empty_domain_exits_2(tmp_path, capsys):
         assert "config error:" in err and "no interior" in err, command
 
 
+def test_empty_domain_monte_carlo_check_exits_2(tmp_path, capsys):
+    # a sample-based check never asks for axis bounds; its rejection
+    # sampler finds an empty domain, or one with too little Gaussian mass
+    # (here x >= 3.5, mass 2.3e-4), through its first-batch acceptance
+    far_tail = {"shape": "halfspaces", "normals": [[-1.0]],
+                "offsets": [-3.5]}
+    for domain in (EMPTY_HALFLINES, far_tail):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["domains"]["sparse"] = domain
+        cfg["checks"] = [{"kind": "poincare", "function": "linear",
+                          "domain": "sparse"}]
+        path = write_config(tmp_path, cfg)
+        for jobs in ("1", "2"):
+            assert main(["verify", path, "--jobs", jobs,
+                         "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "config error:" in err and "acceptance" in err, \
+                (domain, jobs)
+
+
 def test_import_leaves_out_stats_and_optimize():
     # the engines need scipy.linalg, scipy.sparse and scipy.special only;
     # scipy.stats and scipy.optimize would double the import time

@@ -94,6 +94,52 @@ def test_ball_projection_properties(x, y, r, cx):
     assert np.allclose(dom.project(p), p, atol=1e-10)
 
 
+def _slab_projection_reference(slab, pts):
+    """Reference: the slab projection as one expression, temporaries and
+    all."""
+    s = pts @ slab.direction
+    shift = np.clip(s, slab.lower, slab.upper) - s
+    return pts + shift[:, None] * slab.direction
+
+
+@st.composite
+def _slabs_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    finite = st.floats(-1.0, 1.0, allow_subnormal=False)
+    raw = np.array(draw(st.lists(finite, min_size=dim, max_size=dim)))
+    if np.linalg.norm(raw) < 1e-3:
+        raw[0] = 1.0
+    lower = draw(st.floats(-5.0, 4.0))
+    upper = lower + draw(st.floats(1e-3, 10.0))
+    # far points make clip(s) - s round, so its sum with pts is not clip(s)
+    scale = draw(st.sampled_from([1.0, 1e3, 1e9, 1e17]))
+    n = draw(st.integers(1, 12))
+    coords = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * dim,
+                           max_size=n * dim))
+    pts = scale * np.array(coords).reshape(n, dim)
+    return Slab(direction=raw / np.linalg.norm(raw), lower=lower,
+                upper=upper), pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_slabs_and_points())
+def test_slab_projection_is_bitwise_the_reference(case):
+    slab, pts = case
+    got = slab.project(pts)
+    assert got.tobytes() == _slab_projection_reference(slab, pts).tobytes()
+
+
+def test_slab_reference_panel_has_inexact_shifts():
+    # the property test above needs cases where the shift rounds; here is one
+    slab = Slab(direction=[0.6, 0.8], lower=-1.0, upper=0.3)
+    pts = np.array([[3e16, -7e15], [1.0, 2.0]])
+    s = pts @ slab.direction
+    shift = np.clip(s, slab.lower, slab.upper) - s
+    assert shift[0] + s[0] != np.clip(s[0], slab.lower, slab.upper)
+    assert slab.project(pts).tobytes() == \
+        _slab_projection_reference(slab, pts).tobytes()
+
+
 def test_product_projection_splits_exactly():
     prod = Product(base=interval(-1.0, 1.0), free_dims=2)
     rng = np.random.default_rng(5)
@@ -423,6 +469,23 @@ def test_empty_halfspace_system_raises(dom):
         dom.axis_bounds()
     with pytest.raises(EmptyDomain):
         truncation_box(dom, 1e-12)
+
+
+def _times_unit_interval(normals, offsets):
+    """A 1D half-space system on x times [-1, 1] in y."""
+    return HalfspaceIntersection(
+        normals=[[n, 0.0] for n in normals] + [[0.0, 1.0], [0.0, -1.0]],
+        offsets=list(offsets) + [1.0, 1.0])
+
+
+def test_axis_faces_fix_linprog_near_its_tolerance():
+    # linprog meets constraints to 1e-7: it gave this empty system the
+    # x-bounds (5e-9, -5e-9), and the second the upper bound 1.6e-8
+    with pytest.raises(EmptyDomain):
+        _times_unit_interval([1.0, -1.0], [-5e-9, -5e-9]).axis_bounds()
+    lo, hi = _times_unit_interval([1.0, 1.0], [1.6e-8, -1.4e-8]).axis_bounds()
+    assert hi[0] == -1.4e-8 and lo[0] == -np.inf
+    assert (lo[1], hi[1]) == (-1.0, 1.0)
 
 
 def test_linprog_failure_is_no_convergence(monkeypatch):

@@ -1,11 +1,15 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
-from oulab.domains import (Ball, Product, WholeSpace, half_line, interval,
-                           polygon_approximation)
+from oulab.domains import (Ball, NoConvergence, Product, Slab, WholeSpace,
+                           half_line, interval, polygon_approximation)
+from oulab.engines import montecarlo
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.montecarlo import (_schedule, evolve_starts, mc_apply,
                                       mc_apply_many, simulate_endpoints,
@@ -98,23 +102,109 @@ def test_transition_follows_the_domain_types():
 
 
 def projected_euler(domains, starts, t, h, seed, batch_size):
-    """Reference: the projected Euler loop with its noise consumption."""
+    """Reference: the projected Euler loop with its noise consumption. On
+    ``Product`` domains with free dimensions (the split transition), the
+    free coordinates first take one exact OU draw and the loop runs on the
+    base coordinates through ``base.project``."""
     n, dim = starts.shape
+    k = domains[0].base.dim if montecarlo.transition(domains) == "split" \
+        else dim
+    projects = [dom.base.project if k < dim else dom.project
+                for dom in domains]
     n_batches = math.ceil(n / batch_size)
     seeds = np.random.SeedSequence(seed).spawn(n_batches)
     outs = [np.empty((n, dim)) for _ in domains]
     for b in range(n_batches):
         sl = slice(b * batch_size, min((b + 1) * batch_size, n))
         rng = np.random.default_rng(seeds[b])
-        states = [starts[sl].copy() for _ in domains]
+        free = starts[sl, k:]
+        if k < dim:
+            free = math.exp(-t) * free + math.sqrt(-math.expm1(-2.0 * t)) \
+                * rng.standard_normal(free.shape)
+        states = [starts[sl, :k].copy() for _ in domains]
         for dt in _schedule(t, h):
             noise = rng.standard_normal(states[0].shape)
-            for i, dom in enumerate(domains):
-                states[i] = dom.project(states[i] * (1.0 - dt)
-                                        + math.sqrt(2.0 * dt) * noise)
+            for i, project in enumerate(projects):
+                states[i] = project(states[i] * (1.0 - dt)
+                                    + math.sqrt(2.0 * dt) * noise)
         for i in range(len(domains)):
-            outs[i][sl] = states[i]
+            outs[i][sl, :k] = states[i]
+            outs[i][sl, k:] = free
     return outs
+
+
+@pytest.fixture(params=[1, 3], ids=["one-thread", "three-threads"])
+def engine_cpus(request, monkeypatch):
+    """Batches on a one- or three-thread pool whatever the CPUs."""
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: request.param)
+
+
+DISC = Ball(center=[0.0, 0.0], radius=1.0)
+POOLED_CASES = {
+    "interval": [interval(-1.0, 1.0)],
+    "disc-gon16-gon64": [DISC, polygon_approximation(DISC, 16),
+                         polygon_approximation(DISC, 64)],
+    "split": [Product(interval(-1.0, 1.0), 1)],
+}
+
+
+@pytest.mark.parametrize("name", POOLED_CASES)
+def test_batches_match_the_serial_reference(name, engine_cpus):
+    # 7 full batches of 128 and a ragged 37-row one
+    domains = POOLED_CASES[name]
+    rng = np.random.default_rng(16)
+    starts = np.clip(0.5 * rng.standard_normal((7 * 128 + 37,
+                                                 domains[0].dim)),
+                     -0.6, 0.6)
+    ours = evolve_starts(domains, starts, 0.3, 1e-2, seed=17, batch_size=128)
+    ref = projected_euler(domains, starts, 0.3, 1e-2, seed=17,
+                          batch_size=128)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
+
+
+def test_concurrent_callers_get_their_serial_results(monkeypatch):
+    # as --jobs check threads do: four callers at once, each on its own
+    # three-thread pool, switching threads every microsecond
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+    domains = POOLED_CASES["disc-gon16-gon64"]
+    starts = np.zeros((5 * 64 + 9, 2))
+    expected = [projected_euler(domains, starts, 0.1, 1e-2, seed, 64)
+                for seed in range(4)]
+    interval_s = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            runs = [callers.submit(evolve_starts, domains, starts, 0.1, 1e-2,
+                                   seed, 64) for seed in range(4)]
+            got = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval_s)
+    for ours, ref in zip(got, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
+
+
+class _StallingInterval(Slab):
+    """(-1, 1), whose projection gives up on the 37-row batch."""
+
+    def _project(self, pts):
+        if len(pts) == 37:
+            raise NoConvergence("stalled on the ragged batch")
+        return super()._project(pts)
+
+
+def test_a_failing_batch_raises_its_own_error(engine_cpus):
+    dom = _StallingInterval(direction=np.array([1.0]), lower=-1.0, upper=1.0)
+    starts = np.zeros((7 * 128 + 37, 1))
+    with pytest.raises(NoConvergence, match="ragged batch") as err:
+        evolve_starts([dom], starts, 0.1, 1e-2, seed=18, batch_size=128)
+    assert err.type is NoConvergence
+    # the running batches finished before the error propagated
+    assert not [th for th in threading.enumerate()
+                if th.name.startswith("oulab-paths")]
+    # the engine still runs after a failed call
+    ends = evolve_starts([dom], starts[:-37], 0.1, 1e-2, seed=18,
+                         batch_size=128)[0]
+    assert dom.contains(ends).all()
 
 
 def test_euler_fallback_is_unchanged():
