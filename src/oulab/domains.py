@@ -125,14 +125,23 @@ class HalfspaceIntersection(ConvexDomain):
         object.__setattr__(self, "dim", normals.shape[1])
 
     def _violations(self, pts):
-        return pts @ self.normals.T - self.offsets
+        if self.dim != 2:
+            return pts @ self.normals.T - self.offsets
+        # elementwise, without BLAS: every entry is x nx + y ny - b rounded
+        # three times, whatever the batch (a gemm may fuse or reorder, and a
+        # lone row goes through gemv), so any subset of rows or faces can
+        # recompute the face path's values bit for bit
+        out = pts[:, :1] * self.normals[:, 0]
+        out += pts[:, 1:] * self.normals[:, 1]
+        out -= self.offsets
+        return out
 
     def _contains(self, pts, tol):
         balls = getattr(self, "_balls", None)
         if balls is None:
             return np.all(self._violations(pts) <= tol, axis=1)
         inside, outside = balls.sure(pts, tol)
-        rest = _undecided(inside | outside)
+        rest = ~(inside | outside)
         inside[rest] = np.all(self._violations(pts[rest]) <= tol, axis=1)
         return inside
 
@@ -156,14 +165,21 @@ class HalfspaceIntersection(ConvexDomain):
         if balls is None:
             return self._project_by_faces(pts)
         inside, _ = balls.sure(pts, 0.0)
-        rest = _undecided(inside)
+        rest = np.flatnonzero(~inside)
         out = pts.copy()
-        out[rest] = self._project_by_faces(pts[rest])
+        # a polygon_approximation records its sector tables with its balls
+        if self._sectors is not None and len(rest):
+            settled, proj = self._sectors.project(pts[rest])
+            out[rest[settled]] = proj[settled]
+            rest = rest[~settled]
+        if len(rest):
+            out[rest] = self._project_by_faces(pts[rest])
         return out
 
     def _project_by_faces(self, pts):
         viol = self._violations(pts)
-        worst = viol.max(axis=1)
+        j = np.argmax(viol, axis=1)
+        worst = viol[np.arange(len(pts)), j]
         out = pts.copy()
         bad = worst > 0.0
         if not np.any(bad):
@@ -172,8 +188,8 @@ class HalfspaceIntersection(ConvexDomain):
         # Projecting onto the most-violated half-space alone is exact
         # whenever the result is feasible (it attains the distance to a
         # superset of the intersection).
-        j = np.argmax(viol[bad], axis=1)
-        cand = sub - viol[bad, j][:, None] * self.normals[j]
+        j = j[bad]
+        cand = sub - worst[bad][:, None] * self.normals[j]
         feasible = np.all(self._violations(cand) <= DYKSTRA_TOL, axis=1)
         if not np.all(feasible):
             rest = sub[~feasible]
@@ -192,8 +208,7 @@ class HalfspaceIntersection(ConvexDomain):
         candidates; vertices cover the rest. Closed form, unlike iterative
         projection, which stalls on nearly parallel adjacent faces.
         Candidates are tested in blocks of at most ``VERTEX_BLOCK``
-        violations; a lone last row joins its predecessor (see
-        ``_undecided``).
+        violations.
         """
         n, m = len(pts), len(self.offsets)
         sviol = self._violations(pts)
@@ -201,9 +216,9 @@ class HalfspaceIntersection(ConvexDomain):
         rows, faces = np.nonzero(sviol > 0.0)
         cand = pts[rows] - sviol[rows, faces][:, None] * self.normals[faces]
         ok = np.empty(len(cand), dtype=bool)
-        block = max(2, VERTEX_BLOCK // m)
+        block = max(1, VERTEX_BLOCK // m)
         for start in range(0, len(cand), block):
-            sl = slice(max(0, min(start, len(cand) - 2)), start + block)
+            sl = slice(start, start + block)
             ok[sl] = self._contains(cand[sl], DYKSTRA_TOL)
         dist2[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]] ** 2
         verts = self.vertices
@@ -434,6 +449,59 @@ class Product(ConvexDomain):
 # 16u (S + |d|) in all). The bound is derived, not tuned: a point that
 # passes either test gets exactly the answer of the face path.
 BALL_SLACK = 4.0 * UNIT_TOL
+# Exactness of the sector path, which settles a polygon_approximation row
+# outside the inscribed ball from three faces. Let P0 be the exact regular
+# n-gon that the stored faces round: unit normals m_j at angle j beta,
+# beta = 2 pi / n, offsets m_j . c + r, circumradius R, edges
+# L = 2 r tan(beta / 2), and V0_j(x) = m_j . x - m_j . c - r its
+# violations. Fix a reach rho and let eps = BALL_SLACK S,
+# S = rho + 3 R + |c|. For every point x below (|x - c| <= rho + 2 R), a
+# computed violation v_j(x) is within eps of V0_j(x): the terms of (1), the
+# stored normals' error (rounded cos and sin of rounded angles, under 30u)
+# and the rounding of the offsets come to under 40u S. So do the angle of
+# p - c that atan2 gives (times |p - c|), the tangential coordinates
+# (p - c) . t_j, t_j = (-m_jy, m_jx), and the foot q = p - v_j(p) n_j,
+# which lies within 2 eps of the exact foot on face j of P0. eps overstates
+# these by a factor of 100 or more, which also absorbs the rounding of the
+# constants below. A row with |p - c| <= rho is settled by four decisions;
+# every other row takes the face path.
+# 1. Window: the argmax lies among faces j0 - 1, j0, j0 + 1, where atan2
+#    names j0. The normal m_j0 is within pi/n + delta of p - c, with
+#    delta |p - c| <= eps, and faces outside the window are at least
+#    3 pi/n - delta from it. So their violations fall short of v_j0 by at
+#    least |p - c| G1 - 4 eps, G1 = cos(pi/n) - cos(3 pi/n). That is
+#    positive when (r - eps) G1 > 4 eps, as |p - c| >= r - eps outside the
+#    inscribed ball.
+# 2. Ties: the window's values are the face path's own (see
+#    ``_violations``), so np.argmax picks the lowest index among the
+#    window's maxima. This decision is exact and needs no margin.
+# 3. Foot: the face path keeps q if no face violates it by more than
+#    DYKSTRA_TOL = tol. Faces j, j +- 1 are computed exactly. q is within
+#    2 eps of line j of P0, and by faces j +- 1 within (tol + 3 eps) /
+#    sin beta of edge j along it. Every other face is at least
+#    2 r (1 - cos beta) away from both ends of edge j (n >= 4), and a
+#    violation changes at rate at most 1, so it stays <= tol when
+#        2 r (1 - cos beta) >= (tol + 3 eps) / sin beta + 3 eps.
+# 4. Vertex: otherwise the face path enumerates candidates. Let
+#    p - V0 = la m_a + lb m_b, where V0 is the vertex of face a = j and
+#    its neighbour b on the side of p. Then la sin beta and lb sin beta are
+#    how far the tangential coordinates of p - c pass r tan(beta / 2). If
+#    both la and lb are >= mu = (tol + 4 eps) / sin^2 beta, the feet on a
+#    and b violate b and a by more than tol, so neither face is a
+#    candidate. Any other face's candidate that passes lies within
+#    sig = tol + 3 eps of P0 and on a line that is not adjacent to V0.
+#    That puts it at least Lam = sqrt(3)/2 L - sig / sin beta - 2 sig
+#    from V0, since non-adjacent edges lie at least sqrt(3)/2 L from V0.
+#    V0 is the projection onto P0, so the obtuse-angle inequality puts the
+#    candidate farther from p than V0 by Lam^2 / (2A + Lam), A = |p - V0|
+#    <= rho + R. Every other vertex is farther by at least as much. The
+#    stored vertex is within eps / sin(beta / 2) of V0, and the face path
+#    picks it when
+#        Lam^2 > (2 (rho + R) + Lam) (2 sig + eps + 2 eps / sin(beta / 2)
+#                                     + 6u (rho + 2 R)).
+# rho is the largest R 2^k that satisfies 1, 3 and 4. A polygon with no
+# such rho, or whose vertices merged (the corner map needs all n), takes
+# the face path on every row.
 # violations held at once by the vertex enumeration's feasibility test
 # (512 kB: a block stays in cache, which made the 1024-gon faster than
 # larger blocks did)
@@ -460,23 +528,119 @@ class _TwoBalls:
     def sure(self, pts, tol):
         """Masks of the rows inside the inner and beyond the outer radius."""
         inner, outer = self.radii(tol)
-        d = pts - self.center
-        dist2 = np.einsum("ij,ij->i", d, d)
+        # column by column: an (n, 2) broadcast or einsum costs several
+        # times more
+        dist2 = pts[:, 0] - self.center[0]
+        dist2 *= dist2
+        dy = pts[:, 1] - self.center[1]
+        dy *= dy
+        dist2 += dy
         return (dist2 <= math.copysign(inner * inner, inner),
                 dist2 > math.copysign(outer * outer, outer))
 
 
-def _undecided(decided):
-    """Rows the face path must still settle: those not ``decided``.
+@dataclass(frozen=True)
+class _Sectors:
+    """Face tables of the O(1) projection onto a ``polygon_approximation``
+    (see the sector margins above), one column per face or sector j."""
 
-    A one-row matmul goes through gemv, which rounds differently from the
-    gemm of a taller batch, so a lone undecided row is joined by a decided
-    one; the face path gives that row the answer it already has.
-    """
-    rest = ~decided
-    if np.count_nonzero(rest) == 1 < len(rest):
-        rest[np.argmin(rest)] = True
-    return rest
+    center: np.ndarray
+    window: np.ndarray  # nx, ny, b, index of faces j - 1, j, j + 1, sorted
+    around: np.ndarray  # nx, ny, b of faces j - 1, j, j + 1, in that order
+    corners: np.ndarray  # x; y of the vertex of faces j - 1 and j (j <= n)
+    per_radian: float
+    reach2: float
+    cone: float
+
+    @classmethod
+    def build(cls, gon, balls):
+        """The tables, or None where the margins or the corner map fail."""
+        n = len(gon.offsets)
+        verts = gon.vertices
+        if len(verts) != n:
+            return None
+        r, big_r = balls.inradius, balls.circumradius
+        c_norm = float(np.linalg.norm(balls.center))
+        beta = 2.0 * math.pi / n
+        sin_b, sin_h = math.sin(beta), math.sin(beta / 2.0)
+        tan_h = math.tan(beta / 2.0)
+        g1 = 2.0 * sin_b * sin_h  # cos(pi / n) - cos(3 pi / n)
+        g3 = 4.0 * r * sin_h * sin_h  # 2 r (1 - cos beta)
+
+        def margins_hold(rho):
+            eps = BALL_SLACK * (rho + 3.0 * big_r + c_norm)
+            sig = DYKSTRA_TOL + 3.0 * eps
+            lam = math.sqrt(3.0) * r * tan_h - sig / sin_b - 2.0 * sig
+            room = (2.0 * sig + eps + 2.0 * eps / sin_h
+                    + 6.0 * 2.0 ** -53 * (rho + 2.0 * big_r))
+            return ((r - eps) * g1 > 4.0 * eps
+                    and (n == 3 or g3 >= (DYKSTRA_TOL + 3.0 * eps) / sin_b
+                         + 3.0 * eps)
+                    and lam > 0.0
+                    and lam * lam > (2.0 * (rho + big_r) + lam) * room)
+
+        if not margins_hold(big_r):
+            return None
+        rho = big_r
+        while margins_hold(2.0 * rho):  # fails at the latest at inf
+            rho *= 2.0
+        eps = BALL_SLACK * (rho + 3.0 * big_r + c_norm)
+        nbrs = (np.arange(n) + np.array([[-1], [0], [1]])) % n
+        ranked = np.sort(nbrs, axis=0)
+        nx, ny = gon.normals[:, 0], gon.normals[:, 1]
+        # the vertex of faces j and j + 1 is number j + 1 of the adjacent
+        # pairs (0, 1), (0, n - 1), (1, 2), ...: 0 for j = 0, 1 for j = n - 1
+        order = np.concatenate([[1, 0], np.arange(2, n), [1]])
+        return cls(
+            center=balls.center,
+            window=np.concatenate([nx[ranked], ny[ranked],
+                                   gon.offsets[ranked], ranked]),
+            around=np.concatenate([nx[nbrs], ny[nbrs], gon.offsets[nbrs]]),
+            corners=np.ascontiguousarray(verts[order].T),
+            per_radian=n / (2.0 * math.pi), reach2=rho * rho,
+            cone=r * tan_h + (DYKSTRA_TOL + 4.0 * eps) / sin_b + 2.0 * eps)
+
+    def project(self, pts):
+        """``(settled, out)``: ``out[settled]`` is the face path's projection
+        of those rows of ``pts`` (rows outside the inscribed ball)."""
+        px, py = pts[:, 0], pts[:, 1]
+        dx, dy = px - self.center[0], py - self.center[1]
+        near = dx * dx + dy * dy <= self.reach2
+        # the sector of p - c names three faces; their violations are the
+        # face path's, and np.argmax's tie rule is the lowest index
+        angle = np.arctan2(dy, dx)
+        if not near.all():
+            angle[~near] = 0.0  # not settled; keeps the index finite
+        sector = np.rint(angle * self.per_radian).astype(np.intp)
+        sector %= self.window.shape[1]
+        win = np.take(self.window, sector, axis=1)
+        viol = px * win[0:3]
+        viol += py * win[3:6]
+        viol -= win[6:9]
+        top = viol.max(axis=0)
+        face = np.where(viol[0] == top, win[9],
+                        np.where(viol[1] == top, win[10], win[11]))
+        face = face.astype(np.intp)
+        # the foot on that face, kept if it violates no neighbour
+        near_face = np.take(self.around, face, axis=1)
+        foot_x = px - top * near_face[1]
+        foot_y = py - top * near_face[4]
+        fviol = foot_x * near_face[0:3]
+        fviol += foot_y * near_face[3:6]
+        fviol -= near_face[6:9]
+        on_face = fviol.max(axis=0) <= DYKSTRA_TOL
+        # else the vertex shared with the neighbour on p's side, if p lies
+        # deep enough in its normal cone
+        along = dy * near_face[0:3] - dx * near_face[3:6]
+        ccw = along[1] > 0.0
+        at_corner = ((np.abs(along[1]) >= self.cone)
+                     & (np.where(ccw, along[2], -along[0]) <= -self.cone))
+        corner = np.take(self.corners, face + ccw, axis=1)
+        free = top <= 0.0
+        out = np.empty_like(pts)
+        out[:, 0] = np.where(free, px, np.where(on_face, foot_x, corner[0]))
+        out[:, 1] = np.where(free, py, np.where(on_face, foot_y, corner[1]))
+        return near & (free | on_face | at_corner), out
 
 
 def _adjacent_pairs(n):
@@ -559,12 +723,15 @@ def polygon_approximation(ball: Ball, n: int) -> HalfspaceIntersection:
     so every n-gon contains the ball and the doubling sequence
     n, 2n, 4n, ... is nested decreasing. The source ball is recorded as
     the n-gon's inscribed ball, together with its circumradius
-    ``r / cos(pi / n)``: points well inside the inscribed ball or well
+    ``r / cos(pi / n)``. Points well inside the inscribed ball or well
     outside the circumscribed one skip the violation matrix in
-    ``project`` and ``contains``, with bit for bit the same result, and
-    its vertices are solved from the n adjacent face pairs alone. A
-    polygon rebuilt from ``to_config`` has no record and takes the full
-    paths.
+    ``project`` and ``contains``. ``project`` settles nearly every other
+    point in O(1): the polar angle about the centre names three faces,
+    and the foot on the most violated one or one of its two vertices is
+    the answer (see the sector margins beside BALL_SLACK); the rest take
+    the face path. Every result is bit for bit the face path's. The
+    vertices are solved from the n adjacent face pairs alone. A polygon
+    rebuilt from ``to_config`` has no record and takes the full paths.
     """
     if not isinstance(ball, Ball) or ball.dim != 2:
         raise UnsupportedDimension("polygon approximation needs a 2D ball")
@@ -580,9 +747,10 @@ def polygon_approximation(ball: Ball, n: int) -> HalfspaceIntersection:
         (1.0 + np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0)))
         / 2.0).min()
     radius = float(ball.radius)
-    object.__setattr__(gon, "_balls", _TwoBalls(
-        center=ball.center, inradius=radius,
-        circumradius=radius / float(cos_half)))
+    balls = _TwoBalls(center=ball.center, inradius=radius,
+                      circumradius=radius / float(cos_half))
+    object.__setattr__(gon, "_balls", balls)
+    object.__setattr__(gon, "_sectors", _Sectors.build(gon, balls))
     return gon
 
 

@@ -14,10 +14,11 @@ from oulab.config import load_default_config
 from oulab.domains import (CONTAINS_TOL, DYKSTRA_TOL, Ball, DimensionMismatch,
                            EmptyDomain, HalfspaceIntersection, NoConvergence,
                            Product, Slab, UnsupportedDimension, WholeSpace,
-                           _dykstra, _polygon_vertices, domain_from_config,
-                           half_line, interval, polygon_approximation,
-                           truncation_box)
+                           _dykstra, _polygon_vertices, _Sectors,
+                           domain_from_config, half_line, interval,
+                           polygon_approximation, truncation_box)
 from oulab.engines.montecarlo import evolve_starts
+from oulab.gauss import restricted_sample
 
 
 def quadrant():
@@ -250,6 +251,130 @@ def test_polygon_shortcut_coupled_paths_are_exact():
     assert np.array_equal(ends_gon, ends_rebuilt)
     # some paths end on the boundary, so the face path did run
     assert not gon.contains(ends_gon, tol=-1e-9).all()
+
+
+def _sector_panel(gon, ball, rng):
+    """Points at |p - c| from just outside the inscribed ball to 1e12: on
+    vertex rays (the sector edges) and 1 ulp either side in angle; on the
+    edges of a vertex's normal cone (the rays along its two face normals)
+    and 1 ulp either side; on the cone's bisector where the foot on either
+    face violates the other by DYKSTRA_TOL, give or take a few hundred
+    ulps; and at random angles."""
+    n = len(gon.offsets)
+    c, r = ball.center, ball.radius
+    picked = np.unique(np.concatenate([np.arange(min(n, 4)),
+                                       np.arange(n - 2, n),
+                                       rng.choice(n, min(n, 10))]))
+    mid = np.pi * (2.0 * picked + 1.0) / n
+    angles = np.concatenate([mid, np.nextafter(mid, 0.0),
+                             np.nextafter(mid, 7.0)])
+    dist = r * np.array([1.0 + 1e-12, 1.0 + 1e-6, 1.001, 1.1, 1.5, 3.0,
+                         1e3, 1e6, 1e12]) / math.cos(math.pi / n)
+    rows = np.stack(np.meshgrid(dist, angles, indexing="ij"), -1).reshape(-1, 2)
+    on_rays = c + rows[:, :1] * np.column_stack([np.cos(rows[:, 1]),
+                                                 np.sin(rows[:, 1])])
+    # the vertex of faces j and j + 1, with both normals
+    n_a = gon.normals[picked]
+    n_b = gon.normals[(picked + 1) % n]
+    rhs = gon.offsets[np.stack([picked, (picked + 1) % n], axis=1)]
+    verts = np.linalg.solve(np.stack([n_a, n_b], axis=1),
+                            rhs[:, :, None])[:, :, 0]
+    steps = r * np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 1e3])
+    cone = []
+    for normal in (n_a, n_b):
+        phi = np.arctan2(normal[:, 1], normal[:, 0])
+        for a in (phi, np.nextafter(phi, -7.0), np.nextafter(phi, 7.0)):
+            unit = np.column_stack([np.cos(a), np.sin(a)])
+            cone.append((verts[:, None, :] + steps[None, :, None]
+                         * unit[:, None, :]).reshape(-1, 2))
+    sin2 = math.sin(2.0 * math.pi / n) ** 2
+    lam = DYKSTRA_TOL / sin2 * (1.0 + np.arange(-300, 301, 30) * 2.0 ** -52)
+    skew = lam[:, None] * np.array([-1e-14, 0.0, 1e-14])
+    bisector = (verts[:, None, None, :]
+                + lam[None, :, None, None] * (n_a + n_b)[:, None, None, :]
+                + skew[None, :, :, None] * (n_a - n_b)[:, None, None, :])
+    radius = r * np.exp(rng.uniform(0.0, math.log(1e6), 200))
+    phi = rng.uniform(-np.pi, np.pi, 200)
+    scattered = c + radius[:, None] * np.column_stack([np.cos(phi),
+                                                      np.sin(phi)])
+    return np.concatenate([on_rays, *cone, bisector.reshape(-1, 2),
+                           scattered, c + r * rng.standard_normal((500, 2))])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 1024])
+@pytest.mark.parametrize("ball", SHORTCUT_BALLS, ids=["unit", "offcentre"])
+def test_sector_path_is_the_face_path(ball, n):
+    # the rebuilt polygon has no sector tables, so it runs the face path
+    gon = polygon_approximation(ball, n)
+    rebuilt = domain_from_config(gon.to_config())
+    assert gon._sectors is not None
+    pts = _sector_panel(gon, ball, np.random.default_rng(n))
+    for chunk in np.array_split(pts, math.ceil(len(pts) / 2000)):
+        assert np.array_equal(gon.project(chunk), rebuilt.project(chunk))
+    # the panel settles rows inside the polygon, on a face and at a
+    # vertex, and rows beyond the reach fall back
+    settled, out = gon._sectors.project(pts)
+    free = settled & np.all(out == pts, axis=1)
+    at_vertex = (out[:, None, :] == gon.vertices).all(axis=2).any(axis=1)
+    corner = settled & at_vertex
+    assert free.any() and corner.any() and (settled & ~free & ~corner).any()
+    assert not settled.all()
+    for p in pts[::len(pts) // 50]:
+        assert np.array_equal(gon.project(p), rebuilt.project(p))
+
+
+def test_sector_path_settles_almost_every_row(monkeypatch):
+    # polygon_reflect's largest polygon: all but a sliver of the rows
+    # outside the inscribed ball must be settled without the face path
+    ball = Ball(center=[0.0, 0.0], radius=1.0)
+    gon = polygon_approximation(ball, 256)
+    counts = []
+    sector_project = _Sectors.project
+
+    def spy(self, pts):
+        settled, out = sector_project(self, pts)
+        counts.append((len(pts), int(np.count_nonzero(settled))))
+        return settled, out
+
+    monkeypatch.setattr(_Sectors, "project", spy)
+    starts = restricted_sample(ball, 8000, 5).points
+    evolve_starts([gon], starts, 0.5, 4e-3, seed=6)
+    outside, settled = np.sum(counts, axis=0)
+    assert outside > 50_000
+    assert outside - settled < 0.01 * outside
+
+
+def test_merged_vertices_take_the_face_path():
+    # at radius 1e-8 the 1e-9 vertex dedup merges neighbouring vertices
+    # of the 256-gon, so the corner map of the sector path would be wrong
+    ball = Ball(center=[0.0, 0.0], radius=1e-8)
+    gon = polygon_approximation(ball, 256)
+    assert len(gon.vertices) < 256
+    assert gon._sectors is None
+    rng = np.random.default_rng(8)
+    pts = np.concatenate([s * 1e-8 * rng.standard_normal((500, 2))
+                          for s in (0.5, 1.0, 1.02, 3.0, 1e3)])
+    assert np.array_equal(gon.project(pts), gon._project_by_faces(pts))
+    # the rebuild enumerates all face pairs and keeps more vertices (the
+    # 1e-9 feasibility tolerance is a tenth of the polygon), so the two
+    # face paths part only where their vertex sets do, beyond about 3 r
+    rebuilt = domain_from_config(gon.to_config())
+    near = pts[:2000]
+    assert np.array_equal(gon.project(near), rebuilt.project(near))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1000])
+def test_2d_violations_are_plain_float_arithmetic(rows):
+    gon = domain_from_config(polygon_approximation(
+        Ball(center=[0.3, -1.7], radius=1.3), 7).to_config())
+    rng = np.random.default_rng(rows)
+    pts = rng.standard_normal((rows, 2)) * np.exp(rng.uniform(-20, 20,
+                                                              (rows, 1)))
+    got = gon._violations(pts)
+    for i, (x, y) in enumerate(pts.tolist()):
+        for j, ((nx, ny), b) in enumerate(zip(gon.normals.tolist(),
+                                              gon.offsets.tolist())):
+            assert got[i, j] == x * nx + y * ny - b
 
 
 def _reference_vertices(normals, offsets, tol=1e-9):
