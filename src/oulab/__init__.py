@@ -15,9 +15,8 @@ from .engines import (SemigroupEstimate, mehler_apply, simulate_endpoints,
                       grid_build, grid_apply, grid_spectrum)
 from .inequalities import (InequalityReport, EntropyTrace, check_poincare,
                            check_logsob, check_gradient_bound,
-                           check_submultiplicative, check_invariance,
-                           check_decay, check_positivity_and_contraction,
-                           entropy_trace)
+                           check_invariance, check_decay,
+                           check_positivity_and_contraction, entropy_trace)
 from .cylapprox import (factorization_check, convergence_study,
                         ConvergenceStudy)
 

@@ -23,9 +23,8 @@ from .config import (BUDGET_FORMATS, CHECK_KINDS, ENGINE_DEFAULTS,
                      ConfigError, RunConfig, _floats, load_config,
                      load_default_config)
 from .cylapprox import convergence_study
-from .domains import Ball, EmptyDomain, UnsupportedDimension
-from .engines.grid import grid_build, grid_apply, grid_spectrum
-from .engines.types import ResolutionTooCoarse
+from .domains import Ball, EmptyDomain
+from .engines.grid import grid_apply, grid_spectrum
 from .gauss import MassTooSmall
 from .inequalities import BelowFloor, InequalityReport
 
@@ -71,9 +70,8 @@ def _run_one_check(cfg: RunConfig, index: int, check: dict):
                              for k in kind.function_keys))
     except (BelowFloor, EmptyDomain, MassTooSmall) as err:
         # the configured function does not suit the check's kind, or the
-        # configured domain has no interior (a grid sees that from its
-        # bounds) or too little Gaussian mass to sample from (a sampler
-        # sees that from its first batch's acceptance)
+        # configured domain has no interior (factorization's grid sees that)
+        # or too little Gaussian mass (a sampler's first batch sees that)
         raise ConfigError(f"check {index}: {err}") from None
     reports = [_apply_rhs_scale(r, b.rhs_scale) for r in reports]
     budget = BUDGET_FORMATS[b.engine].format(**vars(b))
@@ -126,24 +124,6 @@ def _ints(values) -> list:
     return [int(v) for v in values]
 
 
-def _resolution(value):
-    return np.asarray(value, dtype=int)
-
-
-def _grid(cfg: RunConfig, section: str, name: str):
-    """``grid_build`` on a configured domain at the section's resolution,
-    with the mesh problems of the config (dimension, too few cells, a
-    domain with no interior) as ``ConfigError``."""
-    res = cfg.option(section, "resolution", _resolution,
-                     cfg.budget("grid_resolution"))
-    tail = cfg.option("engine", "tail_mass", float,
-                      ENGINE_DEFAULTS["tail_mass"])
-    try:
-        return grid_build(cfg.domain(name), res, tail)
-    except (UnsupportedDimension, ResolutionTooCoarse, EmptyDomain) as err:
-        raise ConfigError(f"{section}: domain {name!r}: {err}") from None
-
-
 def _function_on(cfg: RunConfig, section: str, name, dom):
     fn = cfg.function(name)
     if fn.dim != dom.dim:
@@ -163,7 +143,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     res = spec.get("resolution", cfg.budget("grid_resolution"))
     rows = []
     for name in names:
-        result = grid_spectrum(_grid(cfg, "spectrum", name), count)
+        result = grid_spectrum(cfg.grid("spectrum", name), count)
         for i, lam in enumerate(result.eigenvalues):
             rows.append((name, i, float(lam), result.gap, "grid",
                          f"resolution={res}", cfg.seed))
@@ -183,7 +163,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("evolve: 'times' must be nonnegative")
     steps = cfg.option("engine", "cn_steps", int, ENGINE_DEFAULTS["cn_steps"])
     res = spec.get("resolution", cfg.budget("grid_resolution"))
-    op = _grid(cfg, "evolve", spec["domain"])
+    op = cfg.grid("evolve", spec["domain"])
     u0 = op.sample(fn)
     rows = []
     for t in times:

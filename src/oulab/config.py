@@ -16,25 +16,39 @@ from types import SimpleNamespace
 import numpy as np
 
 from .cylapprox import factorization_check
-from .domains import ConvexDomain, domain_from_config
-from .expr import CylFunction, DslError, function_from_config
+from .domains import (ConvexDomain, EmptyDomain, UnsupportedDimension,
+                      domain_from_config)
+from .engines.grid import (DEFAULT_CN_STEPS, DEFAULT_TAIL_MASS, GridOperator,
+                           grid_build)
+from .engines.types import ResolutionTooCoarse
+from .expr import CylFunction, function_from_config
 from .inequalities import (check_decay, check_entropy, check_gradient_bound,
                            check_invariance, check_logsob, check_poincare,
                            check_positivity_and_contraction,
-                           check_submultiplicative)
+                           submultiplicative_reports)
 
 ENGINE_DEFAULTS = {
     "samples": 100_000,
     "mc_paths": 20_000,
     "mc_step": 2e-3,
     "grid_resolution": 200,
-    "tail_mass": 1e-12,
-    "cn_steps": 200,
+    "tail_mass": DEFAULT_TAIL_MASS,
+    "cn_steps": DEFAULT_CN_STEPS,
 }
 
 
 def _floats(values) -> list:
     return [float(v) for v in values]
+
+
+def grid_operator(domain: ConvexDomain, resolution, tail_mass: float,
+                  where: str) -> GridOperator:
+    """``grid_build`` for every command and check, with the mesh problems of
+    a config (dimension, too few cells, no interior) as ``ConfigError``."""
+    try:
+        return grid_build(domain, resolution, tail_mass)
+    except (UnsupportedDimension, ResolutionTooCoarse, EmptyDomain) as err:
+        raise ConfigError(f"{where}{err}") from None
 
 
 CheckKind = namedtuple(
@@ -46,7 +60,8 @@ CheckKind = namedtuple(
 # check keys only this kind reads (key -> (conversion, default)) and the
 # domain dimension it needs (None for any). A runner takes the check's
 # budgets b (built by ``_budgets`` at parse time), the domain d and the
-# functions, and returns a list of reports.
+# functions, and returns a list of reports; b.grid(d) is d's grid. Decay
+# and factorization keep DEFAULT_CN_STEPS: their tolerances have no dt term.
 CHECK_KINDS = {
     "poincare": CheckKind(
         "domain", ("function",), ("sampled",),
@@ -57,37 +72,39 @@ CHECK_KINDS = {
     "gradient_bound": CheckKind(
         "domain", ("function",), ("grid",),
         lambda b, d, f: [check_gradient_bound(
-            f, d, b.t, resolution=b.res, n_steps=b.cn_steps)]),
+            f, d, b.t, n_steps=b.cn_steps, op=b.grid(d))]),
     "submultiplicative": CheckKind(
         "domain", ("function", "function2"), ("monte_carlo",),
-        lambda b, d, f, g: [check_submultiplicative(
-            f, g, d, b.t, n_panel=b.panel, n_paths=b.paths, h=b.step,
-            seed=b.seed)],
+        lambda b, d, f, g: submultiplicative_reports(
+            [(f, g)], d, b.t, n_panel=b.panel, n_paths=b.paths, h=b.step,
+            seed=b.seed),
         options={"panel": (int, 10)}),
     "invariance": CheckKind(
         "domain", ("function",), ("monte_carlo", "grid"),
         lambda b, d, f: [check_invariance(
             f, d, b.t, engine=b.engine, n_paths=b.paths, h=b.step,
-            resolution=b.res, seed=b.seed)]),
+            n_steps=b.cn_steps, seed=b.seed,
+            op=b.grid(d) if b.engine == "grid" else None)]),
     "decay": CheckKind(
         "domain", ("function",), ("grid",),
-        lambda b, d, f: check_decay(f, d, b.times, resolution=b.res),
+        lambda b, d, f: check_decay(f, d, b.times, op=b.grid(d)),
         options={"times": (_floats, [0.5, 1.0])}),
     "positivity_contraction": CheckKind(
         "domain", ("function",), ("grid",),
         lambda b, d, f: [check_positivity_and_contraction(
-            f, d, b.t, resolution=b.res)]),
+            f, d, b.t, op=b.grid(d))]),
     "entropy": CheckKind(
         "domain", ("function",), ("grid",),
-        lambda b, d, f: check_entropy(f, d, b.times, resolution=b.res,
-                                      floor=b.floor),
+        lambda b, d, f: check_entropy(f, d, b.times, floor=b.floor,
+                                      op=b.grid(d)),
         options={"times": (_floats, np.linspace(0, 4, 21)),
                  "floor": (float, 1e-6)}),
     "factorization": CheckKind(
         "base", ("function",), ("monte_carlo+grid",),
         lambda b, d, f: [factorization_check(
             f, d, b.free_dims, b.t, n_points=b.points, n_paths=b.paths,
-            h=b.step, resolution=b.res, seed=b.seed)],
+            h=b.step, resolution=b.res, tail_mass=b.tail_mass,
+            seed=b.seed)],
         options={"free_dims": (int, 1), "points": (int, 10)},
         dim=1),
 }
@@ -150,6 +167,16 @@ class RunConfig:
         return _number(convert, getattr(self, section).get(key, default),
                        key, f"{section}: ")
 
+    def grid(self, section: str, name: str) -> GridOperator:
+        """``grid_operator`` at a command section's resolution."""
+        return grid_operator(
+            self.domain(name),
+            self.option(section, "resolution",
+                        lambda v: np.asarray(v, dtype=int),
+                        self.budget("grid_resolution")),
+            self.option("engine", "tail_mass", float, DEFAULT_TAIL_MASS),
+            f"{section}: domain {name!r}: ")
+
 
 def parse_config(text: str, seed: int | None = None) -> RunConfig:
     """Parse and check a run configuration; ``seed``, when given, replaces
@@ -172,9 +199,7 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
     for name, cfg in _section(raw, "functions", {}).items():
         try:
             functions[name] = function_from_config(cfg)
-        except DslError as err:
-            raise ConfigError(f"function {name!r}: {err}") from None
-        except (ValueError, KeyError, TypeError) as err:
+        except (ValueError, KeyError, TypeError) as err:  # DslError too
             raise ConfigError(f"function {name!r}: {err}") from None
 
     raw_seed = _number(int, raw.get("seed", 0), "seed")
@@ -242,14 +267,18 @@ def _budgets(check: dict, kind: CheckKind, engine: dict, seed: int,
     def budget(key, convert=lambda v: v):
         return value(key, convert, engine.get(key, ENGINE_DEFAULTS[key]))
 
-    return SimpleNamespace(
+    b = SimpleNamespace(
         seed=value("seed", int, seed), t=value("t", float, 0.5),
         engine=check.get("engine", kind.engines[0]),
         samples=budget("samples", int), paths=budget("mc_paths", int),
         step=budget("mc_step", float), res=budget("grid_resolution"),
         cn_steps=budget("cn_steps", int),
+        tail_mass=_number(float, engine.get("tail_mass", DEFAULT_TAIL_MASS),
+                          "tail_mass", "engine: "),
+        grid=lambda d: grid_operator(d, b.res, b.tail_mass, where),
         rhs_scale=value("rhs_scale", float, 1.0),
         **{key: value(key, *option) for key, option in kind.options.items()})
+    return b
 
 
 def _number(convert, value, key: str, where: str = ""):

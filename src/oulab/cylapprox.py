@@ -17,17 +17,16 @@ import numpy as np
 
 from .domains import Ball, ConvexDomain, Product, polygon_approximation
 from .gauss import mean_se, restricted_sample, sample_gaussian
-from .engines.grid import grid_build, grid_apply
+from .engines.grid import DEFAULT_TAIL_MASS, grid_build, grid_apply
 from .engines.montecarlo import evolve_starts, transition
-from .inequalities import InequalityReport
+from .inequalities import BIAS_CONST, FACTOR_DISC, InequalityReport
 
 
 def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
                         n_points: int = 20, n_paths: int = 20_000,
                         h: float = 5e-3, resolution: int = 400,
-                        tail_mass: float = 1e-12, seed: int = 0,
-                        bias_const: float = 1.0,
-                        disc_const: float = 5.0) -> InequalityReport:
+                        tail_mass: float = DEFAULT_TAIL_MASS,
+                        seed: int = 0) -> InequalityReport:
     """Monte Carlo on the product domain versus the grid on the base.
 
     The panel is drawn from the stationary law of the product; side A
@@ -58,7 +57,7 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
         values.append((a, b, se))
     worst = int(np.argmax(excess))
     h_grid = float(op.spacing.max())
-    allowance = bias_const * math.sqrt(h) + disc_const * h_grid * h_grid
+    allowance = BIAS_CONST * math.sqrt(h) + FACTOR_DISC * h_grid * h_grid
     a, b, se = values[worst]
     return InequalityReport(
         name="factorization", lhs=max(max(excess), 0.0), rhs=allowance,
@@ -67,8 +66,8 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
                  "n_paths": n_paths, "h": h, "resolution": resolution,
                  "seed": seed, "transition": transition([product]),
                  "worst_point": worst, "mc_value": a,
-                 "grid_value": b, "mc_se": se, "bias_const": bias_const,
-                 "disc_const": disc_const,
+                 "grid_value": b, "mc_se": se, "bias_const": BIAS_CONST,
+                 "disc_const": FACTOR_DISC,
                  "tolerance_rule": "max(|A-B|-3se) <= C1*sqrt(h)+C2*h_grid^2"})
 
 

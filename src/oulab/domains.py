@@ -48,6 +48,18 @@ def _as_batch(x, dim):
     return pts, single
 
 
+def _dist2(pts, center):
+    """Squared distances of the rows from ``center``, column by column (an
+    (n, dim) broadcast costs more), rounded as ``np.linalg.norm`` does."""
+    out = pts[:, 0] - center[0]
+    out *= out
+    for k in range(1, len(center)):
+        d = pts[:, k] - center[k]
+        d *= d
+        out += d
+    return out
+
+
 class ConvexDomain:
     """Base class for open convex sets with membership and projection."""
 
@@ -316,14 +328,14 @@ class Ball(ConvexDomain):
         object.__setattr__(self, "dim", center.shape[0])
 
     def _contains(self, pts, tol):
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
+        return np.sqrt(_dist2(pts, self.center)) <= self.radius + tol
 
     def _project(self, pts):
-        d = pts - self.center
-        r = np.linalg.norm(d, axis=1)
+        r = np.sqrt(_dist2(pts, self.center))
         out = pts.copy()
         bad = r > self.radius
-        out[bad] = self.center + d[bad] * (self.radius / r[bad])[:, None]
+        out[bad] = self.center + (pts[bad] - self.center) \
+            * (self.radius / r[bad])[:, None]
         return out
 
     def axis_bounds(self):
@@ -528,13 +540,7 @@ class _TwoBalls:
     def sure(self, pts, tol):
         """Masks of the rows inside the inner and beyond the outer radius."""
         inner, outer = self.radii(tol)
-        # column by column: an (n, 2) broadcast or einsum costs several
-        # times more
-        dist2 = pts[:, 0] - self.center[0]
-        dist2 *= dist2
-        dy = pts[:, 1] - self.center[1]
-        dy *= dy
-        dist2 += dy
+        dist2 = _dist2(pts, self.center)
         return (dist2 <= math.copysign(inner * inner, inner),
                 dist2 > math.copysign(outer * outer, outer))
 
@@ -605,7 +611,7 @@ class _Sectors:
         of those rows of ``pts`` (rows outside the inscribed ball)."""
         px, py = pts[:, 0], pts[:, 1]
         dx, dy = px - self.center[0], py - self.center[1]
-        near = dx * dx + dy * dy <= self.reach2
+        near = _dist2(pts, self.center) <= self.reach2
         # the sector of p - c names three faces; their violations are the
         # face path's, and np.argmax's tie rule is the lowest index
         angle = np.arctan2(dy, dx)

@@ -47,6 +47,7 @@ MIN_NODES_PER_AXIS = 8
 EXPM_NODE_CAP = 2000
 DENSE_EIG_CAP = 2600
 DEFAULT_CN_STEPS = 200
+DEFAULT_TAIL_MASS = 1e-12
 CLUSTER_TOL = 1e-10
 SPECTRAL_WEIGHT_RATIO_CAP = 1e10
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -102,7 +103,8 @@ class GridOperator:
         return values
 
 
-def grid_build(domain: ConvexDomain, resolution, tail_mass: float = 1e-12) -> GridOperator:
+def grid_build(domain: ConvexDomain, resolution,
+               tail_mass: float = DEFAULT_TAIL_MASS) -> GridOperator:
     """Mesh the domain (intersected with its truncation box) and assemble.
 
     ``resolution`` is the cell count per axis (scalar or one per axis).

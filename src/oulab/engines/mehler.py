@@ -22,8 +22,8 @@ NODE_BUDGET = 2_000_000
 _RANK_TOL = 1e-12
 
 
-def mehler_apply(f: CylFunction, t: float, x, quad_order: int = DEFAULT_ORDER,
-                 node_budget: int = NODE_BUDGET) -> SemigroupEstimate:
+def mehler_apply(f: CylFunction, t: float, x,
+                 quad_order: int = DEFAULT_ORDER) -> SemigroupEstimate:
     """Evaluate the whole-space semigroup at one point by quadrature.
 
     Exact (to quadrature accuracy) for any time ``t >= 0``; the result is
@@ -46,9 +46,9 @@ def mehler_apply(f: CylFunction, t: float, x, quad_order: int = DEFAULT_ORDER,
         z = center[None, :]
         return SemigroupEstimate(value=float(evaluate(f.profile, z)[0]),
                                  t=t, method="mehler")
-    if quad_order ** rank > node_budget:
+    if quad_order ** rank > NODE_BUDGET:
         raise OrderTooHigh(
-            f"order {quad_order} over rank {rank} exceeds {node_budget} nodes")
+            f"order {quad_order} over rank {rank} exceeds {NODE_BUDGET} nodes")
     factor = vecs[:, keep] * np.sqrt(lam[keep])  # (k, rank)
 
     rule = gauss_hermite(quad_order)

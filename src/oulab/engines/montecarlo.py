@@ -202,8 +202,7 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
 
 
 def simulate_endpoints(domain: ConvexDomain, x0, t: float, n_paths: int,
-                       h: float = DEFAULT_STEP, seed: int = 0,
-                       batch_size: int = BATCH_SIZE) -> np.ndarray:
+                       h: float = DEFAULT_STEP, seed: int = 0) -> np.ndarray:
     """Endpoints of ``n_paths`` reflected paths started at ``x0``."""
     x0 = np.asarray(x0, dtype=float)
     if not domain.contains(x0):
@@ -211,16 +210,13 @@ def simulate_endpoints(domain: ConvexDomain, x0, t: float, n_paths: int,
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     starts = np.repeat(x0[None, :], n_paths, axis=0)
-    return evolve_starts([domain], starts, t, h, seed, batch_size)[0]
+    return evolve_starts([domain], starts, t, h, seed)[0]
 
 
 def mc_apply(f, domain: ConvexDomain, t: float, x, n_paths: int,
              h: float = DEFAULT_STEP, seed: int = 0) -> SemigroupEstimate:
     """Monte Carlo semigroup value: sample mean of f over path endpoints."""
-    endpoints = simulate_endpoints(domain, x, t, n_paths, h, seed)
-    mean, se = mean_se(np.asarray(f.eval(endpoints), dtype=float))
-    return SemigroupEstimate(value=mean, t=t, method="monte_carlo",
-                             std_error=se)
+    return mc_apply_many([f], domain, t, x, n_paths, h, seed)[0]
 
 
 def mc_apply_many(fs, domain: ConvexDomain, t: float, x, n_paths: int,

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import DimensionMismatch
+from .domains import DimensionMismatch, _as_batch
 
 
 class DslError(ValueError):
@@ -391,7 +391,7 @@ class CylFunction:
         return tuple(differentiate(self.profile, i) for i in range(self.n_vars))
 
     def _projections(self, x):
-        pts, single = _pts(x, self.dim)
+        pts, single = _as_batch(x, self.dim)
         return pts @ self.directions.T, single
 
     def eval(self, x):
@@ -433,17 +433,6 @@ def function_from_config(cfg: dict) -> CylFunction:
     return CylFunction(dim=int(cfg["dim"]),
                        directions=np.array(cfg["directions"], dtype=float),
                        profile=parse_expr(cfg["profile"]))
-
-
-def _pts(x, dim):
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise DimensionMismatch(
-            f"expected points in R^{dim}, got shape {np.asarray(x).shape}")
-    return pts, single
 
 
 def coordinate(dim: int, axis: int = 0) -> CylFunction:

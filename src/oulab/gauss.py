@@ -106,12 +106,12 @@ class RestrictedSample:
     proposed: int
 
 
-def restricted_sample(domain: ConvexDomain, count: int, seed: int,
-                      mass_floor: float = DEFAULT_MASS_FLOOR) -> RestrictedSample:
+def restricted_sample(domain: ConvexDomain, count: int,
+                      seed: int) -> RestrictedSample:
     """Draw ``count`` points of gamma conditioned on the domain by rejection.
 
     The first batch acts as a probe: if its acceptance rate is below
-    ``mass_floor`` the domain is numerically degenerate for rejection
+    ``DEFAULT_MASS_FLOOR`` the domain is numerically degenerate for rejection
     sampling and ``MassTooSmall`` is raised.
     """
     if count < 1:
@@ -126,10 +126,10 @@ def restricted_sample(domain: ConvexDomain, count: int, seed: int,
         inside = domain.contains(draw)
         proposed += batch
         n_in = int(inside.sum())
-        if proposed == batch and n_in / batch < mass_floor:
+        if proposed == batch and n_in / batch < DEFAULT_MASS_FLOOR:
             raise MassTooSmall(
-                f"acceptance {n_in / batch:.2e} below floor {mass_floor:.2e} "
-                f"after a probe batch of {batch}"
+                f"acceptance {n_in / batch:.2e} below floor "
+                f"{DEFAULT_MASS_FLOOR:.2e} after a probe batch of {batch}"
             )
         if n_in:
             kept.append(draw[inside])

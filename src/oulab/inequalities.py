@@ -24,12 +24,20 @@ import numpy as np
 from .domains import ConvexDomain
 from .gauss import mean_se, restricted_sample
 from .engines.grid import (grid_build, grid_apply, fd_gradient, weighted_mean,
-                           l2_norm, propagator_details, GridOperator)
+                           l2_norm, propagator_details, GridOperator,
+                           DEFAULT_CN_STEPS)
 from .engines.montecarlo import evolve_starts, transition, DEFAULT_STEP
 
 EPS_FLOOR = 1e-12
 GRID_EXACT_TOL = 1e-9
 MAXPRINCIPLE_TOL = 1e-10
+LOG_CLIP = 1e-12  # |f| is clipped here inside the log-Sobolev logarithm
+# C of the allowances C h^2 (``disc_const``) and C sqrt(h) (``bias_const``)
+GRAD_DISC = 20.0
+DECAY_DISC = 2.0
+ENTROPY_DISC = 5.0
+FACTOR_DISC = 5.0
+BIAS_CONST = 1.0
 
 
 class BelowFloor(ValueError):
@@ -76,6 +84,12 @@ def _scale_floor(*values) -> float:
     return EPS_FLOOR * max(1.0, *(abs(v) for v in values))
 
 
+def _cells(op: GridOperator):
+    """Cells per axis of the mesh, one number when all axes agree."""
+    cells = [len(axis) for axis in op.axes]
+    return cells[0] if len(set(cells)) == 1 else cells
+
+
 def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
                    seed: int = 0) -> InequalityReport:
     """Variance of f bounded by the mean squared gradient norm (constant one)."""
@@ -92,20 +106,20 @@ def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
 
 
 def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
-                 seed: int = 0, clip: float = 1e-12) -> InequalityReport:
+                 seed: int = 0) -> InequalityReport:
     """Entropy of f^2 bounded by gradient energy plus the norm term.
 
     Stated with log|f| on both sides; all integrals are conditional means,
     so the constant case is an exact equality on every domain. Values of
-    |f| below ``clip`` are clipped inside the logarithm (0 log 0 = 0) and
-    the clip count is reported.
+    |f| below ``LOG_CLIP`` are clipped inside the logarithm (0 log 0 = 0)
+    and the clip count is reported.
     """
     pts = restricted_sample(domain, n_samples, seed).points
     vals = np.asarray(f.eval(pts), dtype=float)
     grad = f.gradient(pts)
     absv = np.abs(vals)
-    clipped = int(np.count_nonzero(absv < clip))
-    logs = np.log(np.maximum(absv, clip))
+    clipped = int(np.count_nonzero(absv < LOG_CLIP))
+    logs = np.log(np.maximum(absv, LOG_CLIP))
     integrand = np.where(absv > 0.0, vals * vals * logs, 0.0)
     lhs, se_lhs = mean_se(integrand)
     energy, se_energy = mean_se(np.einsum("ij,ij->i", grad, grad))
@@ -122,8 +136,7 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
 
 
 def check_gradient_bound(f, domain: ConvexDomain, t: float,
-                         resolution=400, tail_mass: float = 1e-12,
-                         n_steps: int = 200, disc_const: float = 20.0,
+                         resolution=400, n_steps: int = DEFAULT_CN_STEPS,
                          op: GridOperator | None = None) -> InequalityReport:
     """Gradient of the evolved function versus the decayed evolved gradient.
 
@@ -133,7 +146,7 @@ def check_gradient_bound(f, domain: ConvexDomain, t: float,
     nodes is reported against a discretization allowance.
     """
     if op is None:
-        op = grid_build(domain, resolution, tail_mass)
+        op = grid_build(domain, resolution)
     u0 = op.sample(f)
     g0 = np.asarray(f.gradient_norm(op.nodes), dtype=float)
     u_t = grid_apply(op, u0, t, n_steps=n_steps)
@@ -145,12 +158,12 @@ def check_gradient_bound(f, domain: ConvexDomain, t: float,
     h = float(op.spacing.max())
     dt = t / n_steps if t > 0 else 0.0
     scale = max(1.0, float(g0.max()))
-    tol = disc_const * (h * h + dt * dt) * scale + EPS_FLOOR
+    tol = GRAD_DISC * (h * h + dt * dt) * scale + EPS_FLOOR
     return InequalityReport(
         name="gradient_bound", lhs=float(lhs_nodes[worst]),
         rhs=float(rhs_nodes[worst]), tolerance=tol,
-        details={"t": t, "resolution": resolution, "h": h, "dt": dt,
-                 "n_interior": int(interior.sum()), "disc_const": disc_const,
+        details={"t": t, "resolution": _cells(op), "h": h, "dt": dt,
+                 "n_interior": int(interior.sum()), "disc_const": GRAD_DISC,
                  "tolerance_rule": "disc_const*(h^2+dt^2)*scale+eps"})
 
 
@@ -198,20 +211,10 @@ def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
     return reports
 
 
-def check_submultiplicative(f, g, domain: ConvexDomain, t: float,
-                            x_panel=None, n_panel: int = 20,
-                            n_paths: int = 100_000, h: float = DEFAULT_STEP,
-                            seed: int = 0) -> InequalityReport:
-    return submultiplicative_reports([(f, g)], domain, t, x_panel=x_panel,
-                                     n_panel=n_panel, n_paths=n_paths, h=h,
-                                     seed=seed)[0]
-
-
 def check_invariance(f, domain: ConvexDomain, t: float,
                      engine: str = "monte_carlo", n_paths: int = 100_000,
                      h: float = DEFAULT_STEP, resolution=400,
-                     tail_mass: float = 1e-12, n_steps: int = 200,
-                     seed: int = 0, bias_const: float = 1.0,
+                     n_steps: int = DEFAULT_CN_STEPS, seed: int = 0,
                      op: GridOperator | None = None) -> InequalityReport:
     """Two-sided check that the mean of f is preserved by the evolution.
 
@@ -222,7 +225,7 @@ def check_invariance(f, domain: ConvexDomain, t: float,
     """
     if engine == "grid":
         if op is None:
-            op = grid_build(domain, resolution, tail_mass)
+            op = grid_build(domain, resolution)
         u0 = op.sample(f)
         u_t = grid_apply(op, u0, t, n_steps=n_steps)
         before = weighted_mean(op, u0)
@@ -230,8 +233,9 @@ def check_invariance(f, domain: ConvexDomain, t: float,
         lhs = abs(after - before)
         return InequalityReport(
             name="invariance_grid", lhs=lhs, rhs=0.0, tolerance=GRID_EXACT_TOL,
-            details={"t": t, "resolution": resolution, "mean_before": before,
-                     "mean_after": after, "tolerance_rule": "solver roundoff"})
+            details={"t": t, "resolution": _cells(op), "n_steps": n_steps,
+                     "mean_before": before, "mean_after": after,
+                     "tolerance_rule": "solver roundoff"})
     if engine != "monte_carlo":
         raise ValueError("engine must be 'grid' or 'monte_carlo'")
     starts = restricted_sample(domain, n_paths, seed + 1).points
@@ -243,24 +247,23 @@ def check_invariance(f, domain: ConvexDomain, t: float,
     # stationary mean drifts by O(sqrt(h)) times the gradient scale; the
     # allowance is kept (and loose) on exact transitions too
     grad_scale = max(1.0, float(np.max(f.gradient_norm(starts))))
-    allowance = bias_const * math.sqrt(h) * grad_scale
+    allowance = BIAS_CONST * math.sqrt(h) * grad_scale
     tol = 3.0 * se_d + allowance + _scale_floor(mean_d)
     return InequalityReport(
         name="invariance_mc", lhs=abs(mean_d), rhs=0.0, tolerance=tol,
         details={"t": t, "n_paths": n_paths, "h": h, "seed": seed,
                  "transition": transition([domain]), "mean_shift": mean_d,
-                 "se": se_d, "bias_const": bias_const,
+                 "se": se_d, "bias_const": BIAS_CONST,
                  "bias_allowance": allowance,
                  "tolerance_rule": "3*se(paired diff)+bias_const*sqrt(h)*scale+eps"})
 
 
 def check_decay(f, domain: ConvexDomain, t_list, resolution=400,
-                tail_mass: float = 1e-12, disc_const: float = 2.0,
                 scheme: str = "crank_nicolson",
                 op: GridOperator | None = None) -> list:
     """Exponential L2 decay to the mean, one report per time."""
     if op is None:
-        op = grid_build(domain, resolution, tail_mass)
+        op = grid_build(domain, resolution)
     u0 = op.sample(f)
     m = weighted_mean(op, u0)
     nrm0 = l2_norm(op, u0)
@@ -270,30 +273,29 @@ def check_decay(f, domain: ConvexDomain, t_list, resolution=400,
         u_t = grid_apply(op, u0, t, scheme=scheme)
         lhs = l2_norm(op, u_t - m)
         rhs = math.exp(-t) * nrm0
-        tol = disc_const * h * h * max(1.0, nrm0) * max(t, 1.0) + EPS_FLOOR
+        tol = DECAY_DISC * h * h * max(1.0, nrm0) * max(t, 1.0) + EPS_FLOOR
         reports.append(InequalityReport(
             name="decay", lhs=lhs, rhs=rhs, tolerance=tol,
-            details={"t": t, "resolution": resolution, "scheme": scheme,
+            details={"t": t, "resolution": _cells(op), "scheme": scheme,
                      **propagator_details(op, t, scheme), "mean": m, "h": h,
                      "tolerance_rule": "disc_const*h^2*scale*max(t,1)+eps"}))
     return reports
 
 
 def check_positivity_and_contraction(f, domain: ConvexDomain, t: float,
-                                     resolution=400, tail_mass: float = 1e-12,
-                                     tol: float = MAXPRINCIPLE_TOL,
+                                     resolution=400,
                                      op: GridOperator | None = None) -> InequalityReport:
     """Positivity, range contraction, and L2 contraction on the grid.
 
     Uses the matrix-exponential scheme, for which the discrete evolution
     is a convex combination of node values up to roundoff; the reported
     lhs is the worst violation across the three legs. Raises
-    ``BelowFloor`` when f is negative on the mesh (beyond ``tol``).
+    ``BelowFloor`` when f < -MAXPRINCIPLE_TOL somewhere on the mesh.
     """
     if op is None:
-        op = grid_build(domain, resolution, tail_mass)
+        op = grid_build(domain, resolution)
     u0 = op.sample(f)
-    if float(u0.min()) < -tol:
+    if float(u0.min()) < -MAXPRINCIPLE_TOL:
         raise BelowFloor(f"positivity leg needs a nonnegative function, "
                          f"min f = {u0.min():.3g}")
     u_t = grid_apply(op, u0, t, scheme="expm")
@@ -303,8 +305,9 @@ def check_positivity_and_contraction(f, domain: ConvexDomain, t: float,
     l2_violation = max(0.0, l2_norm(op, u_t) - l2_norm(op, u0))
     lhs = max(pos_violation, upper_violation, lower_violation, l2_violation)
     return InequalityReport(
-        name="positivity_contraction", lhs=lhs, rhs=0.0, tolerance=tol,
-        details={"t": t, "resolution": resolution,
+        name="positivity_contraction", lhs=lhs, rhs=0.0,
+        tolerance=MAXPRINCIPLE_TOL,
+        details={"t": t, "resolution": _cells(op),
                  **propagator_details(op, t, "expm"),
                  "min_after": float(u_t.min()), "max_after": float(u_t.max()),
                  "min_before": float(u0.min()), "max_before": float(u0.max()),
@@ -337,9 +340,7 @@ class EntropyTrace:
 
 
 def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
-                  tail_mass: float = 1e-12, floor: float = 1e-6,
-                  disc_const: float = 5.0,
-                  op: GridOperator | None = None) -> list:
+                  floor: float = 1e-6, op: GridOperator | None = None) -> list:
     """Entropy production bound and terminal limit as two reports.
 
     The first report asks the discrete entropy derivative to stay above
@@ -347,20 +348,18 @@ def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
     terminal entropy to sit at m log m up to the grid allowance plus the
     explicitly computed residual of the exponential decay.
     """
-    if op is None:
-        op = grid_build(domain, resolution, tail_mass)
-    trace = entropy_trace(f, domain, t_grid, resolution=resolution,
-                          tail_mass=tail_mass, floor=floor, op=op)
-    solver = propagator_details(op, float(trace.times[-1]), "expm")
-    h = trace.details["h"]
+    trace = entropy_trace(f, domain, t_grid, resolution, floor, op)
+    # the trace's mesh and its propagator at the largest time
+    grid = {key: value for key, value in trace.details.items()
+            if key not in ("fisher", "floor", "mean_phi")}
+    h = grid["h"]
     scale = max(1.0, abs(trace.entropy[0]), trace.details["fisher"])
     worst = int(np.argmin(trace.production - trace.bound[:-1]))
     production_report = InequalityReport(
         name="entropy_production", lhs=float(trace.bound[worst]),
         rhs=float(trace.production[worst]),
-        tolerance=disc_const * h * h * scale + EPS_FLOOR,
-        details={"resolution": resolution, **solver, "worst_step": worst,
-                 "n_steps": len(trace.production), "h": h,
+        tolerance=ENTROPY_DISC * h * h * scale + EPS_FLOOR,
+        details={**grid, "worst_step": worst, "n_steps": len(trace.production),
                  "nonincreasing": trace.is_nonincreasing(),
                  "tolerance_rule": "disc_const*h^2*scale+eps"})
     t_end = float(trace.times[-1])
@@ -369,8 +368,8 @@ def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
     terminal_report = InequalityReport(
         name="entropy_terminal",
         lhs=abs(float(trace.entropy[-1]) - trace.terminal_target), rhs=0.0,
-        tolerance=disc_const * h * h * scale + residual + EPS_FLOOR,
-        details={"resolution": resolution, **solver, "t_end": t_end,
+        tolerance=ENTROPY_DISC * h * h * scale + residual + EPS_FLOOR,
+        details={**grid, "t_end": t_end,
                  "terminal_target": trace.terminal_target,
                  "terminal_entropy": float(trace.entropy[-1]),
                  "decay_residual": residual,
@@ -379,7 +378,7 @@ def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
 
 
 def entropy_trace(f, domain: ConvexDomain, t_grid, resolution=400,
-                  tail_mass: float = 1e-12, floor: float = 1e-6,
+                  floor: float = 1e-6,
                   op: GridOperator | None = None) -> EntropyTrace:
     """Track the entropy of T(t)(f^2) and its dissipation bound.
 
@@ -389,7 +388,7 @@ def entropy_trace(f, domain: ConvexDomain, t_grid, resolution=400,
     propagator, with its term count and bounds at the largest time.
     """
     if op is None:
-        op = grid_build(domain, resolution, tail_mass)
+        op = grid_build(domain, resolution)
     times = np.asarray(sorted(t_grid), dtype=float)
     if len(times) < 2:
         raise ValueError("need at least two time points")
@@ -411,6 +410,6 @@ def entropy_trace(f, domain: ConvexDomain, t_grid, resolution=400,
     return EntropyTrace(
         times=times, entropy=entropy, production=production, bound=bound,
         terminal_target=m * math.log(m),
-        details={"resolution": resolution, "fisher": fisher, "floor": floor,
+        details={"resolution": _cells(op), "fisher": fisher, "floor": floor,
                  "mean_phi": m, "h": float(op.spacing.max()),
                  **propagator_details(op, float(times[-1]), "expm")})

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from oulab.cli import main
+from oulab.cli import main, run_checks
 from oulab.config import (CHECK_KINDS, ConfigError, default_config_text,
                           load_default_config, parse_config)
 from oulab.domains import interval
@@ -280,6 +280,49 @@ def test_empty_domain_exits_2(tmp_path, capsys):
         assert main([command, path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "no interior" in err, command
+
+
+def test_grid_check_mesh_problems_exit_2(tmp_path, capsys):
+    # a mesh the grid cannot build is a config error of its check, as it
+    # is for evolve on the same mesh, not a failed check
+    def cube(cfg):
+        cfg["domains"]["cube"] = {"shape": "whole_space", "dim": 3}
+        cfg["functions"]["lin3"] = {"dim": 3, "directions": [[1.0, 0.0, 0.0]],
+                                    "profile": "v1"}
+        cfg["checks"][2].update(domain="cube", function="lin3")
+
+    for corrupt in (lambda c: c["checks"][2].update(grid_resolution=4),
+                    cube):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        corrupt(cfg)
+        path = write_config(tmp_path, cfg)
+        for jobs in ("1", "2"):
+            assert main(["verify", path, "--jobs", jobs,
+                         "--out", str(tmp_path / "out")]) == 2
+            assert "config error: check 2:" in capsys.readouterr().err
+
+
+def test_engine_grid_budgets_reach_the_checks(tmp_path):
+    # tail_mass truncates the half-line's grid (not the interval's, which
+    # the domain bounds), and cn_steps sets the grid invariance solver
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["domains"]["halfline"] = {"shape": "halfspaces", "normals": [[-1.0]],
+                                  "offsets": [0.0]}
+    cfg["checks"][2]["domain"] = "halfline"
+    rows = []
+    for tail in (1e-12, 1e-4):
+        cfg["engine"]["tail_mass"] = tail
+        out = tmp_path / f"tail{tail}"
+        assert main(["verify", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        rows.append(read_reports(out))
+    assert rows[0][:2] == rows[1][:2]
+    assert rows[0][2]["lhs"] != rows[1][2]["lhs"]
+    cfg["engine"]["cn_steps"] = 20
+    _, reports = run_checks(parse_config(json.dumps(cfg)))
+    invariance = reports[1][1]
+    assert invariance.details["n_steps"] == 20
+    assert invariance.details["resolution"] == 100
 
 
 def test_empty_domain_monte_carlo_check_exits_2(tmp_path, capsys):

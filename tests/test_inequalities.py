@@ -12,8 +12,7 @@ from oulab.inequalities import (BelowFloor, InequalityReport, check_decay,
                                 check_invariance, check_logsob,
                                 check_poincare,
                                 check_positivity_and_contraction,
-                                check_submultiplicative, entropy_trace,
-                                submultiplicative_reports)
+                                entropy_trace, submultiplicative_reports)
 from oulab.expr import const, coordinate, exp, from_profile, sin, tanh, var
 
 LIN = coordinate(1)
@@ -111,21 +110,22 @@ def test_gradient_bound_square_on_interval():
 # submultiplicativity ------------------------------------------------------------
 
 def test_submultiplicative_equal_pair_is_exact():
-    rep = check_submultiplicative(LIN, LIN, IVAL, 0.5, n_panel=4,
-                                  n_paths=4000, h=5e-3, seed=9)
+    rep, = submultiplicative_reports([(LIN, LIN)], IVAL, 0.5, n_panel=4,
+                                     n_paths=4000, h=5e-3, seed=9)
     assert rep.passed and rep.margin == 0.0
 
 
 def test_submultiplicative_jensen_case():
-    rep = check_submultiplicative(LIN, ONE, IVAL, 0.5, n_panel=4,
-                                  n_paths=4000, h=5e-3, seed=10)
+    rep, = submultiplicative_reports([(LIN, ONE)], IVAL, 0.5, n_panel=4,
+                                     n_paths=4000, h=5e-3, seed=10)
     assert rep.passed and rep.margin >= 0.0  # empirical variance >= 0
 
 
 def test_submultiplicative_mixed_pair_with_grid_cross_check():
     x_panel = np.array([[-0.5], [0.0], [0.6]])
-    rep = check_submultiplicative(LIN, TANH, IVAL, 0.5, x_panel=x_panel,
-                                  n_paths=40_000, h=2e-3, seed=11)
+    rep, = submultiplicative_reports([(LIN, TANH)], IVAL, 0.5,
+                                     x_panel=x_panel, n_paths=40_000,
+                                     h=2e-3, seed=11)
     assert rep.passed
     # cross-check one MC product estimate against the grid engine
     op = grid_build(IVAL, 300)
@@ -251,6 +251,27 @@ def test_grid_checks_record_their_propagator():
     for rep in check_entropy(f, half.domain, [0.0, 0.5, 1.0], op=half):
         assert rep.details["poisson_terms"] == one.details["poisson_terms"]
 
+
+
+def test_grid_checks_record_the_grid_they_ran_on():
+    # a given operator overrides the resolution argument in the record too
+    disc = Ball(center=[0.0, 0.0], radius=1.0)
+    sq2 = from_profile(var(1) ** 2, [[1.0, 0.0]])
+    rep = check_invariance(sq2, disc, 0.5, engine="grid",
+                           op=grid_build(disc, 60))
+    assert rep.details["resolution"] == 60
+    rep = check_invariance(sq2, disc, 0.5, engine="grid",
+                           op=grid_build(disc, [40, 60]))
+    assert rep.details["resolution"] == [40, 60]
+    ival = grid_build(IVAL, 120)
+    bump = from_profile(exp(-(var(1) ** 2)), [[1.0]])
+    f = from_profile(2 + tanh(var(1)), [[1.0]])
+    reports = [check_gradient_bound(SQ, IVAL, 0.3, op=ival),
+               *check_decay(SQ, IVAL, [0.5], op=ival),
+               check_positivity_and_contraction(bump, IVAL, 0.5, op=ival),
+               *check_entropy(f, IVAL, [0.0, 0.5], op=ival),
+               entropy_trace(f, IVAL, [0.0, 0.5], op=ival)]
+    assert [rep.details["resolution"] for rep in reports] == [120] * 6
 
 # entropy --------------------------------------------------------------------------
 
