@@ -13,6 +13,8 @@ budget, and seed needed to reproduce it in isolation.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,10 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .config import (BUDGET_FORMATS, CHECK_KINDS, ENGINE_DEFAULTS,
-                     ConfigError, RunConfig, _floats, load_config,
-                     load_default_config)
+                     ConfigError, RunConfig, _floats, grid_operator,
+                     load_config, load_default_config)
 from .cylapprox import convergence_study
-from .domains import Ball, EmptyDomain
+from .domains import Ball
 from .engines.grid import grid_apply, grid_spectrum
 from .gauss import MassTooSmall
 from .inequalities import BelowFloor, InequalityReport
@@ -45,10 +47,10 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        map(_fmt, row) for row in [header, *rows])
+    return buf.getvalue()
 
 
 def _apply_rhs_scale(report: InequalityReport, scale: float) -> InequalityReport:
@@ -68,10 +70,9 @@ def _run_one_check(cfg: RunConfig, index: int, check: dict):
         reports = kind.run(b, cfg.domain(check[kind.domain_key]),
                            *(cfg.function(check[k])
                              for k in kind.function_keys))
-    except (BelowFloor, EmptyDomain, MassTooSmall) as err:
-        # the configured function does not suit the check's kind, or the
-        # configured domain has no interior (factorization's grid sees that)
-        # or too little Gaussian mass (a sampler's first batch sees that)
+    except (BelowFloor, MassTooSmall) as err:
+        # the function does not suit the check's kind, or the domain has
+        # too little Gaussian mass (a sampler's first batch sees that)
         raise ConfigError(f"check {index}: {err}") from None
     reports = [_apply_rhs_scale(r, b.rhs_scale) for r in reports]
     budget = BUDGET_FORMATS[b.engine].format(**vars(b))
@@ -138,12 +139,12 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     if not isinstance(names, list):
         raise ConfigError("spectrum: 'domains' must be an array")
     count = cfg.option("spectrum", "count", int, 4)
-    if count < 1:
-        raise ConfigError("spectrum: 'count' must be at least 1")
     res = spec.get("resolution", cfg.budget("grid_resolution"))
     rows = []
     for name in names:
-        result = grid_spectrum(cfg.grid("spectrum", name), count)
+        op = grid_operator(cfg.domain(name), res, cfg.budget("tail_mass"),
+                           f"spectrum: domain {name!r}: ")
+        result = grid_spectrum(op, count)
         for i, lam in enumerate(result.eigenvalues):
             rows.append((name, i, float(lam), result.gap, "grid",
                          f"resolution={res}", cfg.seed))
@@ -159,11 +160,10 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     dom = cfg.domain(spec.get("domain"))
     fn = _function_on(cfg, "evolve", spec.get("function"), dom)
     times = cfg.option("evolve", "times", _floats, [0.0, 0.5, 1.0])
-    if any(t < 0 for t in times):
-        raise ConfigError("evolve: 'times' must be nonnegative")
     steps = cfg.option("engine", "cn_steps", int, ENGINE_DEFAULTS["cn_steps"])
     res = spec.get("resolution", cfg.budget("grid_resolution"))
-    op = cfg.grid("evolve", spec["domain"])
+    op = grid_operator(dom, res, cfg.budget("tail_mass"),
+                       f"evolve: domain {spec['domain']!r}: ")
     u0 = op.sample(fn)
     rows = []
     for t in times:

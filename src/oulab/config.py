@@ -36,6 +36,16 @@ ENGINE_DEFAULTS = {
     "cn_steps": DEFAULT_CN_STEPS,
 }
 
+# what each numeric setting accepts; _number checks each value or list entry
+_RANGES = {
+    **dict.fromkeys(("samples", "mc_paths", "mc_step", "cn_steps", "panel",
+                     "points", "paths_per_point", "step", "count"),
+                    (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("seed", "t", "times"),
+                    (lambda v: v >= 0, "nonnegative")),
+    "tail_mass": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
+
 
 def _floats(values) -> list:
     return [float(v) for v in values]
@@ -43,10 +53,16 @@ def _floats(values) -> list:
 
 def grid_operator(domain: ConvexDomain, resolution, tail_mass: float,
                   where: str) -> GridOperator:
-    """``grid_build`` for every command and check, with the mesh problems of
-    a config (dimension, too few cells, no interior) as ``ConfigError``."""
+    """``grid_build`` for every command and check, with a config's mesh
+    problems (resolution, dimension, too few cells, no interior) as
+    ``ConfigError``."""
+    cells = np.asarray(resolution)
+    if (cells.dtype.kind not in "iu" or cells.ndim > 1
+            or cells.size not in (1, domain.dim) or np.any(cells < 1)):
+        raise ConfigError(f"{where}resolution must be one integer >= 1 or "
+                          f"one per axis, got {resolution!r}")
     try:
-        return grid_build(domain, resolution, tail_mass)
+        return grid_build(domain, cells, tail_mass)
     except (UnsupportedDimension, ResolutionTooCoarse, EmptyDomain) as err:
         raise ConfigError(f"{where}{err}") from None
 
@@ -102,9 +118,8 @@ CHECK_KINDS = {
     "factorization": CheckKind(
         "base", ("function",), ("monte_carlo+grid",),
         lambda b, d, f: [factorization_check(
-            f, d, b.free_dims, b.t, n_points=b.points, n_paths=b.paths,
-            h=b.step, resolution=b.res, tail_mass=b.tail_mass,
-            seed=b.seed)],
+            f, d, b.free_dims, b.t, op=b.grid(d), n_points=b.points,
+            n_paths=b.paths, h=b.step, seed=b.seed)],
         options={"free_dims": (int, 1), "points": (int, 10)},
         dim=1),
 }
@@ -167,16 +182,6 @@ class RunConfig:
         return _number(convert, getattr(self, section).get(key, default),
                        key, f"{section}: ")
 
-    def grid(self, section: str, name: str) -> GridOperator:
-        """``grid_operator`` at a command section's resolution."""
-        return grid_operator(
-            self.domain(name),
-            self.option(section, "resolution",
-                        lambda v: np.asarray(v, dtype=int),
-                        self.budget("grid_resolution")),
-            self.option("engine", "tail_mass", float, DEFAULT_TAIL_MASS),
-            f"{section}: domain {name!r}: ")
-
 
 def parse_config(text: str, seed: int | None = None) -> RunConfig:
     """Parse and check a run configuration; ``seed``, when given, replaces
@@ -203,8 +208,11 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
             raise ConfigError(f"function {name!r}: {err}") from None
 
     raw_seed = _number(int, raw.get("seed", 0), "seed")
-    seed = raw_seed if seed is None else seed
+    seed = raw_seed if seed is None else _number(int, seed, "seed", "--seed: ")
     engine = _section(raw, "engine", {})
+    # converted and range-checked once, for every check and command
+    engine["tail_mass"] = _number(float, engine.get(
+        "tail_mass", DEFAULT_TAIL_MASS), "tail_mass", "engine: ")
     checks = _section(raw, "checks", [])
     budgets = []
     for i, check in enumerate(checks):
@@ -273,21 +281,24 @@ def _budgets(check: dict, kind: CheckKind, engine: dict, seed: int,
         samples=budget("samples", int), paths=budget("mc_paths", int),
         step=budget("mc_step", float), res=budget("grid_resolution"),
         cn_steps=budget("cn_steps", int),
-        tail_mass=_number(float, engine.get("tail_mass", DEFAULT_TAIL_MASS),
-                          "tail_mass", "engine: "),
-        grid=lambda d: grid_operator(d, b.res, b.tail_mass, where),
+        grid=lambda d: grid_operator(d, b.res, engine["tail_mass"], where),
         rhs_scale=value("rhs_scale", float, 1.0),
         **{key: value(key, *option) for key, option in kind.options.items()})
     return b
 
 
 def _number(convert, value, key: str, where: str = ""):
-    """``convert(value)``, or a ``ConfigError`` naming ``key``."""
+    """``convert(value)``, or a ``ConfigError`` naming ``key`` when that
+    fails or leaves the key's ``_RANGES``."""
     try:
-        return convert(value)
+        result = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}{key!r} must be numeric, got {value!r}") \
             from None
+    accepts, text = _RANGES.get(key, (lambda v: True, ""))
+    if not all(map(accepts, result if isinstance(result, list) else [result])):
+        raise ConfigError(f"{where}{key!r} must be {text}, got {value!r}")
+    return result
 
 
 def _named(table: dict, name):

@@ -17,23 +17,22 @@ import numpy as np
 
 from .domains import Ball, ConvexDomain, Product, polygon_approximation
 from .gauss import mean_se, restricted_sample, sample_gaussian
-from .engines.grid import DEFAULT_TAIL_MASS, grid_build, grid_apply
+from .engines.grid import GridOperator, grid_apply
 from .engines.montecarlo import evolve_starts, transition
-from .inequalities import BIAS_CONST, FACTOR_DISC, InequalityReport
+from .inequalities import BIAS_CONST, FACTOR_DISC, InequalityReport, _cells
 
 
 def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
-                        n_points: int = 20, n_paths: int = 20_000,
-                        h: float = 5e-3, resolution: int = 400,
-                        tail_mass: float = DEFAULT_TAIL_MASS,
+                        op: GridOperator, n_points: int = 20,
+                        n_paths: int = 20_000, h: float = 5e-3,
                         seed: int = 0) -> InequalityReport:
     """Monte Carlo on the product domain versus the grid on the base.
 
     The panel is drawn from the stationary law of the product; side A
     evolves the lifted function by reflected paths, side B interpolates the
-    grid evolution of ``v`` at the projected panel points. The report's lhs
-    is the worst excess of |A - B| over three standard errors; the rhs is
-    the explicit step-bias plus grid allowance.
+    evolution of ``v`` on ``op``, the base's grid, at the projected panel
+    points. The report's lhs is the worst excess of |A - B| over three
+    standard errors; the rhs is the explicit step-bias plus grid allowance.
     """
     if base.dim != 1:
         raise ValueError("the grid reference needs a one dimensional base")
@@ -41,7 +40,6 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
     lifted = v.lift(product.dim)
 
     panel = restricted_sample(product, n_points, seed + 1).points
-    op = grid_build(base, resolution, tail_mass)
     u_t = grid_apply(op, op.sample(v), t)
     xs = op.nodes[:, 0]
 
@@ -63,7 +61,7 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
         name="factorization", lhs=max(max(excess), 0.0), rhs=allowance,
         tolerance=0.0,
         details={"t": t, "free_dims": free_dims, "n_points": n_points,
-                 "n_paths": n_paths, "h": h, "resolution": resolution,
+                 "n_paths": n_paths, "h": h, "resolution": _cells(op),
                  "seed": seed, "transition": transition([product]),
                  "worst_point": worst, "mc_value": a,
                  "grid_value": b, "mc_se": se, "bias_const": BIAS_CONST,

@@ -32,8 +32,8 @@ class UnsupportedDimension(ValueError):
 
 
 class EmptyDomain(ValueError):
-    """The half-space system has no interior: its constraints exclude each
-    other."""
+    """The domain has no interior (its constraints exclude each other), or
+    none inside the truncation box of a grid."""
 
 
 def _as_batch(x, dim):
@@ -776,7 +776,7 @@ def truncation_box(domain: ConvexDomain, tail_mass: float):
     lo = np.where(np.isfinite(lo_d), lo_d, -radius)
     hi = np.where(np.isfinite(hi_d), hi_d, radius)
     if np.any(lo >= hi):
-        raise ValueError("domain has no mass inside the truncation box")
+        raise EmptyDomain("domain has no mass inside the truncation box")
     return lo, hi
 
 

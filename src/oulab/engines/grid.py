@@ -198,13 +198,14 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
     """Evolve node values by the semigroup for time ``t``.
 
     Crank-Nicolson (default) is unconditionally stable and takes
-    ``n_steps`` (default 200) equal steps of size ``t / n_steps``, each one
-    solve with the factored ``W + dt/2 K``. The ``expm`` scheme evaluates
-    the matrix-exponential action directly and is reserved for operators
-    up to 2000 nodes: through the eigenvectors of the symmetrized operator
-    while the weight ratio stays below ``SPECTRAL_WEIGHT_RATIO_CAP``, by
-    uniformization beyond it. ``propagator_details`` names the solver that
-    runs and, for uniformization, its term count and error bounds.
+    ``n_steps`` (default ``DEFAULT_CN_STEPS``) equal steps of size
+    ``t / n_steps``, each one solve with the factored ``W + dt/2 K``. The
+    ``expm`` scheme evaluates the matrix-exponential action directly and is
+    reserved for operators up to ``EXPM_NODE_CAP`` nodes: through the
+    eigenvectors of the symmetrized operator while the weight ratio stays
+    below ``SPECTRAL_WEIGHT_RATIO_CAP``, by uniformization beyond it.
+    ``propagator_details`` names the solver that runs and, for
+    uniformization, its term count and error bounds.
     """
     u = op.check_values(values)
     if t < 0:

@@ -5,7 +5,8 @@ function of (lhs, rhs, tolerance): pass iff ``rhs - lhs >= -tolerance``.
 Tolerances are built from three times the propagated standard errors of
 the Monte Carlo estimates plus explicit discretization allowances; the
 construction is recorded in the report details so a failure points at a
-real violation rather than noise.
+real violation rather than noise. Grid checks run on the grid ``op`` they
+are given; ``config.grid_operator`` builds the CLI's grids.
 
 Sampled integrals are means against the Gaussian measure conditioned on
 the domain (what rejection samples estimate); on the whole space these are
@@ -23,9 +24,8 @@ import numpy as np
 
 from .domains import ConvexDomain
 from .gauss import mean_se, restricted_sample
-from .engines.grid import (grid_build, grid_apply, fd_gradient, weighted_mean,
-                           l2_norm, propagator_details, GridOperator,
-                           DEFAULT_CN_STEPS)
+from .engines.grid import (grid_apply, fd_gradient, weighted_mean, l2_norm,
+                           propagator_details, GridOperator, DEFAULT_CN_STEPS)
 from .engines.montecarlo import evolve_starts, transition, DEFAULT_STEP
 
 EPS_FLOOR = 1e-12
@@ -135,18 +135,15 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
                  "tolerance_rule": "3*(se_lhs+se_energy+se_norm)+eps"})
 
 
-def check_gradient_bound(f, domain: ConvexDomain, t: float,
-                         resolution=400, n_steps: int = DEFAULT_CN_STEPS,
-                         op: GridOperator | None = None) -> InequalityReport:
+def check_gradient_bound(f, domain: ConvexDomain, t: float, op: GridOperator,
+                         n_steps: int = DEFAULT_CN_STEPS) -> InequalityReport:
     """Gradient of the evolved function versus the decayed evolved gradient.
 
-    Both sides live on the grid: the left is the central-difference
+    Both sides live on the grid ``op``: the left is the central-difference
     gradient norm of T(t)f, the right is e^{-t} T(t)|grad f| with the
     exact gradient sampled at the nodes. The worst margin over interior
     nodes is reported against a discretization allowance.
     """
-    if op is None:
-        op = grid_build(domain, resolution)
     u0 = op.sample(f)
     g0 = np.asarray(f.gradient_norm(op.nodes), dtype=float)
     u_t = grid_apply(op, u0, t, n_steps=n_steps)
@@ -213,19 +210,19 @@ def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
 
 def check_invariance(f, domain: ConvexDomain, t: float,
                      engine: str = "monte_carlo", n_paths: int = 100_000,
-                     h: float = DEFAULT_STEP, resolution=400,
-                     n_steps: int = DEFAULT_CN_STEPS, seed: int = 0,
+                     h: float = DEFAULT_STEP, n_steps: int = DEFAULT_CN_STEPS,
+                     seed: int = 0,
                      op: GridOperator | None = None) -> InequalityReport:
     """Two-sided check that the mean of f is preserved by the evolution.
 
     The Monte Carlo form starts one path from each stationary sample and
     compares the per-path difference of f at the two ends (the differences
-    share noise, so the tolerance is tight). The grid form holds to solver
-    roundoff by the weighted symmetry of the operator.
+    share noise, so the tolerance is tight). The grid form needs the grid
+    ``op`` and holds to solver roundoff by the operator's weighted symmetry.
     """
     if engine == "grid":
         if op is None:
-            op = grid_build(domain, resolution)
+            raise ValueError("the grid engine needs the grid op to run on")
         u0 = op.sample(f)
         u_t = grid_apply(op, u0, t, n_steps=n_steps)
         before = weighted_mean(op, u0)
@@ -258,42 +255,35 @@ def check_invariance(f, domain: ConvexDomain, t: float,
                  "tolerance_rule": "3*se(paired diff)+bias_const*sqrt(h)*scale+eps"})
 
 
-def check_decay(f, domain: ConvexDomain, t_list, resolution=400,
-                scheme: str = "crank_nicolson",
-                op: GridOperator | None = None) -> list:
-    """Exponential L2 decay to the mean, one report per time."""
-    if op is None:
-        op = grid_build(domain, resolution)
+def check_decay(f, domain: ConvexDomain, t_list, op: GridOperator) -> list:
+    """Exponential L2 decay to the mean on ``op``, one report per time."""
     u0 = op.sample(f)
     m = weighted_mean(op, u0)
     nrm0 = l2_norm(op, u0)
     h = float(op.spacing.max())
     reports = []
     for t in t_list:
-        u_t = grid_apply(op, u0, t, scheme=scheme)
+        u_t = grid_apply(op, u0, t)
         lhs = l2_norm(op, u_t - m)
         rhs = math.exp(-t) * nrm0
         tol = DECAY_DISC * h * h * max(1.0, nrm0) * max(t, 1.0) + EPS_FLOOR
         reports.append(InequalityReport(
             name="decay", lhs=lhs, rhs=rhs, tolerance=tol,
-            details={"t": t, "resolution": _cells(op), "scheme": scheme,
-                     **propagator_details(op, t, scheme), "mean": m, "h": h,
+            details={"t": t, "resolution": _cells(op),
+                     **propagator_details(op, t), "mean": m, "h": h,
                      "tolerance_rule": "disc_const*h^2*scale*max(t,1)+eps"}))
     return reports
 
 
 def check_positivity_and_contraction(f, domain: ConvexDomain, t: float,
-                                     resolution=400,
-                                     op: GridOperator | None = None) -> InequalityReport:
-    """Positivity, range contraction, and L2 contraction on the grid.
+                                     op: GridOperator) -> InequalityReport:
+    """Positivity, range contraction, and L2 contraction on the grid ``op``.
 
     Uses the matrix-exponential scheme, for which the discrete evolution
     is a convex combination of node values up to roundoff; the reported
     lhs is the worst violation across the three legs. Raises
     ``BelowFloor`` when f < -MAXPRINCIPLE_TOL somewhere on the mesh.
     """
-    if op is None:
-        op = grid_build(domain, resolution)
     u0 = op.sample(f)
     if float(u0.min()) < -MAXPRINCIPLE_TOL:
         raise BelowFloor(f"positivity leg needs a nonnegative function, "
@@ -339,16 +329,16 @@ class EntropyTrace:
         return bool(np.all(np.diff(self.entropy) <= tol))
 
 
-def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
-                  floor: float = 1e-6, op: GridOperator | None = None) -> list:
-    """Entropy production bound and terminal limit as two reports.
+def check_entropy(f, domain: ConvexDomain, t_grid, op: GridOperator,
+                  floor: float = 1e-6) -> list:
+    """Entropy production bound and terminal limit on ``op``, two reports.
 
     The first report asks the discrete entropy derivative to stay above
     the decayed dissipation bound at every step; the second asks the
     terminal entropy to sit at m log m up to the grid allowance plus the
     explicitly computed residual of the exponential decay.
     """
-    trace = entropy_trace(f, domain, t_grid, resolution, floor, op)
+    trace = entropy_trace(f, domain, t_grid, op, floor)
     # the trace's mesh and its propagator at the largest time
     grid = {key: value for key, value in trace.details.items()
             if key not in ("fisher", "floor", "mean_phi")}
@@ -377,18 +367,15 @@ def check_entropy(f, domain: ConvexDomain, t_grid, resolution=400,
     return [production_report, terminal_report]
 
 
-def entropy_trace(f, domain: ConvexDomain, t_grid, resolution=400,
-                  floor: float = 1e-6,
-                  op: GridOperator | None = None) -> EntropyTrace:
-    """Track the entropy of T(t)(f^2) and its dissipation bound.
+def entropy_trace(f, domain: ConvexDomain, t_grid, op: GridOperator,
+                  floor: float = 1e-6) -> EntropyTrace:
+    """Track the entropy of T(t)(f^2) on ``op`` and its dissipation bound.
 
     Requires f >= floor > 0 on the mesh (raises ``BelowFloor`` otherwise);
     the evolved square then stays above floor^2 by the discrete maximum
     principle, keeping every logarithm finite. ``details`` name the
     propagator, with its term count and bounds at the largest time.
     """
-    if op is None:
-        op = grid_build(domain, resolution)
     times = np.asarray(sorted(t_grid), dtype=float)
     if len(times) < 2:
         raise ValueError("need at least two time points")

@@ -136,15 +136,16 @@ def test_criterion_03_log_sobolev():
 def test_criterion_04_gradient_bound(grids):
     reports = []
     for t in (0.1, 0.5, 1.0):
-        reports.append(check_gradient_bound(SQ, INTERVAL, t, resolution=400,
+        reports.append(check_gradient_bound(SQ, INTERVAL, t,
                                             op=grids["interval"]))
-        reports.append(check_gradient_bound(TANH1, INTERVAL, t, resolution=400,
+        reports.append(check_gradient_bound(TANH1, INTERVAL, t,
                                             op=grids["interval"]))
-        reports.append(check_gradient_bound(SQ_2D, BALL, t, resolution=40,
+        reports.append(check_gradient_bound(SQ_2D, BALL, t,
                                             op=grids["ball"]))
-        reports.append(check_gradient_bound(DIAG2, BALL, t, resolution=40,
+        reports.append(check_gradient_bound(DIAG2, BALL, t,
                                             op=grids["ball"]))
-    sharp = [check_gradient_bound(X1, LINE, t, resolution=400)
+    line = grid_build(LINE, 400)
+    sharp = [check_gradient_bound(X1, LINE, t, op=line)
              for t in (0.1, 0.5, 1.0)]
     sharp_dev = max(abs(r.margin) for r in sharp)
     ok = (all(r.passed for r in reports)
@@ -228,8 +229,8 @@ def test_criterion_09_factorization():
     for base in (LINE, INTERVAL):
         for free in (1, 2):
             reports.append(factorization_check(
-                TANH1, base, free, 0.5, n_points=20, n_paths=15_000,
-                h=5e-3, resolution=400, seed=500 + free))
+                TANH1, base, free, 0.5, op=grid_build(base, 400),
+                n_points=20, n_paths=15_000, h=5e-3, seed=500 + free))
     elapsed = time.time() - t0
     ok = all(r.passed for r in reports)
     conclude(9, "factorization", ok,
@@ -263,9 +264,9 @@ def test_criterion_11_entropy_production():
     worst_terminal = 0.0
     ok = True
     for i, f in enumerate(functions):
-        production, terminal = check_entropy(f, INTERVAL, t_grid,
-                                             resolution=400)
-        trace = entropy_trace(f, INTERVAL, t_grid, resolution=400)
+        op = grid_build(INTERVAL, 400)
+        production, terminal = check_entropy(f, INTERVAL, t_grid, op=op)
+        trace = entropy_trace(f, INTERVAL, t_grid, op=op)
         step_margins = trace.production_margins()
         ok = ok and production.passed and terminal.passed \
             and bool(np.all(step_margins >= -production.tolerance))

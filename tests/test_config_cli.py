@@ -239,19 +239,31 @@ BAD_SECTIONS = [
         function="linear")),
     ("converge", lambda c: _with_2d_ball(c)["converge"].update(
         points="many")),
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(
+        paths_per_point=0)),
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(step=0)),
     ("evolve", lambda c: c["evolve"].update(times=["x"])),
     ("evolve", lambda c: c["evolve"].update(times=[-1.0])),
     ("evolve", lambda c: c["evolve"].update(function="nothing")),
     ("evolve", lambda c: c["evolve"].update(resolution="fine")),
     ("evolve", lambda c: c["evolve"].update(resolution=4)),
+    ("evolve", lambda c: c["evolve"].update(resolution=-5)),
     ("evolve", lambda c: c["engine"].update(cn_steps="x")),
+    ("evolve", lambda c: c["engine"].update(cn_steps=0)),
     ("spectrum", lambda c: c["spectrum"].update(count="x")),
     ("spectrum", lambda c: c["spectrum"].update(count=0)),
     ("spectrum", lambda c: c["spectrum"].update(domains="line")),
     ("spectrum", lambda c: c["engine"].update(tail_mass="x")),
+    ("spectrum", lambda c: c["engine"].update(tail_mass=2.0)),
+    ("spectrum", lambda c: c["spectrum"].update(resolution=0)),
+    ("spectrum", lambda c: c["spectrum"].update(resolution=[400, 400])),
     ("spectrum", lambda c: (c["domains"].update(cube={
         "shape": "whole_space", "dim": 3}),
         c["spectrum"].update(domains=["cube"]))),
+    # x >= 50 lies beyond the truncation box
+    ("spectrum", lambda c: (c["domains"].update(far={
+        "shape": "halfspaces", "normals": [[-1.0]], "offsets": [-50.0]}),
+        c["spectrum"].update(domains=["far"]))),
 ]
 
 
@@ -262,6 +274,61 @@ def test_bad_command_sections_exit_2(tmp_path, capsys):
         path = write_config(tmp_path, cfg, name=f"bad{i}.json")
         assert main([command, path, "--out", str(tmp_path / "out")]) == 2, i
         assert "config error:" in capsys.readouterr().err
+
+
+# check budgets and engine settings out of range, on SMALL_CONFIG's checks
+# (0 poincare, 1 grid invariance, 2 decay)
+BAD_BUDGETS = [
+    lambda c: c["checks"][2].update(grid_resolution="abc"),
+    lambda c: c["checks"][2].update(grid_resolution=0),
+    lambda c: c["checks"][2].update(grid_resolution=[100, 100]),
+    lambda c: c["checks"][0].update(samples=0),
+    lambda c: c["checks"][1].update(engine="monte_carlo", mc_paths=0),
+    lambda c: c["checks"][1].update(engine="monte_carlo", mc_step=0),
+    lambda c: c["checks"][1].update(t=-1),
+    lambda c: c["checks"][1].update(engine="monte_carlo", t=-0.5),
+    lambda c: c["checks"][2].update(times=[-0.5]),
+    lambda c: c["checks"][1].update(cn_steps=0),
+    lambda c: c["checks"][0].update(seed=-5),
+    lambda c: c["engine"].update(tail_mass=2.0),
+]
+
+
+def test_bad_check_budgets_exit_2(tmp_path, capsys):
+    for i, corrupt in enumerate(BAD_BUDGETS):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        corrupt(cfg)
+        path = write_config(tmp_path, cfg, name=f"budget{i}.json")
+        for jobs in ("1", "2"):
+            assert main(["verify", path, "--jobs", jobs,
+                         "--out", str(tmp_path / "out")]) == 2, (i, jobs)
+            assert "config error:" in capsys.readouterr().err
+    # a negative --seed fails at parse, also for commands that run no check
+    path = write_config(tmp_path, _with_2d_ball(
+        json.loads(json.dumps(SMALL_CONFIG))), name="seed.json")
+    assert main(["converge", path, "--seed", "-5",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error: --seed:" in capsys.readouterr().err
+
+
+def test_csv_rows_keep_the_header_width(tmp_path):
+    # a per-axis resolution and a domain name with a comma are quoted
+    cfg = _with_2d_ball(json.loads(json.dumps(SMALL_CONFIG)))
+    cfg["domains"]["unit, disc"] = cfg["domains"]["ball2"]
+    cfg["checks"] = [{"kind": "invariance", "function": "diag",
+                      "domain": "ball2", "engine": "grid",
+                      "grid_resolution": [30, 40]}]
+    cfg["spectrum"] = {"domains": ["unit, disc"], "count": 2,
+                       "resolution": [30, 40]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for command, name in (("verify", "reports.csv"),
+                          ("spectrum", "eigenvalues.csv")):
+        assert main([command, path, "--out", str(out)]) == 0
+        with open(out / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), name
+    assert {row[0] for row in rows} == {"unit, disc"}
 
 
 EMPTY_HALFLINES = {"shape": "halfspaces", "normals": [[1.0], [-1.0]],
@@ -291,8 +358,12 @@ def test_grid_check_mesh_problems_exit_2(tmp_path, capsys):
                                     "profile": "v1"}
         cfg["checks"][2].update(domain="cube", function="lin3")
 
+    def coarse_factorization(cfg):
+        cfg["checks"][2] = {"kind": "factorization", "function": "square",
+                            "base": "interval", "grid_resolution": 4}
+
     for corrupt in (lambda c: c["checks"][2].update(grid_resolution=4),
-                    cube):
+                    cube, coarse_factorization):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         corrupt(cfg)
         path = write_config(tmp_path, cfg)

@@ -6,22 +6,25 @@ import pytest
 from oulab.cylapprox import (ConvergenceStudy, convergence_study,
                              factorization_check)
 from oulab.domains import Ball, WholeSpace, interval
+from oulab.engines.grid import grid_build
 from oulab.engines.mehler import mehler_apply
 from oulab.expr import const, coordinate, from_profile, tanh, var
 
 
 def test_factorization_constant_is_trivial():
     one = from_profile(const(1.0), [[1.0]])
-    rep = factorization_check(one, interval(-1.0, 1.0), 1, 0.5, n_points=5,
-                              n_paths=1000, h=5e-3, seed=1)
+    ival = interval(-1.0, 1.0)
+    rep = factorization_check(one, ival, 1, 0.5, op=grid_build(ival, 400),
+                              n_points=5, n_paths=1000, h=5e-3, seed=1)
     assert rep.passed
     assert rep.lhs < 1e-10
 
 
 def test_factorization_whole_line_base_matches_oracle():
     lin = coordinate(1)
-    rep = factorization_check(lin, WholeSpace(1), 2, 0.5, n_points=10,
-                              n_paths=20_000, h=5e-3, resolution=400, seed=2)
+    rep = factorization_check(lin, WholeSpace(1), 2, 0.5,
+                              op=grid_build(WholeSpace(1), 400), n_points=10,
+                              n_paths=20_000, h=5e-3, seed=2)
     assert rep.passed and rep.details["transition"] == "exact"
     # both sides reproduce the whole-space decay e^{-t} x at the worst point
     oracle = mehler_apply(lin, 0.5, [rep.details["grid_value"]])  # smoke
@@ -32,15 +35,17 @@ def test_factorization_whole_line_base_matches_oracle():
 
 def test_factorization_interval_base():
     lin = coordinate(1)
-    rep = factorization_check(lin, interval(-1.0, 1.0), 1, 0.5, n_points=10,
-                              n_paths=20_000, h=5e-3, resolution=400, seed=3)
+    ival = interval(-1.0, 1.0)
+    rep = factorization_check(lin, ival, 1, 0.5, op=grid_build(ival, 400),
+                              n_points=10, n_paths=20_000, h=5e-3, seed=3)
     assert rep.passed and rep.details["transition"] == "split"
 
 
 def test_factorization_requires_1d_base():
+    disc = Ball(center=[0.0, 0.0], radius=1.0)
+    disc_grid = grid_build(disc, 40)
     with pytest.raises(ValueError):
-        factorization_check(coordinate(2), Ball(center=[0.0, 0.0], radius=1.0),
-                            1, 0.5)
+        factorization_check(coordinate(2), disc, 1, 0.5, op=disc_grid)
 
 
 def test_convergence_study_constant_function():

@@ -27,7 +27,8 @@ def test_reports_are_pure_data():
         check_poincare(LIN, WholeSpace(1), n_samples=5000, seed=1),
         check_logsob(from_profile(2 + tanh(var(1)), [[1.0]]), IVAL,
                      n_samples=5000, seed=2),
-        check_invariance(SQ, IVAL, 0.5, engine="grid", resolution=100),
+        check_invariance(SQ, IVAL, 0.5, engine="grid",
+                         op=grid_build(IVAL, 100)),
     ]
     for rep in reports:
         assert rep.passed == (rep.rhs - rep.lhs >= -rep.tolerance)
@@ -91,19 +92,20 @@ def test_logsob_positive_tanh_on_halfplane():
 # gradient bound ---------------------------------------------------------------
 
 def test_gradient_bound_sharp_for_linear():
-    rep = check_gradient_bound(LIN, WholeSpace(1), 0.5, resolution=400)
+    rep = check_gradient_bound(LIN, WholeSpace(1), 0.5,
+                               op=grid_build(WholeSpace(1), 400))
     assert rep.passed
     assert abs(rep.margin) <= rep.tolerance
 
 
 def test_gradient_bound_time_zero_equality():
-    rep = check_gradient_bound(SQ, IVAL, 0.0, resolution=300)
+    rep = check_gradient_bound(SQ, IVAL, 0.0, op=grid_build(IVAL, 300))
     assert rep.passed
     assert abs(rep.margin) <= rep.tolerance
 
 
 def test_gradient_bound_square_on_interval():
-    rep = check_gradient_bound(SQ, IVAL, 0.3, resolution=300)
+    rep = check_gradient_bound(SQ, IVAL, 0.3, op=grid_build(IVAL, 300))
     assert rep.passed and rep.margin > 0
 
 
@@ -150,8 +152,11 @@ def test_submultiplicative_reports_share_endpoints():
 # invariance ---------------------------------------------------------------------
 
 def test_invariance_grid_exact():
-    rep = check_invariance(SQ, IVAL, 1.0, engine="grid", resolution=300)
+    rep = check_invariance(SQ, IVAL, 1.0, engine="grid",
+                           op=grid_build(IVAL, 300))
     assert rep.passed and rep.lhs < 1e-9
+    with pytest.raises(ValueError, match="needs the grid"):
+        check_invariance(SQ, IVAL, 1.0, engine="grid")
 
 
 def test_invariance_mc_constant_is_exact():
@@ -173,26 +178,29 @@ def test_invariance_symmetric_interval():
     rep = check_invariance(LIN, IVAL, 1.0, engine="monte_carlo",
                            n_paths=50_000, h=2e-3, seed=16)
     assert rep.passed and rep.details["transition"] == "euler"
-    grid_rep = check_invariance(LIN, IVAL, 1.0, engine="grid", resolution=300)
+    grid_rep = check_invariance(LIN, IVAL, 1.0, engine="grid",
+                                op=grid_build(IVAL, 300))
     assert grid_rep.lhs < 1e-9
 
 
 # decay ---------------------------------------------------------------------------
 
 def test_decay_sharp_eigenfunction():
-    reports = check_decay(LIN, WholeSpace(1), [0.25, 1.0], resolution=800)
+    reports = check_decay(LIN, WholeSpace(1), [0.25, 1.0],
+                          op=grid_build(WholeSpace(1), 800))
     for rep in reports:
         assert rep.passed
         assert abs(rep.margin) < 1e-4
 
 
 def test_decay_constant_function():
-    rep = check_decay(ONE, IVAL, [0.5], resolution=200)[0]
+    rep = check_decay(ONE, IVAL, [0.5], op=grid_build(IVAL, 200))[0]
     assert rep.lhs < 1e-10 and rep.passed
 
 
 def test_decay_beats_the_bound_increasingly():
-    reports = check_decay(SQ, half_line(), [0.5, 1.0, 2.0], resolution=400)
+    reports = check_decay(SQ, half_line(), [0.5, 1.0, 2.0],
+                          op=grid_build(half_line(), 400))
     assert all(rep.passed for rep in reports)
     # the spectral gap here is 2 > 1, so lhs/rhs shrinks like e^{-t}
     ratios = [rep.lhs / rep.rhs for rep in reports]
@@ -202,26 +210,30 @@ def test_decay_beats_the_bound_increasingly():
 # positivity and contraction ------------------------------------------------------
 
 def test_positivity_constant():
-    rep = check_positivity_and_contraction(ONE, IVAL, 0.7, resolution=200)
+    rep = check_positivity_and_contraction(ONE, IVAL, 0.7,
+                                           op=grid_build(IVAL, 200))
     assert rep.passed
     assert rep.details["min_after"] == pytest.approx(1.0, abs=1e-10)
     assert rep.details["max_after"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_positivity_square_on_interval():
-    rep = check_positivity_and_contraction(SQ, IVAL, 0.5, resolution=300)
+    rep = check_positivity_and_contraction(SQ, IVAL, 0.5,
+                                           op=grid_build(IVAL, 300))
     assert rep.passed
     assert rep.details["min_after"] >= -1e-10
 
 
 def test_positivity_rejects_signed_function():
     with pytest.raises(ValueError):
-        check_positivity_and_contraction(LIN, IVAL, 0.5, resolution=100)
+        check_positivity_and_contraction(LIN, IVAL, 0.5,
+                                         op=grid_build(IVAL, 100))
 
 
 def test_signed_function_is_below_the_floor():
     with pytest.raises(BelowFloor, match="nonnegative"):
-        check_positivity_and_contraction(LIN, IVAL, 0.5, resolution=100)
+        check_positivity_and_contraction(LIN, IVAL, 0.5,
+                                         op=grid_build(IVAL, 100))
 
 
 def test_grid_checks_record_their_propagator():
@@ -232,15 +244,14 @@ def test_grid_checks_record_their_propagator():
     assert rep.details["poisson_terms"] > 1000
     assert rep.details["roundoff_bound"] + rep.details["truncation_bound"] \
         < rep.tolerance
-    rep = check_positivity_and_contraction(bump, IVAL, 0.5, resolution=200)
+    rep = check_positivity_and_contraction(bump, IVAL, 0.5,
+                                           op=grid_build(IVAL, 200))
     assert rep.details["propagator"] == "eigh"
     assert "poisson_terms" not in rep.details
-    assert check_decay(SQ, IVAL, [0.5], resolution=200)[0] \
+    assert check_decay(SQ, IVAL, [0.5], op=grid_build(IVAL, 200))[0] \
         .details["propagator"] == "crank_nicolson"
-    expm_decay = check_decay(bump, line.domain, [0.5], scheme="expm", op=line)
-    assert expm_decay[0].details["propagator"] == "uniformized"
     f = from_profile(2 + tanh(var(1)), [[1.0]])
-    trace = entropy_trace(f, IVAL, [0.0, 1.0], resolution=200)
+    trace = entropy_trace(f, IVAL, [0.0, 1.0], op=grid_build(IVAL, 200))
     assert trace.details["propagator"] == "eigh"
     half = grid_build(half_line(), 400)
     trace = entropy_trace(f, half.domain, [0.0, 0.5, 1.0], op=half)
@@ -254,7 +265,6 @@ def test_grid_checks_record_their_propagator():
 
 
 def test_grid_checks_record_the_grid_they_ran_on():
-    # a given operator overrides the resolution argument in the record too
     disc = Ball(center=[0.0, 0.0], radius=1.0)
     sq2 = from_profile(var(1) ** 2, [[1.0, 0.0]])
     rep = check_invariance(sq2, disc, 0.5, engine="grid",
@@ -277,7 +287,7 @@ def test_grid_checks_record_the_grid_they_ran_on():
 
 def test_entropy_trace_constant_function():
     trace = entropy_trace(from_profile(const(2.0), [[1.0]]), IVAL,
-                          np.linspace(0, 2, 9), resolution=100)
+                          np.linspace(0, 2, 9), op=grid_build(IVAL, 100))
     phi_mean = 4.0
     assert np.abs(trace.entropy - phi_mean * math.log(phi_mean)).max() < 1e-9
     assert np.abs(trace.production).max() < 1e-8
@@ -287,7 +297,8 @@ def test_entropy_trace_constant_function():
 
 def test_entropy_trace_positive_affine():
     f = from_profile(2 + var(1), [[1.0]])  # values in (1, 3) on the interval
-    trace = entropy_trace(f, IVAL, np.linspace(0, 6, 25), resolution=300)
+    trace = entropy_trace(f, IVAL, np.linspace(0, 6, 25),
+                          op=grid_build(IVAL, 300))
     assert trace.is_nonincreasing(tol=1e-10)
     assert np.all(trace.production_margins() >= -1e-6)
     assert abs(trace.entropy[-1] - trace.terminal_target) < 1e-4
@@ -296,20 +307,21 @@ def test_entropy_trace_positive_affine():
 def test_entropy_reports():
     f = from_profile(2 + tanh(var(1)), [[1.0]])
     production, terminal = check_entropy(f, IVAL, np.linspace(0, 5, 26),
-                                         resolution=300)
+                                         op=grid_build(IVAL, 300))
     assert production.passed and terminal.passed
     assert production.details["nonincreasing"]
 
 
 def test_entropy_floor_guard():
     with pytest.raises(BelowFloor):
-        entropy_trace(LIN, IVAL, [0.0, 1.0], resolution=100)
+        entropy_trace(LIN, IVAL, [0.0, 1.0], op=grid_build(IVAL, 100))
 
 
 def test_entropy_consistent_with_logsob_margin():
     # integrating the dissipation bound reproduces the sampled margin
     f = from_profile(2 + tanh(var(1)), [[1.0]])
-    trace = entropy_trace(f, IVAL, np.linspace(0, 8, 17), resolution=400)
+    trace = entropy_trace(f, IVAL, np.linspace(0, 8, 17),
+                          op=grid_build(IVAL, 400))
     trace_margin = 0.5 * (0.5 * trace.details["fisher"]
                           - trace.entropy[0] + trace.terminal_target)
     rep = check_logsob(f, IVAL, n_samples=400_000, seed=17)
