@@ -4,7 +4,7 @@ convex domains under the standard Gaussian measure."""
 from . import domains, expr, gauss, engines, inequalities, cylapprox, config
 
 from .domains import (ConvexDomain, WholeSpace, HalfspaceIntersection, Ball,
-                      Slab, Product, interval, half_line,
+                      Slab, Product, RegularPolygon, interval, half_line,
                       polygon_approximation, truncation_box, domain_from_config)
 from .gauss import (QuadratureRule, gauss_hermite, sample_gaussian,
                     restricted_sample)

@@ -28,7 +28,7 @@ from .cylapprox import convergence_study
 from .domains import Ball
 from .engines.grid import grid_apply, grid_spectrum
 from .gauss import MassTooSmall
-from .inequalities import BelowFloor, InequalityReport
+from .inequalities import BelowFloor
 
 
 def _fmt(value) -> str:
@@ -53,16 +53,6 @@ def _csv(rows, header) -> str:
     return buf.getvalue()
 
 
-def _apply_rhs_scale(report: InequalityReport, scale: float) -> InequalityReport:
-    if scale == 1.0:
-        return report
-    details = dict(report.details)
-    details["rhs_scale"] = scale
-    return InequalityReport(name=report.name, lhs=report.lhs,
-                            rhs=report.rhs * scale,
-                            tolerance=report.tolerance, details=details)
-
-
 def _run_one_check(cfg: RunConfig, index: int, check: dict):
     kind = CHECK_KINDS[check["kind"]]
     b = cfg.budgets[index]
@@ -74,7 +64,6 @@ def _run_one_check(cfg: RunConfig, index: int, check: dict):
         # the function does not suit the check's kind, or the domain has
         # too little Gaussian mass (a sampler's first batch sees that)
         raise ConfigError(f"check {index}: {err}") from None
-    reports = [_apply_rhs_scale(r, b.rhs_scale) for r in reports]
     budget = BUDGET_FORMATS[b.engine].format(**vars(b))
     return reports, b.engine, budget, b.seed
 
@@ -188,8 +177,6 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
                           f"got {spec.get('ball')!r}")
     fn = _function_on(cfg, "converge", spec.get("function"), ball)
     sides = cfg.option("converge", "sides", _ints, [4, 8, 16, 32, 64])
-    if not sides or min(sides) < 3:
-        raise ConfigError("converge: 'sides' must be side counts >= 3")
     study = convergence_study(
         ball, fn, cfg.option("converge", "t", float, 0.5), sides,
         n_points=cfg.option("converge", "points", int, 20),

@@ -36,7 +36,9 @@ ENGINE_DEFAULTS = {
     "cn_steps": DEFAULT_CN_STEPS,
 }
 
-# what each numeric setting accepts; _number checks each value or list entry
+# what each numeric setting accepts; _number checks each value or list entry,
+# and that a list holds at least one entry (two for an entropy check's
+# times: its production is a difference quotient between times)
 _RANGES = {
     **dict.fromkeys(("samples", "mc_paths", "mc_step", "cn_steps", "panel",
                      "points", "paths_per_point", "step", "count"),
@@ -44,6 +46,7 @@ _RANGES = {
     **dict.fromkeys(("seed", "t", "times"),
                     (lambda v: v >= 0, "nonnegative")),
     "tail_mass": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "sides": (lambda v: v >= 3, "at least 3"),
 }
 
 
@@ -73,11 +76,13 @@ CheckKind = namedtuple(
 
 # One row per check kind: the key naming its domain, the keys naming its
 # functions, its engine labels (the first is the default), its runner, the
-# check keys only this kind reads (key -> (conversion, default)) and the
-# domain dimension it needs (None for any). A runner takes the check's
-# budgets b (built by ``_budgets`` at parse time), the domain d and the
-# functions, and returns a list of reports; b.grid(d) is d's grid. Decay
-# and factorization keep DEFAULT_CN_STEPS: their tolerances have no dt term.
+# check keys only this kind reads (key -> (conversion, default), and for a
+# list optionally its fewest entries) and the domain dimension it needs
+# (None for any). A check names no key beyond these and _BUDGET_KEYS. A
+# runner takes the check's budgets b (built by ``_budgets`` at parse time),
+# the domain d and the functions, and returns a list of reports; b.grid(d)
+# is d's grid. Decay and factorization keep DEFAULT_CN_STEPS: their
+# tolerances have no dt term.
 CHECK_KINDS = {
     "poincare": CheckKind(
         "domain", ("function",), ("sampled",),
@@ -113,7 +118,7 @@ CHECK_KINDS = {
         "domain", ("function",), ("grid",),
         lambda b, d, f: check_entropy(f, d, b.times, floor=b.floor,
                                       op=b.grid(d)),
-        options={"times": (_floats, np.linspace(0, 4, 21)),
+        options={"times": (_floats, np.linspace(0, 4, 21), 2),
                  "floor": (float, 1e-6)}),
     "factorization": CheckKind(
         "base", ("function",), ("monte_carlo+grid",),
@@ -123,6 +128,10 @@ CHECK_KINDS = {
         options={"free_dims": (int, 1), "points": (int, 10)},
         dim=1),
 }
+
+# the check keys every kind reads (see _budgets)
+_BUDGET_KEYS = {"kind", "engine", "seed", "t", "samples", "mc_paths",
+               "mc_step", "grid_resolution", "cn_steps"}
 
 # the budget column of reports.csv, by engine label
 BUDGET_FORMATS = {
@@ -221,6 +230,10 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
         kind = _named(CHECK_KINDS, check.get("kind"))
         if kind is None:
             raise ConfigError(f"check {i}: unknown kind {check.get('kind')!r}")
+        unknown = set(check) - _BUDGET_KEYS - set(kind.options) - {
+            kind.domain_key, *kind.function_keys}
+        if unknown:
+            raise ConfigError(f"check {i}: unknown keys {sorted(unknown)}")
         b = _budgets(check, kind, engine, seed + 1000 * i, f"check {i}: ")
         if b.engine not in kind.engines:
             raise ConfigError(f"check {i}: unknown engine {b.engine!r}")
@@ -269,8 +282,8 @@ def _budgets(check: dict, kind: CheckKind, engine: dict, seed: int,
              where: str) -> SimpleNamespace:
     """A check's budgets and its kind's options, converted once: the
     namespace its runner reads."""
-    def value(key, convert, default):
-        return _number(convert, check.get(key, default), key, where)
+    def value(key, convert, default, least=1):
+        return _number(convert, check.get(key, default), key, where, least)
 
     def budget(key, convert=lambda v: v):
         return value(key, convert, engine.get(key, ENGINE_DEFAULTS[key]))
@@ -282,21 +295,23 @@ def _budgets(check: dict, kind: CheckKind, engine: dict, seed: int,
         step=budget("mc_step", float), res=budget("grid_resolution"),
         cn_steps=budget("cn_steps", int),
         grid=lambda d: grid_operator(d, b.res, engine["tail_mass"], where),
-        rhs_scale=value("rhs_scale", float, 1.0),
         **{key: value(key, *option) for key, option in kind.options.items()})
     return b
 
 
-def _number(convert, value, key: str, where: str = ""):
+def _number(convert, value, key: str, where: str = "", least: int = 1):
     """``convert(value)``, or a ``ConfigError`` naming ``key`` when that
-    fails or leaves the key's ``_RANGES``."""
+    fails, lists fewer than ``least`` entries or leaves ``_RANGES``."""
     try:
         result = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}{key!r} must be numeric, got {value!r}") \
             from None
+    listed = isinstance(result, list)
+    if listed and len(result) < least:
+        raise ConfigError(f"{where}{key!r} needs {least} or more values")
     accepts, text = _RANGES.get(key, (lambda v: True, ""))
-    if not all(map(accepts, result if isinstance(result, list) else [result])):
+    if not all(map(accepts, result if listed else [result])):
         raise ConfigError(f"{where}{key!r} must be {text}, got {value!r}")
     return result
 

@@ -1,14 +1,16 @@
 """Open convex subsets of R^d.
 
 Membership, Euclidean projection, product structure with free Gaussian
-factors, and circumscribed polygon approximations of balls. All point
+factors, and regular polygons circumscribed about discs. All point
 operations accept a single point of shape ``(dim,)`` or a batch of shape
 ``(n, dim)``; batches are the fast path used by the reflected-path engine.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -130,8 +132,10 @@ class HalfspaceIntersection(ConvexDomain):
         if normals.shape[0] != offsets.shape[0]:
             raise ValueError("one offset per normal required")
         lengths = np.linalg.norm(normals, axis=1)
-        if np.any(np.abs(lengths - 1.0) > UNIT_TOL):
+        if not np.all(np.abs(lengths - 1.0) <= UNIT_TOL):  # NaN fails too
             raise ValueError("half-space normals must have unit Euclidean norm")
+        if not np.all(np.isfinite(offsets)):
+            raise ValueError("half-space offsets must be finite")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "dim", normals.shape[1])
@@ -149,46 +153,16 @@ class HalfspaceIntersection(ConvexDomain):
         return out
 
     def _contains(self, pts, tol):
-        balls = getattr(self, "_balls", None)
-        if balls is None:
-            return np.all(self._violations(pts) <= tol, axis=1)
-        inside, outside = balls.sure(pts, tol)
-        rest = ~(inside | outside)
-        inside[rest] = np.all(self._violations(pts[rest]) <= tol, axis=1)
-        return inside
+        return np.all(self._violations(pts) <= tol, axis=1)
 
-    @property
+    @cached_property
     def vertices(self) -> np.ndarray:
         """Feasible pairwise face intersections (2D only)."""
         if self.dim != 2:
             raise UnsupportedDimension("vertices are enumerated in 2D only")
-        cached = getattr(self, "_vertices", None)
-        if cached is None:
-            # a polygon_approximation (the only system with recorded balls)
-            # has its vertices where adjacent faces meet
-            pairs = None if getattr(self, "_balls", None) is None \
-                else _adjacent_pairs(len(self.offsets))
-            cached = _polygon_vertices(self.normals, self.offsets, pairs)
-            object.__setattr__(self, "_vertices", cached)
-        return cached
+        return _polygon_vertices(self.normals, self.offsets)
 
     def _project(self, pts):
-        balls = getattr(self, "_balls", None)
-        if balls is None:
-            return self._project_by_faces(pts)
-        inside, _ = balls.sure(pts, 0.0)
-        rest = np.flatnonzero(~inside)
-        out = pts.copy()
-        # a polygon_approximation records its sector tables with its balls
-        if self._sectors is not None and len(rest):
-            settled, proj = self._sectors.project(pts[rest])
-            out[rest[settled]] = proj[settled]
-            rest = rest[~settled]
-        if len(rest):
-            out[rest] = self._project_by_faces(pts[rest])
-        return out
-
-    def _project_by_faces(self, pts):
         viol = self._violations(pts)
         j = np.argmax(viol, axis=1)
         worst = viol[np.arange(len(pts)), j]
@@ -322,8 +296,10 @@ class Ball(ConvexDomain):
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center must be finite")
+        if not 0 < self.radius < math.inf:  # NaN fails too
+            raise ValueError("radius must be finite and positive")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dim", center.shape[0])
 
@@ -357,7 +333,7 @@ class Slab(ConvexDomain):
 
     def __post_init__(self):
         direction = np.atleast_1d(np.asarray(self.direction, dtype=float))
-        if abs(np.linalg.norm(direction) - 1.0) > UNIT_TOL:
+        if not abs(np.linalg.norm(direction) - 1.0) <= UNIT_TOL:  # NaN fails
             raise ValueError("slab direction must be a unit vector")
         if not self.lower < self.upper:
             raise ValueError("slab needs lower < upper")
@@ -415,9 +391,6 @@ class Product(ConvexDomain):
             raise ValueError("free_dims must be nonnegative")
         object.__setattr__(self, "dim", self.base.dim + self.free_dims)
 
-    def split(self, pts):
-        return pts[..., : self.base.dim], pts[..., self.base.dim:]
-
     def _contains(self, pts, tol):
         return self.base._contains(pts[:, : self.base.dim], tol)
 
@@ -461,8 +434,8 @@ class Product(ConvexDomain):
 # 16u (S + |d|) in all). The bound is derived, not tuned: a point that
 # passes either test gets exactly the answer of the face path.
 BALL_SLACK = 4.0 * UNIT_TOL
-# Exactness of the sector path, which settles a polygon_approximation row
-# outside the inscribed ball from three faces. Let P0 be the exact regular
+# Exactness of the sector path, which settles a RegularPolygon row outside
+# the inscribed ball from three faces. Let P0 be the exact regular
 # n-gon that the stored faces round: unit normals m_j at angle j beta,
 # beta = 2 pi / n, offsets m_j . c + r, circumradius R, edges
 # L = 2 r tan(beta / 2), and V0_j(x) = m_j . x - m_j . c - r its
@@ -521,34 +494,9 @@ VERTEX_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
-class _TwoBalls:
-    """Inscribed and circumscribed balls of a ``polygon_approximation``."""
-
-    center: np.ndarray
-    inradius: float
-    circumradius: float
-
-    def radii(self, tol):
-        """Distances from the centre within which every face violation
-        surely rounds to <= ``tol``, and beyond which one surely rounds to
-        > ``tol`` (see BALL_SLACK)."""
-        r, big_r = self.inradius, self.circumradius
-        slack = BALL_SLACK * (r + abs(tol) + float(np.linalg.norm(self.center)))
-        return (r + tol - slack,
-                (r + tol + slack) * big_r / (r - BALL_SLACK * big_r))
-
-    def sure(self, pts, tol):
-        """Masks of the rows inside the inner and beyond the outer radius."""
-        inner, outer = self.radii(tol)
-        dist2 = _dist2(pts, self.center)
-        return (dist2 <= math.copysign(inner * inner, inner),
-                dist2 > math.copysign(outer * outer, outer))
-
-
-@dataclass(frozen=True)
 class _Sectors:
-    """Face tables of the O(1) projection onto a ``polygon_approximation``
-    (see the sector margins above), one column per face or sector j."""
+    """Face tables of the O(1) projection onto a ``RegularPolygon`` (see
+    the sector margins above), one column per face or sector j."""
 
     center: np.ndarray
     window: np.ndarray  # nx, ny, b, index of faces j - 1, j, j + 1, sorted
@@ -559,14 +507,14 @@ class _Sectors:
     cone: float
 
     @classmethod
-    def build(cls, gon, balls):
+    def build(cls, gon):
         """The tables, or None where the margins or the corner map fail."""
-        n = len(gon.offsets)
+        n = gon.sides
         verts = gon.vertices
         if len(verts) != n:
             return None
-        r, big_r = balls.inradius, balls.circumradius
-        c_norm = float(np.linalg.norm(balls.center))
+        r, big_r = gon.radius, gon.circumradius
+        c_norm = float(np.linalg.norm(gon.center))
         beta = 2.0 * math.pi / n
         sin_b, sin_h = math.sin(beta), math.sin(beta / 2.0)
         tan_h = math.tan(beta / 2.0)
@@ -598,7 +546,7 @@ class _Sectors:
         # pairs (0, 1), (0, n - 1), (1, 2), ...: 0 for j = 0, 1 for j = n - 1
         order = np.concatenate([[1, 0], np.arange(2, n), [1]])
         return cls(
-            center=balls.center,
+            center=gon.center,
             window=np.concatenate([nx[ranked], ny[ranked],
                                    gon.offsets[ranked], ranked]),
             around=np.concatenate([nx[nbrs], ny[nbrs], gon.offsets[nbrs]]),
@@ -649,12 +597,95 @@ class _Sectors:
         return near & (free | on_face | at_corner), out
 
 
-def _adjacent_pairs(n):
-    """The n neighbouring face pairs of an n-gon in ``triu_indices`` order:
-    (0, 1), (0, n - 1), (1, 2), ..., (n - 2, n - 1)."""
-    i = np.concatenate([[0, 0], np.arange(1, n - 1)])
-    j = np.concatenate([[1, n - 1], np.arange(2, n)])
-    return i, j
+@dataclass(frozen=True)
+class RegularPolygon(HalfspaceIntersection):
+    """Regular n-gon (``n = sides >= 3``) circumscribed about the disc of
+    ``radius`` r at ``center``: face j touches it in direction
+    ``(cos, sin)(2 pi j / n)``, so the n, 2n, 4n, ...-gons nest down to it.
+
+    Points well inside the disc or well outside the circumscribed ball (of
+    radius ``circumradius``, r / cos(pi / n)) skip the violation matrix.
+    ``project`` settles nearly every other point in O(1) from the three
+    faces its polar angle names (see the sector margins beside BALL_SLACK),
+    bit for bit as the face path, which takes the rest. The vertices are
+    solved from adjacent face pairs alone."""
+
+    normals: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    center: np.ndarray
+    radius: float
+    sides: int
+    circumradius: float = field(init=False)
+    _sectors: _Sectors | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        disc = Ball(center=self.center, radius=float(self.radius))
+        if disc.dim != 2:
+            raise UnsupportedDimension("a regular polygon needs a 2D center")
+        if not isinstance(self.sides, numbers.Integral) or self.sides < 3:
+            raise ValueError(f"need an integer >= 3 sides, got {self.sides!r}")
+        center, radius, n = disc.center, disc.radius, int(self.sides)
+        angles = 2.0 * np.pi * np.arange(n) / n
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        # cos(pi/n) as the stored normals have it: the cosine of the largest
+        # half-angle between neighbouring normals
+        cos_half = np.sqrt(
+            (1.0 + np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0)))
+            / 2.0).min()
+        for name, value in (("center", center), ("radius", radius),
+                            ("sides", n), ("normals", normals),
+                            ("offsets", normals @ center + radius),
+                            ("circumradius", radius / float(cos_half))):
+            object.__setattr__(self, name, value)
+        super().__post_init__()
+        object.__setattr__(self, "_sectors", _Sectors.build(self))
+
+    def radii(self, tol):
+        """Distances from the centre within which every face violation
+        surely rounds to <= ``tol``, and beyond which one surely rounds to
+        > ``tol`` (see BALL_SLACK)."""
+        r, big_r = self.radius, self.circumradius
+        slack = BALL_SLACK * (r + abs(tol) + float(np.linalg.norm(self.center)))
+        return (r + tol - slack,
+                (r + tol + slack) * big_r / (r - BALL_SLACK * big_r))
+
+    def sure(self, pts, tol):
+        """Masks of the rows inside the inner and beyond the outer radius."""
+        inner, outer = self.radii(tol)
+        dist2 = _dist2(pts, self.center)
+        return (dist2 <= math.copysign(inner * inner, inner),
+                dist2 > math.copysign(outer * outer, outer))
+
+    def _contains(self, pts, tol):
+        inside, outside = self.sure(pts, tol)
+        rest = ~(inside | outside)
+        inside[rest] = super()._contains(pts[rest], tol)
+        return inside
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """The corners, from the n adjacent face pairs in ``triu_indices``
+        order: (0, 1), (0, n - 1), (1, 2), ..., (n - 2, n - 1)."""
+        n = self.sides
+        pairs = (np.concatenate([[0, 0], np.arange(1, n - 1)]),
+                 np.concatenate([[1, n - 1], np.arange(2, n)]))
+        return _polygon_vertices(self.normals, self.offsets, pairs)
+
+    def _project(self, pts):
+        inside, _ = self.sure(pts, 0.0)
+        rest = np.flatnonzero(~inside)
+        out = pts.copy()
+        if self._sectors is not None and len(rest):
+            settled, proj = self._sectors.project(pts[rest])
+            out[rest[settled]] = proj[settled]
+            rest = rest[~settled]
+        if len(rest):
+            out[rest] = super()._project(pts[rest])
+        return out
+
+    def to_config(self):
+        return {"shape": "regular_polygon", "center": self.center.tolist(),
+                "radius": self.radius, "sides": self.sides}
 
 
 def _polygon_vertices(normals, offsets, pairs=None, tol=1e-9):
@@ -722,42 +753,13 @@ def half_line(threshold: float = 0.0) -> HalfspaceIntersection:
                                  offsets=np.array([-threshold]))
 
 
-def polygon_approximation(ball: Ball, n: int) -> HalfspaceIntersection:
-    """Circumscribed regular n-gon around a 2D ball.
-
-    Face j is tangent to the ball in direction ``(cos, sin)(2 pi j / n)``,
-    so every n-gon contains the ball and the doubling sequence
-    n, 2n, 4n, ... is nested decreasing. The source ball is recorded as
-    the n-gon's inscribed ball, together with its circumradius
-    ``r / cos(pi / n)``. Points well inside the inscribed ball or well
-    outside the circumscribed one skip the violation matrix in
-    ``project`` and ``contains``. ``project`` settles nearly every other
-    point in O(1): the polar angle about the centre names three faces,
-    and the foot on the most violated one or one of its two vertices is
-    the answer (see the sector margins beside BALL_SLACK); the rest take
-    the face path. Every result is bit for bit the face path's. The
-    vertices are solved from the n adjacent face pairs alone. A polygon
-    rebuilt from ``to_config`` has no record and takes the full paths.
-    """
+def polygon_approximation(ball: Ball, n: int) -> RegularPolygon:
+    """Circumscribed regular n-gon around a 2D ball: the ``RegularPolygon``
+    whose inscribed ball is ``ball``. Its ``to_config`` rebuilds the same
+    polygon, fast paths and arithmetic included."""
     if not isinstance(ball, Ball) or ball.dim != 2:
         raise UnsupportedDimension("polygon approximation needs a 2D ball")
-    if n < 3:
-        raise ValueError("need at least 3 sides")
-    angles = 2.0 * np.pi * np.arange(n) / n
-    normals = np.column_stack([np.cos(angles), np.sin(angles)])
-    offsets = normals @ ball.center + ball.radius
-    gon = HalfspaceIntersection(normals=normals, offsets=offsets)
-    # cos(pi/n) as the stored normals have it: the cosine of the largest
-    # half-angle between neighbouring normals
-    cos_half = np.sqrt(
-        (1.0 + np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0)))
-        / 2.0).min()
-    radius = float(ball.radius)
-    balls = _TwoBalls(center=ball.center, inradius=radius,
-                      circumradius=radius / float(cos_half))
-    object.__setattr__(gon, "_balls", balls)
-    object.__setattr__(gon, "_sectors", _Sectors.build(gon, balls))
-    return gon
+    return RegularPolygon(center=ball.center, radius=ball.radius, sides=n)
 
 
 def truncation_box(domain: ConvexDomain, tail_mass: float):
@@ -780,9 +782,6 @@ def truncation_box(domain: ConvexDomain, tail_mass: float):
     return lo, hi
 
 
-_SHAPES = {}
-
-
 def domain_from_config(cfg: dict) -> ConvexDomain:
     """Rebuild a domain from its ``to_config`` dictionary."""
     try:
@@ -794,15 +793,14 @@ def domain_from_config(cfg: dict) -> ConvexDomain:
     return _SHAPES[shape](cfg)
 
 
-_SHAPES.update({
+_SHAPES = {
     "whole_space": lambda c: WholeSpace(dim=int(c["dim"])),
-    "halfspaces": lambda c: HalfspaceIntersection(
-        normals=np.array(c["normals"], dtype=float),
-        offsets=np.array(c["offsets"], dtype=float)),
-    "ball": lambda c: Ball(center=np.array(c["center"], dtype=float),
-                           radius=float(c["radius"])),
+    "halfspaces": lambda c: HalfspaceIntersection(c["normals"], c["offsets"]),
+    "ball": lambda c: Ball(center=c["center"], radius=float(c["radius"])),
+    "regular_polygon": lambda c: RegularPolygon(
+        center=c["center"], radius=c["radius"], sides=c["sides"]),
     "slab": lambda c: Slab(direction=np.array(c["direction"], dtype=float),
                            lower=float(c["lower"]), upper=float(c["upper"])),
     "product": lambda c: Product(base=domain_from_config(c["base"]),
                                  free_dims=int(c["free_dims"])),
-})
+}

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -67,13 +68,16 @@ def test_parse_round_trip_preserves_objects():
 
 def test_check_budgets_are_converted_at_parse():
     cfg = json.loads(json.dumps(SMALL_CONFIG))
-    # "panel" is a submultiplicative option, so a poincare check ignores it
-    cfg["checks"][0].update(t="0.25", panel="many")
+    cfg["checks"][0].update(t="0.25")
     parsed = parse_config(json.dumps(cfg), seed=5)
     first, _, decay = parsed.budgets
     assert (first.t, first.seed, first.samples) == (0.25, 5, 20000)
     assert not hasattr(first, "panel")
     assert (decay.seed, decay.times) == (2005, [0.5])
+    # "panel" is a submultiplicative option, which a poincare check reads not
+    cfg["checks"][0].update(panel=3)
+    with pytest.raises(ConfigError, match="panel"):
+        parse_config(json.dumps(cfg))
 
 
 def test_default_config_is_consistent():
@@ -130,6 +134,25 @@ def test_path_checks_are_byte_identical_across_jobs(tmp_path):
     assert data == (out3 / "reports.csv").read_bytes()
 
 
+def test_regular_polygon_domain_verifies_across_jobs(tmp_path):
+    cfg = _with_2d_ball(json.loads(json.dumps(SMALL_CONFIG)))
+    cfg["domains"]["gon"] = {"shape": "regular_polygon", "center": [0.0, 0.0],
+                             "radius": 1.0, "sides": 64}
+    cfg["checks"] = [
+        {"kind": "poincare", "function": "diag", "domain": "gon"},
+        {"kind": "invariance", "function": "diag", "domain": "gon",
+         "engine": "monte_carlo", "t": 0.5},
+    ]
+    path = write_config(tmp_path, cfg)
+    out1, out2 = tmp_path / "j1", tmp_path / "j2"
+    assert main(["verify", path, "--out", str(out1), "--jobs", "1"]) == 0
+    assert main(["verify", path, "--out", str(out2), "--jobs", "2"]) == 0
+    assert [r["name"] for r in read_reports(out1)] == ["poincare",
+                                                       "invariance_mc"]
+    assert (out1 / "reports.csv").read_bytes() == \
+        (out2 / "reports.csv").read_bytes()
+
+
 def test_verify_seed_override_changes_sampled_rows(tmp_path):
     path = write_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -141,10 +164,16 @@ def test_verify_seed_override_changes_sampled_rows(tmp_path):
     assert a[1]["lhs"] == b[1]["lhs"]  # grid check is seed independent
 
 
-def test_verify_flags_deliberate_failure(tmp_path):
-    cfg = json.loads(json.dumps(SMALL_CONFIG))
-    cfg["checks"][0]["rhs_scale"] = 0.5  # poincare sharp case must now fail
-    path = write_config(tmp_path, cfg)
+def test_verify_flags_deliberate_failure(tmp_path, monkeypatch):
+    # with its right-hand side halved, the poincare sharp case must fail
+    kind = CHECK_KINDS["poincare"]
+
+    def halved(b, d, f):
+        return [dataclasses.replace(r, rhs=0.5 * r.rhs)
+                for r in kind.run(b, d, f)]
+
+    monkeypatch.setitem(CHECK_KINDS, "poincare", kind._replace(run=halved))
+    path = write_config(tmp_path)
     out = tmp_path / "run"
     assert main(["verify", path, "--out", str(out)]) == 1
     rows = read_reports(out)
@@ -185,6 +214,10 @@ MALFORMED = [
     lambda cfg: _check_of(cfg, "invariance").update(t="x"),
     lambda cfg: _check_of(cfg, "factorization").update(base="ball2",
                                                        function="diag2"),
+    lambda cfg: cfg["domains"]["ball2"].update(radius=float("nan")),
+    lambda cfg: cfg["domains"].update(gon={
+        "shape": "regular_polygon", "center": [0.0, 0.0], "radius": 1.0,
+        "sides": 3.5}),
 ]
 
 
@@ -244,6 +277,7 @@ BAD_SECTIONS = [
     ("converge", lambda c: _with_2d_ball(c)["converge"].update(step=0)),
     ("evolve", lambda c: c["evolve"].update(times=["x"])),
     ("evolve", lambda c: c["evolve"].update(times=[-1.0])),
+    ("evolve", lambda c: c["evolve"].update(times=[])),
     ("evolve", lambda c: c["evolve"].update(function="nothing")),
     ("evolve", lambda c: c["evolve"].update(resolution="fine")),
     ("evolve", lambda c: c["evolve"].update(resolution=4)),
@@ -288,6 +322,12 @@ BAD_BUDGETS = [
     lambda c: c["checks"][1].update(t=-1),
     lambda c: c["checks"][1].update(engine="monte_carlo", t=-0.5),
     lambda c: c["checks"][2].update(times=[-0.5]),
+    lambda c: c["checks"][2].update(times=[]),
+    lambda c: (c["functions"].update(pos={
+        "dim": 1, "directions": [[1.0]], "profile": "(sum 2 (tanh v1))"}),
+        c["checks"][2].update(kind="entropy", function="pos", times=[0.5])),
+    lambda c: c["checks"][0].update(sampels=3),
+    lambda c: c["checks"][0].update(tail_mass=1e-4),
     lambda c: c["checks"][1].update(cn_steps=0),
     lambda c: c["checks"][0].update(seed=-5),
     lambda c: c["engine"].update(tail_mass=2.0),

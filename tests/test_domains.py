@@ -13,7 +13,8 @@ from scipy.stats import norm
 from oulab.config import load_default_config
 from oulab.domains import (CONTAINS_TOL, DYKSTRA_TOL, Ball, DimensionMismatch,
                            EmptyDomain, HalfspaceIntersection, NoConvergence,
-                           Product, Slab, UnsupportedDimension, WholeSpace,
+                           Product, RegularPolygon, Slab,
+                           UnsupportedDimension, WholeSpace,
                            _dykstra, _polygon_vertices, _Sectors,
                            domain_from_config, half_line, interval,
                            polygon_approximation, truncation_box)
@@ -215,16 +216,15 @@ def _shell_points(ball, n, radii, rng):
 @pytest.mark.parametrize("n", [3, 4, 16, 256])
 @pytest.mark.parametrize("ball", SHORTCUT_BALLS, ids=["unit", "offcentre"])
 def test_polygon_shortcut_is_exact(ball, n):
-    # the rebuilt polygon has no recorded balls, so it runs the face path
-    # on every row: the shortcut must not change a single bit
+    # the generic system on the same faces runs the face path on every
+    # row: the shortcut must not change a single bit
     gon = polygon_approximation(ball, n)
-    rebuilt = domain_from_config(gon.to_config())
-    assert gon.to_config() == rebuilt.to_config()
+    rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
     rng = np.random.default_rng(n)
     cos_n = math.cos(math.pi / n)
     radii = [ball.radius, ball.radius / cos_n]
     for tol in (0.0, DYKSTRA_TOL, CONTAINS_TOL):
-        radii += list(gon._balls.radii(tol))
+        radii += list(gon.radii(tol))
         radii.append((ball.radius + tol) / cos_n)
     pts = np.concatenate([_shell_points(ball, n, radii, rng),
                           rng.standard_normal((1000, 2))])
@@ -244,7 +244,7 @@ def test_polygon_shortcut_is_exact(ball, n):
 def test_polygon_shortcut_coupled_paths_are_exact():
     ball = SHORTCUT_BALLS[1]
     gon = polygon_approximation(ball, 256)
-    rebuilt = domain_from_config(gon.to_config())
+    rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
     starts = np.repeat(ball.center[None, :], 2000, axis=0)
     ends_gon, ends_rebuilt = evolve_starts([gon, rebuilt], starts, 0.5,
                                            1e-2, seed=4)
@@ -304,9 +304,9 @@ def _sector_panel(gon, ball, rng):
 @pytest.mark.parametrize("n", [3, 4, 5, 1024])
 @pytest.mark.parametrize("ball", SHORTCUT_BALLS, ids=["unit", "offcentre"])
 def test_sector_path_is_the_face_path(ball, n):
-    # the rebuilt polygon has no sector tables, so it runs the face path
+    # the generic system on the same faces runs the face path
     gon = polygon_approximation(ball, n)
-    rebuilt = domain_from_config(gon.to_config())
+    rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
     assert gon._sectors is not None
     pts = _sector_panel(gon, ball, np.random.default_rng(n))
     for chunk in np.array_split(pts, math.ceil(len(pts) / 2000)):
@@ -354,19 +354,21 @@ def test_merged_vertices_take_the_face_path():
     rng = np.random.default_rng(8)
     pts = np.concatenate([s * 1e-8 * rng.standard_normal((500, 2))
                           for s in (0.5, 1.0, 1.02, 3.0, 1e3)])
-    assert np.array_equal(gon.project(pts), gon._project_by_faces(pts))
-    # the rebuild enumerates all face pairs and keeps more vertices (the
-    # 1e-9 feasibility tolerance is a tenth of the polygon), so the two
-    # face paths part only where their vertex sets do, beyond about 3 r
-    rebuilt = domain_from_config(gon.to_config())
+    assert np.array_equal(gon.project(pts),
+                          HalfspaceIntersection._project(gon, pts))
+    # the generic system on the same faces enumerates all face pairs and
+    # keeps more vertices (the 1e-9 feasibility tolerance is a tenth of the
+    # polygon), so the two face paths part only where their vertex sets
+    # do, beyond about 3 r
+    rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
     near = pts[:2000]
     assert np.array_equal(gon.project(near), rebuilt.project(near))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 1000])
 def test_2d_violations_are_plain_float_arithmetic(rows):
-    gon = domain_from_config(polygon_approximation(
-        Ball(center=[0.3, -1.7], radius=1.3), 7).to_config())
+    faces = polygon_approximation(Ball(center=[0.3, -1.7], radius=1.3), 7)
+    gon = HalfspaceIntersection(normals=faces.normals, offsets=faces.offsets)
     rng = np.random.default_rng(rows)
     pts = rng.standard_normal((rows, 2)) * np.exp(rng.uniform(-20, 20,
                                                               (rows, 1)))
@@ -422,18 +424,18 @@ def test_polygon_vertices_match_pairwise_loop(dom):
     got = _polygon_vertices(dom.normals, dom.offsets)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
-    # a polygon_approximation solves only its n adjacent face pairs
+    # a RegularPolygon solves only its n adjacent face pairs
     assert np.array_equal(dom.vertices, expected)
 
 
 def test_polygon_vertices_memory_is_bounded():
     # all 523,776 face pairs of a 1024-gon against all faces would be a
     # 4 GB feasibility matrix; with row blocks the peak is the per-pair
-    # arrays, about 50 MB. Only a polygon rebuilt from config enumerates
-    # them all; the polygon_approximation itself solves its 1,024 adjacent
-    # pairs and must find the same vertices bit for bit.
+    # arrays, about 50 MB. Only the generic system on the same faces
+    # enumerates them all; the RegularPolygon itself solves its 1,024
+    # adjacent pairs and must find the same vertices bit for bit.
     gon = polygon_approximation(Ball(center=[0.0, 0.0], radius=1.0), 1024)
-    rebuilt = domain_from_config(gon.to_config())
+    rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
     tracemalloc.start()
     try:
         verts = rebuilt.vertices
@@ -477,11 +479,12 @@ def _reference_project_candidates(self, pts):
 
 
 def test_polygon_candidate_memory_is_bounded(monkeypatch):
-    # a config-built polygon has no recorded balls, so every point outside
-    # it reaches the candidate enumeration; unblocked, its feasibility test
-    # held rows x violated faces x faces values (about 2.9 GB here)
-    gon = domain_from_config(polygon_approximation(
-        Ball(center=[0.0, 0.0], radius=1.0), 256).to_config())
+    # the generic system on a 256-gon's faces has no fast path, so every
+    # point outside it reaches the candidate enumeration; unblocked, its
+    # feasibility test held rows x violated faces x faces values (about
+    # 2.9 GB here)
+    faces = polygon_approximation(Ball(center=[0.0, 0.0], radius=1.0), 256)
+    gon = HalfspaceIntersection(normals=faces.normals, offsets=faces.offsets)
     pts = 1.5 * np.random.default_rng(0).standard_normal((20_000, 2))
     gon.vertices
     tracemalloc.start()
@@ -649,6 +652,24 @@ def test_config_round_trip_exact():
         assert np.array_equal(back.project(pts), dom.project(pts))
 
 
+@pytest.mark.parametrize("n", [3, 4, 16, 256, 1024])
+@pytest.mark.parametrize("radius", [1.0, 1e-6, 1e-8])
+def test_regular_polygon_round_trips_bit_for_bit(radius, n):
+    # the rebuild is the same polygon, fast paths and vertices included
+    gon = polygon_approximation(Ball(center=[0.3, -1.7], radius=radius), n)
+    back = domain_from_config(json.loads(json.dumps(gon.to_config())))
+    assert type(back) is RegularPolygon
+    rng = np.random.default_rng(n)
+    pts = np.concatenate([
+        _shell_points(gon, min(n, 16), [radius, gon.circumradius], rng),
+        gon.center + radius * np.concatenate([
+            s * rng.standard_normal((400, 2)) for s in (0.5, 1.0, 3.0, 1e3)])])
+    assert np.array_equal(back.vertices, gon.vertices)
+    assert np.array_equal(back.project(pts), gon.project(pts))
+    for tol in (0.0, DYKSTRA_TOL, CONTAINS_TOL):
+        assert np.array_equal(back.contains(pts, tol), gon.contains(pts, tol))
+
+
 def test_config_errors():
     with pytest.raises(ValueError):
         domain_from_config({"shape": "moebius"})
@@ -657,10 +678,24 @@ def test_config_errors():
 
 
 def test_validation_errors():
+    nan, inf = float("nan"), float("inf")
     with pytest.raises(ValueError):
         HalfspaceIntersection(normals=[[2.0, 0.0]], offsets=[1.0])
+    for normals, offsets in (([[nan, 0.0]], [1.0]), ([[1.0, 0.0]], [nan])):
+        with pytest.raises(ValueError):
+            HalfspaceIntersection(normals=normals, offsets=offsets)
     with pytest.raises(ValueError):
-        Ball(center=[0.0], radius=0.0)
+        Slab(direction=[nan], lower=0.0, upper=1.0)
+    for center, radius in (([0.0], 0.0), ([0.0], nan), ([0.0], inf),
+                           ([nan], 1.0)):
+        with pytest.raises(ValueError):
+            Ball(center=center, radius=radius)
+    for center, radius, sides in (([nan, 0.0], 1.0, 4), ([0.0, 0.0], nan, 4),
+                                  ([0.0, 0.0], inf, 4), ([0.0, 0.0], -1.0, 4),
+                                  ([0.0, 0.0], 1.0, 3.5), ([0.0, 0.0], 1.0, 2),
+                                  ([0.0], 1.0, 4)):
+        with pytest.raises(ValueError):
+            RegularPolygon(center=center, radius=radius, sides=sides)
     with pytest.raises(ValueError):
         Slab(direction=[1.0], lower=1.0, upper=1.0)
     with pytest.raises(ValueError):
