@@ -110,8 +110,21 @@ def cmd_verify(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     return 0 if all_pass else 1
 
 
-def _ints(values) -> list:
-    return [int(v) for v in values]
+# the keys each command reads from its section; any other is a mistake
+_SECTION_KEYS = {
+    "spectrum": {"domains", "count", "resolution"},
+    "evolve": {"domain", "function", "times", "resolution"},
+    "converge": {"ball", "function", "t", "sides", "points",
+                 "paths_per_point", "step", "mass_samples"},
+}
+
+
+def _command_section(cfg: RunConfig, name: str) -> dict:
+    spec = getattr(cfg, name)
+    unknown = set(spec) - _SECTION_KEYS[name]
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+    return spec
 
 
 def _function_on(cfg: RunConfig, section: str, name, dom):
@@ -123,7 +136,7 @@ def _function_on(cfg: RunConfig, section: str, name, dom):
 
 
 def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
-    spec = cfg.spectrum
+    spec = _command_section(cfg, "spectrum")
     names = spec.get("domains", list(cfg.domains))
     if not isinstance(names, list):
         raise ConfigError("spectrum: 'domains' must be an array")
@@ -145,7 +158,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
-    spec = cfg.evolve
+    spec = _command_section(cfg, "evolve")
     dom = cfg.domain(spec.get("domain"))
     fn = _function_on(cfg, "evolve", spec.get("function"), dom)
     times = cfg.option("evolve", "times", _floats, [0.0, 0.5, 1.0])
@@ -170,19 +183,21 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
-    spec = cfg.converge
+    spec = _command_section(cfg, "converge")
     ball = cfg.domain(spec.get("ball"))
     if not isinstance(ball, Ball) or ball.dim != 2:
         raise ConfigError(f"converge: 'ball' must name a 2D ball, "
                           f"got {spec.get('ball')!r}")
     fn = _function_on(cfg, "converge", spec.get("function"), ball)
-    sides = cfg.option("converge", "sides", _ints, [4, 8, 16, 32, 64])
+    sides = [int(n) for n in cfg.option("converge", "sides", _floats,
+                                        [4, 8, 16, 32, 64])]
     study = convergence_study(
         ball, fn, cfg.option("converge", "t", float, 0.5), sides,
         n_points=cfg.option("converge", "points", int, 20),
         paths_per_point=cfg.option("converge", "paths_per_point", int, 5000),
         h=cfg.option("converge", "step", float, cfg.budget("mc_step")),
-        seed=cfg.seed)
+        seed=cfg.seed,
+        mass_samples=cfg.option("converge", "mass_samples", int, 200_000))
     rows = [(s, e, se, m, "monte_carlo",
              f"paths_per_point={study.details['paths_per_point']};"
              f"h={study.details['h']}", cfg.seed)

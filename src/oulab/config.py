@@ -41,12 +41,13 @@ ENGINE_DEFAULTS = {
 # times: its production is a difference quotient between times)
 _RANGES = {
     **dict.fromkeys(("samples", "mc_paths", "mc_step", "cn_steps", "panel",
-                     "points", "paths_per_point", "step", "count"),
+                     "points", "paths_per_point", "step", "count",
+                     "mass_samples"),
                     (lambda v: v > 0, "positive")),
     **dict.fromkeys(("seed", "t", "times"),
                     (lambda v: v >= 0, "nonnegative")),
     "tail_mass": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "sides": (lambda v: v >= 3, "at least 3"),
+    "sides": (lambda v: v >= 3 and v.is_integer(), "integers >= 3"),
 }
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 UNIT_TOL = 1e-12
 CONTAINS_TOL = 1e-9
@@ -771,6 +770,7 @@ def truncation_box(domain: ConvexDomain, tail_mass: float):
     without importing ``scipy.stats``); sides the domain already bounds
     keep the domain's own bound regardless of ``tail_mass``.
     """
+    from scipy.special import ndtri
     if not 0.0 < tail_mass < 1.0:
         raise ValueError("tail_mass must lie in (0, 1)")
     radius = float(-ndtri(tail_mass / (2.0 * domain.dim)))

@@ -27,7 +27,9 @@ positive semidefinite and ``W`` the diagonal of cell masses:
   exactly in floating point.
 
 Unbounded domains are truncated by ``truncation_box``; the truncation
-radius travels with the operator so results can report it.
+radius travels with the operator so results can report it. scipy is
+imported inside the functions that use it, so it loads on the engine's
+first call, not with ``import oulab``.
 """
 from __future__ import annotations
 
@@ -35,10 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
-from scipy.special import ndtr
 
 from ..domains import ConvexDomain, UnsupportedDimension, truncation_box
 from .types import ResolutionTooCoarse, SolverError
@@ -111,6 +109,8 @@ def grid_build(domain: ConvexDomain, resolution,
     Cells are included when their center lies in the closed domain, which
     gives the staircase approximation for curved boundaries.
     """
+    import scipy.sparse as sp
+    from scipy.special import ndtr
     if domain.dim > 2:
         raise UnsupportedDimension("grid engine supports dimensions 1 and 2")
     lo, hi = truncation_box(domain, tail_mass)
@@ -207,6 +207,7 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
     ``propagator_details`` names the solver that runs and, for
     uniformization, its term count and error bounds.
     """
+    import scipy.sparse as sp
     u = op.check_values(values)
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -339,6 +340,7 @@ def _factor_symmetric(matrix: sp.spmatrix):
     """Sparse LU of a symmetric definite matrix: minimum-degree ordering of
     ``A^T + A`` and pivots on the diagonal, so the factors keep the fill of
     a symmetric factorization (definite matrices need no pivoting)."""
+    from scipy.sparse.linalg import splu
     try:
         return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -368,6 +370,9 @@ def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
     2D meshes take dense ``eigh`` up to ``DENSE_EIG_CAP`` nodes and
     shift-invert ``eigsh`` about 1/2 beyond, on a symmetric factorization.
     """
+    import scipy.sparse as sp
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.sparse.linalg import LinearOperator, eigsh
     n = op.n_nodes
     if n < k + 2:
         raise ValueError("need at least k + 2 nodes")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .domains import ConvexDomain
 
@@ -61,6 +60,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
         raise ValueError(f"order capped at {MAX_QUAD_ORDER}")
     if order == 1:
         return QuadratureRule(nodes=np.zeros(1), weights=np.ones(1))
+    from scipy.linalg import eigh_tridiagonal
     off = np.sqrt(np.arange(1, order, dtype=float))
     nodes = eigh_tridiagonal(np.zeros(order), off, eigvals_only=True)
     # symmetrize: nodes of the N(0,1) rule come in +- pairs

@@ -456,17 +456,38 @@ def test_empty_domain_monte_carlo_check_exits_2(tmp_path, capsys):
                 (domain, jobs)
 
 
-def test_import_leaves_out_stats_and_optimize():
-    # the engines need scipy.linalg, scipy.sparse and scipy.special only;
-    # scipy.stats and scipy.optimize would double the import time
-    code = ("import sys, oulab, oulab.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
-            "if m in sys.modules))")
+def _fresh_python(code):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_leaves_out_scipy_subpackages():
+    # the engines need scipy.linalg, scipy.sparse and scipy.special only,
+    # and import them on first use: any scipy subpackage loads numpy.f2py,
+    # numpy.testing and numpy.ma, which would double the import time
+    code = ("import sys, oulab, oulab.cli; "
+            "from oulab.config import parse_config, default_config_text; "
+            "parse_config(default_config_text()); "
+            "print(sorted(m for m in ('scipy.special', 'scipy.linalg', "
+            "'scipy.sparse', 'scipy.stats', 'scipy.optimize', 'numpy.f2py') "
+            "if m in sys.modules))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_first_grid_calls_in_fresh_process():
+    # grid_build, grid_spectrum and grid_apply import scipy themselves
+    code = ("import numpy as np; from oulab import grid_build, "
+            "grid_spectrum, grid_apply, WholeSpace; "
+            "op = grid_build(WholeSpace(1), 120); "
+            "lam = grid_spectrum(op, 3).eigenvalues; "
+            "u = grid_apply(op, op.nodes[:, 0], 0.5, scheme='expm'); "
+            "print(round(lam[1], 2), "
+            "float(np.interp(0.3, op.nodes[:, 0], u)) / 0.3)")
+    lam1, ratio = map(float, _fresh_python(code).split())
+    assert lam1 == -1.0
+    assert abs(ratio - math.exp(-0.5)) < 5e-3
 
 
 def test_dimension_mismatch_exits_2(tmp_path):
@@ -500,6 +521,30 @@ def test_evolve_command(tmp_path):
     decay = math.exp(-0.5)
     assert all(abs(float(r["value"]) - decay * float(r["x1"])) < 5e-3
                for r in mid)
+
+
+# section mistakes the parse lets through, rejected when the command runs
+# with a message that names the section and what is wrong
+SECTION_MISTAKES = [
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(
+        sides=[4.5, 8.9]), "'sides' must be integers"),
+    ("spectrum", lambda c: c["spectrum"].update(cuont=3), "unknown keys"),
+    ("evolve", lambda c: c["evolve"].update(time=[2.0]), "unknown keys"),
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(step_=0.01),
+     "unknown keys"),
+]
+
+
+def test_section_mistakes_exit_2(tmp_path, capsys):
+    for i, (command, corrupt, what) in enumerate(SECTION_MISTAKES):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        corrupt(cfg)
+        parse_config(json.dumps(cfg))
+        path = write_config(tmp_path, cfg, name=f"mistake{i}.json")
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command}: ") and what in err, \
+            (command, err)
 
 
 def test_converge_command(tmp_path):
