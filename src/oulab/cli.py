@@ -4,7 +4,8 @@
 [--jobs N]`` loads a JSON run configuration (the bundled default when the
 path is omitted), executes the configured work, and writes CSV artifacts
 plus a human-readable summary. Exit codes: 0 all checks pass, 1 some check
-failed, 2 configuration error.
+failed, 2 configuration error: malformed JSON, an unknown name or key, or a
+setting out of its range (see ``config``), and ``--jobs`` below 1.
 
 Output is deterministic: the same config and seed produce byte-identical
 files regardless of ``--jobs``, and every CSV row carries the engine,
@@ -21,9 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import (BUDGET_FORMATS, CHECK_KINDS, ENGINE_DEFAULTS,
-                     ConfigError, RunConfig, _floats, grid_operator,
-                     load_config, load_default_config)
+from .config import (BUDGET_FORMATS, CHECK_KINDS, ConfigError, RunConfig,
+                     grid_operator, load_config, load_default_config)
 from .cylapprox import convergence_study
 from .domains import Ball
 from .engines.grid import grid_apply, grid_spectrum
@@ -53,41 +53,34 @@ def _csv(rows, header) -> str:
     return buf.getvalue()
 
 
-def _run_one_check(cfg: RunConfig, index: int, check: dict):
-    kind = CHECK_KINDS[check["kind"]]
+def _run_one_check(cfg: RunConfig, index: int) -> list:
     b = cfg.budgets[index]
     try:
-        reports = kind.run(b, cfg.domain(check[kind.domain_key]),
-                           *(cfg.function(check[k])
-                             for k in kind.function_keys))
+        return CHECK_KINDS[b.kind].run(b, *b.args)
     except (BelowFloor, MassTooSmall) as err:
         # the function does not suit the check's kind, or the domain has
         # too little Gaussian mass (a sampler's first batch sees that)
         raise ConfigError(f"check {index}: {err}") from None
-    budget = BUDGET_FORMATS[b.engine].format(**vars(b))
-    return reports, b.engine, budget, b.seed
 
 
 def run_checks(cfg: RunConfig, jobs: int = 1):
     """Execute all configured checks; returns rows for reports.csv."""
-    def work(item):
-        index, check = item
-        return (index, check, *_run_one_check(cfg, index, check))
-
-    items = list(enumerate(cfg.checks))
+    indices = range(len(cfg.budgets))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, items))
+            results = list(pool.map(lambda i: _run_one_check(cfg, i),
+                                    indices))
     else:
-        results = [work(item) for item in items]
+        results = [_run_one_check(cfg, i) for i in indices]
 
     rows = []
     reports_flat = []
-    for index, check, reports, engine, budget, seed in results:
+    for index, (b, reports) in enumerate(zip(cfg.budgets, results)):
+        budget = BUDGET_FORMATS[b.engine].format(**vars(b))
         for j, rep in enumerate(reports):
-            label = f"{index}.{j}:{check['kind']}"
+            label = f"{index}.{j}:{b.kind}"
             rows.append((label, rep.name, rep.lhs, rep.rhs, rep.margin,
-                         rep.tolerance, rep.passed, engine, budget, seed))
+                         rep.tolerance, rep.passed, b.engine, budget, b.seed))
             reports_flat.append((label, rep))
     return rows, reports_flat
 
@@ -110,43 +103,14 @@ def cmd_verify(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     return 0 if all_pass else 1
 
 
-# the keys each command reads from its section; any other is a mistake
-_SECTION_KEYS = {
-    "spectrum": {"domains", "count", "resolution"},
-    "evolve": {"domain", "function", "times", "resolution"},
-    "converge": {"ball", "function", "t", "sides", "points",
-                 "paths_per_point", "step", "mass_samples"},
-}
-
-
-def _command_section(cfg: RunConfig, name: str) -> dict:
-    spec = getattr(cfg, name)
-    unknown = set(spec) - _SECTION_KEYS[name]
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    return spec
-
-
-def _function_on(cfg: RunConfig, section: str, name, dom):
-    fn = cfg.function(name)
-    if fn.dim != dom.dim:
-        raise ConfigError(f"{section}: function dimension {fn.dim} does not "
-                          f"match domain dimension {dom.dim}")
-    return fn
-
-
 def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
-    spec = _command_section(cfg, "spectrum")
-    names = spec.get("domains", list(cfg.domains))
-    if not isinstance(names, list):
-        raise ConfigError("spectrum: 'domains' must be an array")
-    count = cfg.option("spectrum", "count", int, 4)
-    res = spec.get("resolution", cfg.budget("grid_resolution"))
+    spec = cfg.section("spectrum")
+    res = spec["resolution"]
     rows = []
-    for name in names:
-        op = grid_operator(cfg.domain(name), res, cfg.budget("tail_mass"),
+    for name in spec["domains"]:
+        op = grid_operator(cfg.domain(name), res, cfg.engine["tail_mass"],
                            f"spectrum: domain {name!r}: ")
-        result = grid_spectrum(op, count)
+        result = grid_spectrum(op, spec["count"])
         for i, lam in enumerate(result.eigenvalues):
             rows.append((name, i, float(lam), result.gap, "grid",
                          f"resolution={res}", cfg.seed))
@@ -158,18 +122,16 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
-    spec = _command_section(cfg, "evolve")
-    dom = cfg.domain(spec.get("domain"))
-    fn = _function_on(cfg, "evolve", spec.get("function"), dom)
-    times = cfg.option("evolve", "times", _floats, [0.0, 0.5, 1.0])
-    steps = cfg.option("engine", "cn_steps", int, ENGINE_DEFAULTS["cn_steps"])
-    res = spec.get("resolution", cfg.budget("grid_resolution"))
-    op = grid_operator(dom, res, cfg.budget("tail_mass"),
+    spec = cfg.section("evolve")
+    dom = cfg.domain(spec["domain"])
+    fn = cfg.function_on(spec["function"], dom, "evolve: ")
+    res = spec["resolution"]
+    op = grid_operator(dom, res, cfg.engine["tail_mass"],
                        f"evolve: domain {spec['domain']!r}: ")
     u0 = op.sample(fn)
     rows = []
-    for t in times:
-        u_t = grid_apply(op, u0, t, n_steps=steps)
+    for t in spec["times"]:
+        u_t = grid_apply(op, u0, t, n_steps=cfg.engine["cn_steps"])
         for i in range(op.n_nodes):
             x2 = float(op.nodes[i, 1]) if op.dim == 2 else ""
             rows.append((spec["domain"], spec["function"], t, i,
@@ -183,21 +145,16 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
-    spec = _command_section(cfg, "converge")
-    ball = cfg.domain(spec.get("ball"))
+    spec = cfg.section("converge")
+    ball = cfg.domain(spec["ball"])
     if not isinstance(ball, Ball) or ball.dim != 2:
         raise ConfigError(f"converge: 'ball' must name a 2D ball, "
-                          f"got {spec.get('ball')!r}")
-    fn = _function_on(cfg, "converge", spec.get("function"), ball)
-    sides = [int(n) for n in cfg.option("converge", "sides", _floats,
-                                        [4, 8, 16, 32, 64])]
+                          f"got {spec['ball']!r}")
     study = convergence_study(
-        ball, fn, cfg.option("converge", "t", float, 0.5), sides,
-        n_points=cfg.option("converge", "points", int, 20),
-        paths_per_point=cfg.option("converge", "paths_per_point", int, 5000),
-        h=cfg.option("converge", "step", float, cfg.budget("mc_step")),
-        seed=cfg.seed,
-        mass_samples=cfg.option("converge", "mass_samples", int, 200_000))
+        ball, cfg.function_on(spec["function"], ball, "converge: "),
+        spec["t"], spec["sides"], n_points=spec["points"],
+        paths_per_point=spec["paths_per_point"], h=spec["step"],
+        seed=cfg.seed, mass_samples=spec["mass_samples"])
     rows = [(s, e, se, m, "monte_carlo",
              f"paths_per_point={study.details['paths_per_point']};"
              f"h={study.details['h']}", cfg.seed)
@@ -217,6 +174,13 @@ _COMMANDS = {
 }
 
 
+def _jobs(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="oulab",
@@ -232,7 +196,7 @@ def main(argv=None) -> int:
                        help="override the configured seed")
         p.add_argument("--out", default=None,
                        help="override the configured output directory")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_jobs, default=1,
                        help="run independent checks in parallel")
     args = parser.parse_args(argv)
 
@@ -245,7 +209,7 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else cfg.output_dir
     try:
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, jobs=max(1, args.jobs))
+            return cmd_verify(cfg, out_dir, jobs=args.jobs)
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -1,6 +1,18 @@
 """Run configuration: one JSON file describing domains, functions, engine
 budgets, and the list of checks and studies to execute.
 
+A key stands in one of four places, each with a table of its keys and
+defaults: the top level (``TOP_LEVEL``), the ``engine`` section
+(``ENGINE_DEFAULTS``), a check (the engine settings, ``t``, ``seed``, the
+keys naming its domain and functions, and its kind's ``options`` in
+``CHECK_KINDS``) and a command section (``SECTIONS``). ``_SETTINGS``
+declares once, for every place, how each numeric setting is converted and
+what it accepts; integer settings refuse fractional values. One reader,
+``_read``, serves every place: it rejects keys its table does not name,
+fills in the defaults, and converts and checks each number. The top level,
+``engine`` and each check are read when the config is parsed; a command
+section is read when its command runs (``RunConfig.section``).
+
 Domain and function descriptions round-trip exactly through their
 ``to_config`` dictionaries. Parse failures raise ``ConfigError`` carrying
 a line/column diagnostic when one is available.
@@ -27,63 +39,81 @@ from .inequalities import (check_decay, check_entropy, check_gradient_bound,
                            check_positivity_and_contraction,
                            submultiplicative_reports)
 
-ENGINE_DEFAULTS = {
-    "samples": 100_000,
-    "mc_paths": 20_000,
-    "mc_step": 2e-3,
-    "grid_resolution": 200,
-    "tail_mass": DEFAULT_TAIL_MASS,
-    "cn_steps": DEFAULT_CN_STEPS,
+# the top level of a config: its keys and their defaults
+TOP_LEVEL = {"seed": 0, "output_dir": "out", "domains": {}, "functions": {},
+             "engine": {}, "checks": [], "spectrum": {}, "evolve": {},
+             "converge": {}}
+
+# the engine section: every check takes these as its defaults
+ENGINE_DEFAULTS = {"samples": 100_000, "mc_paths": 20_000, "mc_step": 2e-3,
+                   "grid_resolution": 200, "tail_mass": DEFAULT_TAIL_MASS,
+                   "cn_steps": DEFAULT_CN_STEPS}
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing a fractional value instead of truncating."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _listed(convert):
+    """A conversion of a nonempty array, entry by entry."""
+    def listed(values) -> list:
+        if not isinstance(values, list) or not values:
+            raise ValueError(values)
+        return [convert(v) for v in values]
+    return listed
+
+
+# every numeric setting, wherever it stands: key -> (conversion, what it
+# accepts of a value or of each list entry, how the error says that)
+_SETTINGS = {
+    **dict.fromkeys(("samples", "mc_paths", "cn_steps", "panel", "points",
+                     "paths_per_point", "count", "mass_samples",
+                     "free_dims"),
+                    (_integer, lambda v: v > 0, "a positive integer")),
+    **dict.fromkeys(("mc_step", "step"),
+                    (float, lambda v: v > 0, "a positive number")),
+    **dict.fromkeys(("grid_resolution", "resolution"),
+                    (lambda v: _listed(_integer)(v) if isinstance(v, list)
+                     else _integer(v), lambda v: v > 0,
+                     "one positive integer or one per axis")),
+    "seed": (_integer, lambda v: v >= 0, "a nonnegative integer"),
+    "t": (float, lambda v: v >= 0, "a nonnegative number"),
+    "times": (_listed(float), lambda v: v >= 0,
+              "one or more nonnegative numbers"),
+    "tail_mass": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "sides": (_listed(_integer), lambda v: v >= 3, "integers >= 3"),
 }
-
-# what each numeric setting accepts; _number checks each value or list entry,
-# and that a list holds at least one entry (two for an entropy check's
-# times: its production is a difference quotient between times)
-_RANGES = {
-    **dict.fromkeys(("samples", "mc_paths", "mc_step", "cn_steps", "panel",
-                     "points", "paths_per_point", "step", "count",
-                     "mass_samples"),
-                    (lambda v: v > 0, "positive")),
-    **dict.fromkeys(("seed", "t", "times"),
-                    (lambda v: v >= 0, "nonnegative")),
-    "tail_mass": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "sides": (lambda v: v >= 3 and v.is_integer(), "integers >= 3"),
-}
-
-
-def _floats(values) -> list:
-    return [float(v) for v in values]
 
 
 def grid_operator(domain: ConvexDomain, resolution, tail_mass: float,
                   where: str) -> GridOperator:
     """``grid_build`` for every command and check, with a config's mesh
-    problems (resolution, dimension, too few cells, no interior) as
+    problems (cells per axis, dimension, too few cells, no interior) as
     ``ConfigError``."""
-    cells = np.asarray(resolution)
-    if (cells.dtype.kind not in "iu" or cells.ndim > 1
-            or cells.size not in (1, domain.dim) or np.any(cells < 1)):
-        raise ConfigError(f"{where}resolution must be one integer >= 1 or "
-                          f"one per axis, got {resolution!r}")
+    if np.size(resolution) not in (1, domain.dim):
+        raise ConfigError(f"{where}resolution must be one integer or one "
+                          f"per axis, got {resolution!r}")
     try:
-        return grid_build(domain, cells, tail_mass)
+        return grid_build(domain, resolution, tail_mass)
     except (UnsupportedDimension, ResolutionTooCoarse, EmptyDomain) as err:
         raise ConfigError(f"{where}{err}") from None
 
 
 CheckKind = namedtuple(
-    "CheckKind", "domain_key function_keys engines run options dim",
-    defaults=({}, None))
+    "CheckKind", "domain_key function_keys engines run options dim "
+    "fewest_times", defaults=({}, None, 0))
 
 # One row per check kind: the key naming its domain, the keys naming its
 # functions, its engine labels (the first is the default), its runner, the
-# check keys only this kind reads (key -> (conversion, default), and for a
-# list optionally its fewest entries) and the domain dimension it needs
-# (None for any). A check names no key beyond these and _BUDGET_KEYS. A
-# runner takes the check's budgets b (built by ``_budgets`` at parse time),
-# the domain d and the functions, and returns a list of reports; b.grid(d)
-# is d's grid. Decay and factorization keep DEFAULT_CN_STEPS: their
-# tolerances have no dt term.
+# check keys only this kind reads with their defaults, the domain dimension
+# it needs (None for any) and the fewest times it takes. A runner takes the
+# check's settings b (read by ``_check`` at parse time), the domain d and
+# the functions, and returns a list of reports; b.grid(d) is d's grid.
+# Decay and factorization keep DEFAULT_CN_STEPS: their tolerances have no
+# dt term.
 CHECK_KINDS = {
     "poincare": CheckKind(
         "domain", ("function",), ("sampled",),
@@ -98,48 +128,59 @@ CHECK_KINDS = {
     "submultiplicative": CheckKind(
         "domain", ("function", "function2"), ("monte_carlo",),
         lambda b, d, f, g: submultiplicative_reports(
-            [(f, g)], d, b.t, n_panel=b.panel, n_paths=b.paths, h=b.step,
-            seed=b.seed),
-        options={"panel": (int, 10)}),
+            [(f, g)], d, b.t, n_panel=b.panel, n_paths=b.mc_paths,
+            h=b.mc_step, seed=b.seed),
+        options={"panel": 10}),
     "invariance": CheckKind(
         "domain", ("function",), ("monte_carlo", "grid"),
         lambda b, d, f: [check_invariance(
-            f, d, b.t, engine=b.engine, n_paths=b.paths, h=b.step,
+            f, d, b.t, engine=b.engine, n_paths=b.mc_paths, h=b.mc_step,
             n_steps=b.cn_steps, seed=b.seed,
             op=b.grid(d) if b.engine == "grid" else None)]),
     "decay": CheckKind(
         "domain", ("function",), ("grid",),
         lambda b, d, f: check_decay(f, d, b.times, op=b.grid(d)),
-        options={"times": (_floats, [0.5, 1.0])}),
+        options={"times": [0.5, 1.0]}),
     "positivity_contraction": CheckKind(
         "domain", ("function",), ("grid",),
         lambda b, d, f: [check_positivity_and_contraction(
             f, d, b.t, op=b.grid(d))]),
+    # the production is a difference quotient between times
     "entropy": CheckKind(
         "domain", ("function",), ("grid",),
-        lambda b, d, f: check_entropy(f, d, b.times, floor=b.floor,
-                                      op=b.grid(d)),
-        options={"times": (_floats, np.linspace(0, 4, 21), 2),
-                 "floor": (float, 1e-6)}),
+        lambda b, d, f: check_entropy(f, d, b.times, op=b.grid(d)),
+        options={"times": np.linspace(0, 4, 21).tolist()}, fewest_times=2),
     "factorization": CheckKind(
         "base", ("function",), ("monte_carlo+grid",),
         lambda b, d, f: [factorization_check(
             f, d, b.free_dims, b.t, op=b.grid(d), n_points=b.points,
-            n_paths=b.paths, h=b.step, seed=b.seed)],
-        options={"free_dims": (int, 1), "points": (int, 10)},
+            n_paths=b.mc_paths, h=b.mc_step, seed=b.seed)],
+        options={"free_dims": 1, "points": 10},
         dim=1),
 }
 
-# the check keys every kind reads (see _budgets)
-_BUDGET_KEYS = {"kind", "engine", "seed", "t", "samples", "mc_paths",
-               "mc_step", "grid_resolution", "cn_steps"}
+# each command section's keys and their defaults, some of them the
+# config's own engine settings and domains
+SECTIONS = {
+    "spectrum": lambda cfg: {
+        "domains": list(cfg.domains), "count": 4,
+        "resolution": cfg.engine["grid_resolution"]},
+    "evolve": lambda cfg: {
+        "domain": None, "function": None, "times": [0.0, 0.5, 1.0],
+        "resolution": cfg.engine["grid_resolution"]},
+    "converge": lambda cfg: {
+        "ball": None, "function": None, "t": 0.5, "sides": [4, 8, 16, 32, 64],
+        "points": 20, "paths_per_point": 5000, "step": cfg.engine["mc_step"],
+        "mass_samples": 200_000},
+}
 
 # the budget column of reports.csv, by engine label
 BUDGET_FORMATS = {
     "sampled": "samples={samples}",
-    "grid": "resolution={res}",
-    "monte_carlo": "paths={paths};h={step}",
-    "monte_carlo+grid": "paths={paths};h={step};resolution={res}",
+    "grid": "resolution={grid_resolution}",
+    "monte_carlo": "paths={mc_paths};h={mc_step}",
+    "monte_carlo+grid":
+        "paths={mc_paths};h={mc_step};resolution={grid_resolution}",
 }
 
 
@@ -169,28 +210,31 @@ class RunConfig:
     converge: dict = field(default_factory=dict)
 
     def domain(self, name: str) -> ConvexDomain:
-        try:
-            return self.domains[name]
-        except KeyError:
-            raise ConfigError(f"unknown domain {name!r}") from None
+        return _lookup(self.domains, name, "domain", "")
 
     def function(self, name: str) -> CylFunction:
-        try:
-            return self.functions[name]
-        except KeyError:
-            raise ConfigError(f"unknown function {name!r}") from None
+        return _lookup(self.functions, name, "function", "")
+
+    def function_on(self, name: str, dom: ConvexDomain,
+                    where: str) -> CylFunction:
+        """The function ``name`` names, which must share ``dom``'s
+        dimension."""
+        fn = _lookup(self.functions, name, "function", where)
+        if fn.dim != dom.dim:
+            raise ConfigError(f"{where}function dimension {fn.dim} does not "
+                              f"match domain dimension {dom.dim}")
+        return fn
 
     def budget(self, key: str, check: dict | None = None):
+        """An engine setting, or ``check``'s own value of it."""
         if check is not None and key in check:
             return check[key]
-        return self.engine.get(key, ENGINE_DEFAULTS[key])
+        return self.engine[key]
 
-    def option(self, section: str, key: str, convert, default):
-        """``convert`` of ``key`` in a section (``spectrum``, ``evolve``,
-        ``converge`` or ``engine``), or of ``default`` when it is absent;
-        a ``ConfigError`` naming the section and key when that fails."""
-        return _number(convert, getattr(self, section).get(key, default),
-                       key, f"{section}: ")
+    def section(self, name: str) -> dict:
+        """Command section ``name`` (``spectrum``, ``evolve`` or
+        ``converge``) read through ``SECTIONS`` when its command runs."""
+        return _read(getattr(self, name), SECTIONS[name](self), f"{name}: ")
 
 
 def parse_config(text: str, seed: int | None = None) -> RunConfig:
@@ -203,123 +247,105 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
             from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    top = _read(raw, TOP_LEVEL, "")
 
     domains = {}
-    for name, cfg in _section(raw, "domains", {}).items():
+    for name, spec in top["domains"].items():
         try:
-            domains[name] = domain_from_config(cfg)
+            domains[name] = domain_from_config(spec)
         except (ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"domain {name!r}: {err}") from None
     functions = {}
-    for name, cfg in _section(raw, "functions", {}).items():
+    for name, spec in top["functions"].items():
         try:
-            functions[name] = function_from_config(cfg)
+            functions[name] = function_from_config(spec)
         except (ValueError, KeyError, TypeError) as err:  # DslError too
             raise ConfigError(f"function {name!r}: {err}") from None
 
-    raw_seed = _number(int, raw.get("seed", 0), "seed")
-    seed = raw_seed if seed is None else _number(int, seed, "seed", "--seed: ")
-    engine = _section(raw, "engine", {})
-    # converted and range-checked once, for every check and command
-    engine["tail_mass"] = _number(float, engine.get(
-        "tail_mass", DEFAULT_TAIL_MASS), "tail_mass", "engine: ")
-    checks = _section(raw, "checks", [])
-    budgets = []
-    for i, check in enumerate(checks):
-        if not isinstance(check, dict):
-            raise ConfigError(f"check {i}: must be a JSON object")
-        kind = _named(CHECK_KINDS, check.get("kind"))
-        if kind is None:
-            raise ConfigError(f"check {i}: unknown kind {check.get('kind')!r}")
-        unknown = set(check) - _BUDGET_KEYS - set(kind.options) - {
-            kind.domain_key, *kind.function_keys}
-        if unknown:
-            raise ConfigError(f"check {i}: unknown keys {sorted(unknown)}")
-        b = _budgets(check, kind, engine, seed + 1000 * i, f"check {i}: ")
-        if b.engine not in kind.engines:
-            raise ConfigError(f"check {i}: unknown engine {b.engine!r}")
-        name = check.get(kind.domain_key)
-        dom = _named(domains, name)
-        if dom is None:
-            raise ConfigError(f"check {i}: unknown domain {name!r} "
-                              f"in {kind.domain_key!r}")
-        if kind.dim is not None and dom.dim != kind.dim:
-            raise ConfigError(f"check {i}: {check['kind']} needs a "
-                              f"{kind.dim} dimensional {kind.domain_key!r}")
-        for key in kind.function_keys:
-            fn = _named(functions, check.get(key))
-            if fn is None:
-                raise ConfigError(f"check {i}: unknown function "
-                                  f"{check.get(key)!r} in {key!r}")
-            if fn.dim != dom.dim:
-                raise ConfigError(
-                    f"check {i}: function dimension {fn.dim} does not match "
-                    f"domain dimension {dom.dim}")
-        budgets.append(b)
-
-    return RunConfig(
-        seed=seed,
-        output_dir=str(raw.get("output_dir", "out")),
-        domains=domains,
+    cfg = RunConfig(
+        seed=top["seed"] if seed is None else _number(seed, "seed",
+                                                      "--seed: "),
+        output_dir=str(top["output_dir"]), domains=domains,
         functions=functions,
-        engine=engine,
-        checks=checks,
-        budgets=budgets,
-        spectrum=_section(raw, "spectrum", {}),
-        evolve=_section(raw, "evolve", {}),
-        converge=_section(raw, "converge", {}),
-    )
+        engine=_read(top["engine"], ENGINE_DEFAULTS, "engine: "),
+        **{key: top[key] for key in ("checks", *SECTIONS)})
+    cfg.budgets = [_check(cfg, i, check) for i, check in enumerate(cfg.checks)]
+    return cfg
 
 
-def _section(raw: dict, key: str, default):
-    value = raw.get(key, default)
-    if type(value) is not type(default):
-        what = "an array" if isinstance(default, list) else "an object"
-        raise ConfigError(f"{key!r} must be {what}")
-    return value
-
-
-def _budgets(check: dict, kind: CheckKind, engine: dict, seed: int,
-             where: str) -> SimpleNamespace:
-    """A check's budgets and its kind's options, converted once: the
-    namespace its runner reads."""
-    def value(key, convert, default, least=1):
-        return _number(convert, check.get(key, default), key, where, least)
-
-    def budget(key, convert=lambda v: v):
-        return value(key, convert, engine.get(key, ENGINE_DEFAULTS[key]))
-
-    b = SimpleNamespace(
-        seed=value("seed", int, seed), t=value("t", float, 0.5),
-        engine=check.get("engine", kind.engines[0]),
-        samples=budget("samples", int), paths=budget("mc_paths", int),
-        step=budget("mc_step", float), res=budget("grid_resolution"),
-        cn_steps=budget("cn_steps", int),
-        grid=lambda d: grid_operator(d, b.res, engine["tail_mass"], where),
-        **{key: value(key, *option) for key, option in kind.options.items()})
+def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
+    """Check ``i`` read once, at parse: its settings, with the engine's as
+    defaults (but ``tail_mass``, one truncation for every grid), and the
+    domain and functions it names (``args``); the namespace its runner
+    reads."""
+    where = f"check {i}: "
+    if not isinstance(check, dict):
+        raise ConfigError(f"{where}must be a JSON object")
+    kind = _lookup(CHECK_KINDS, check.get("kind"), "kind", where)
+    engine = {k: v for k, v in cfg.engine.items() if k != "tail_mass"}
+    b = SimpleNamespace(**_read(check, {
+        **engine, "kind": None, "engine": kind.engines[0],
+        "seed": cfg.seed + 1000 * i, "t": 0.5,
+        **dict.fromkeys((kind.domain_key, *kind.function_keys)),
+        **kind.options}, where))
+    if b.engine not in kind.engines:
+        raise ConfigError(f"{where}unknown engine {b.engine!r}")
+    if len(getattr(b, "times", ())) < kind.fewest_times:
+        raise ConfigError(f"{where}'times' needs {kind.fewest_times} or "
+                          f"more values")
+    dom = _lookup(cfg.domains, getattr(b, kind.domain_key), "domain",
+                  f"{where}{kind.domain_key!r}: ")
+    if kind.dim is not None and dom.dim != kind.dim:
+        raise ConfigError(f"{where}{b.kind} needs a {kind.dim} dimensional "
+                          f"{kind.domain_key!r}")
+    b.args = (dom, *(cfg.function_on(getattr(b, key), dom,
+                                     f"{where}{key!r}: ")
+                     for key in kind.function_keys))
+    b.grid = lambda d: grid_operator(d, b.grid_resolution,
+                                     cfg.engine["tail_mass"], where)
     return b
 
 
-def _number(convert, value, key: str, where: str = "", least: int = 1):
-    """``convert(value)``, or a ``ConfigError`` naming ``key`` when that
-    fails, lists fewer than ``least`` entries or leaves ``_RANGES``."""
+def _read(spec: dict, defaults: dict, where: str) -> dict:
+    """One level of a config (the top, ``engine``, a check or a command
+    section): ``spec`` over ``defaults``, each number converted and checked
+    through ``_SETTINGS`` and each object or array default asking for one
+    of its own; a key ``defaults`` does not name is a ``ConfigError``."""
+    unknown = spec.keys() - defaults.keys()
+    if unknown:
+        raise ConfigError(f"{where}unknown keys {sorted(unknown)}")
+    values = {**defaults, **spec}
+    for key, value in values.items():
+        default = defaults[key]
+        if key in _SETTINGS:
+            values[key] = _number(value, key, where)
+        elif isinstance(default, (dict, list)):
+            if type(value) is not type(default):
+                what = "an array" if isinstance(default, list) else "an object"
+                raise ConfigError(f"{where}{key!r} must be {what}")
+            values[key] = type(default)(value)  # never the shared default
+    return values
+
+
+def _number(value, key: str, where: str):
+    """``value`` converted as ``_SETTINGS`` declares for ``key``, or a
+    ``ConfigError`` when that fails or leaves the accepted range."""
+    convert, accepts, text = _SETTINGS[key]
     try:
         result = convert(value)
+        if all(map(accepts, result if isinstance(result, list)
+                   else [result])):
+            return result
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}{key!r} must be numeric, got {value!r}") \
-            from None
-    listed = isinstance(result, list)
-    if listed and len(result) < least:
-        raise ConfigError(f"{where}{key!r} needs {least} or more values")
-    accepts, text = _RANGES.get(key, (lambda v: True, ""))
-    if not all(map(accepts, result if listed else [result])):
-        raise ConfigError(f"{where}{key!r} must be {text}, got {value!r}")
-    return result
+        pass
+    raise ConfigError(f"{where}{key!r} must be {text}, got {value!r}")
 
 
-def _named(table: dict, name):
-    """The entry a config string names, or None (for non-strings too)."""
-    return table.get(name) if isinstance(name, str) else None
+def _lookup(table: dict, name, what: str, where: str):
+    """The entry a config string names, or a ``ConfigError``."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise ConfigError(f"{where}unknown {what} {name!r}")
 
 
 def load_config(path: str, seed: int | None = None) -> RunConfig:

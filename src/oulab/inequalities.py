@@ -32,6 +32,10 @@ EPS_FLOOR = 1e-12
 GRID_EXACT_TOL = 1e-9
 MAXPRINCIPLE_TOL = 1e-10
 LOG_CLIP = 1e-12  # |f| is clipped here inside the log-Sobolev logarithm
+ENTROPY_FLOOR = 1e-6  # the least f an entropy trace takes on its mesh
+# the roundoff an entropy trace may rise by between times and still count
+# as nonincreasing
+NONINCREASING_TOL = 1e-10
 # C of the allowances C h^2 (``disc_const``) and C sqrt(h) (``bias_const``)
 GRAD_DISC = 20.0
 DECAY_DISC = 2.0
@@ -325,12 +329,11 @@ class EntropyTrace:
     def production_margins(self) -> np.ndarray:
         return self.production - self.bound[:-1]
 
-    def is_nonincreasing(self, tol: float = 1e-10) -> bool:
-        return bool(np.all(np.diff(self.entropy) <= tol))
+    def is_nonincreasing(self) -> bool:
+        return bool(np.all(np.diff(self.entropy) <= NONINCREASING_TOL))
 
 
-def check_entropy(f, domain: ConvexDomain, t_grid, op: GridOperator,
-                  floor: float = 1e-6) -> list:
+def check_entropy(f, domain: ConvexDomain, t_grid, op: GridOperator) -> list:
     """Entropy production bound and terminal limit on ``op``, two reports.
 
     The first report asks the discrete entropy derivative to stay above
@@ -338,7 +341,7 @@ def check_entropy(f, domain: ConvexDomain, t_grid, op: GridOperator,
     terminal entropy to sit at m log m up to the grid allowance plus the
     explicitly computed residual of the exponential decay.
     """
-    trace = entropy_trace(f, domain, t_grid, op, floor)
+    trace = entropy_trace(f, domain, t_grid, op)
     # the trace's mesh and its propagator at the largest time
     grid = {key: value for key, value in trace.details.items()
             if key not in ("fisher", "floor", "mean_phi")}
@@ -367,22 +370,23 @@ def check_entropy(f, domain: ConvexDomain, t_grid, op: GridOperator,
     return [production_report, terminal_report]
 
 
-def entropy_trace(f, domain: ConvexDomain, t_grid, op: GridOperator,
-                  floor: float = 1e-6) -> EntropyTrace:
+def entropy_trace(f, domain: ConvexDomain, t_grid,
+                  op: GridOperator) -> EntropyTrace:
     """Track the entropy of T(t)(f^2) on ``op`` and its dissipation bound.
 
-    Requires f >= floor > 0 on the mesh (raises ``BelowFloor`` otherwise);
-    the evolved square then stays above floor^2 by the discrete maximum
-    principle, keeping every logarithm finite. ``details`` name the
-    propagator, with its term count and bounds at the largest time.
+    Requires f >= ENTROPY_FLOOR on the mesh (raises ``BelowFloor``
+    otherwise); the evolved square then stays above ENTROPY_FLOOR^2 by the
+    discrete maximum principle, keeping every logarithm finite. ``details``
+    name the propagator, with its term count and bounds at the largest
+    time.
     """
     times = np.asarray(sorted(t_grid), dtype=float)
     if len(times) < 2:
         raise ValueError("need at least two time points")
     u0 = op.sample(f)
-    if float(u0.min()) < floor:
-        raise BelowFloor(
-            f"min f = {u0.min():.3g} is below the floor {floor:.3g}")
+    if float(u0.min()) < ENTROPY_FLOOR:
+        raise BelowFloor(f"min f = {u0.min():.3g} is below the floor "
+                         f"{ENTROPY_FLOOR:.3g}")
     phi = u0 * u0
     w = op.prob_weights
     fisher = 4.0 * float(w @ np.asarray(f.gradient_norm(op.nodes)) ** 2)
@@ -397,6 +401,7 @@ def entropy_trace(f, domain: ConvexDomain, t_grid, op: GridOperator,
     return EntropyTrace(
         times=times, entropy=entropy, production=production, bound=bound,
         terminal_target=m * math.log(m),
-        details={"resolution": _cells(op), "fisher": fisher, "floor": floor,
-                 "mean_phi": m, "h": float(op.spacing.max()),
+        details={"resolution": _cells(op), "fisher": fisher,
+                 "floor": ENTROPY_FLOOR, "mean_phi": m,
+                 "h": float(op.spacing.max()),
                  **propagator_details(op, float(times[-1]), "expm")})

@@ -218,6 +218,8 @@ MALFORMED = [
     lambda cfg: cfg["domains"].update(gon={
         "shape": "regular_polygon", "center": [0.0, 0.0], "radius": 1.0,
         "sides": 3.5}),
+    lambda cfg: cfg.update(sede=3),
+    lambda cfg: cfg.update(seed=1.5),
 ]
 
 
@@ -310,6 +312,11 @@ def test_bad_command_sections_exit_2(tmp_path, capsys):
         assert "config error:" in capsys.readouterr().err
 
 
+def _factorization(**settings):
+    return {"kind": "factorization", "function": "square",
+            "base": "interval", **settings}
+
+
 # check budgets and engine settings out of range, on SMALL_CONFIG's checks
 # (0 poincare, 1 grid invariance, 2 decay)
 BAD_BUDGETS = [
@@ -331,6 +338,21 @@ BAD_BUDGETS = [
     lambda c: c["checks"][1].update(cn_steps=0),
     lambda c: c["checks"][0].update(seed=-5),
     lambda c: c["engine"].update(tail_mass=2.0),
+    # an integer setting refuses a fractional value rather than truncating
+    lambda c: c["checks"][0].update(samples=1000.7),
+    lambda c: c["checks"][1].update(engine="monte_carlo", mc_paths=2000.5),
+    lambda c: c["engine"].update(cn_steps=2.5),
+    lambda c: c["checks"].__setitem__(2, {
+        "kind": "submultiplicative", "function": "linear",
+        "function2": "square", "domain": "interval", "panel": 2.5}),
+    lambda c: c["checks"].__setitem__(2, _factorization(points=2.5)),
+    lambda c: c["checks"].__setitem__(2, _factorization(free_dims=1.5)),
+    lambda c: c["checks"].__setitem__(2, _factorization(free_dims=0)),
+    lambda c: c["checks"].__setitem__(2, _factorization(free_dims=-1)),
+    lambda c: c["engine"].update(sampels=3),
+    # the entropy floor is a constant of the check, not a setting
+    lambda c: c["checks"][2].update(kind="entropy", function="linear",
+                                    times=[0.0, 0.5], floor=-2),
 ]
 
 
@@ -349,6 +371,11 @@ def test_bad_check_budgets_exit_2(tmp_path, capsys):
     assert main(["converge", path, "--seed", "-5",
                  "--out", str(tmp_path / "out")]) == 2
     assert "config error: --seed:" in capsys.readouterr().err
+    # and --jobs below 1 is a usage error
+    with pytest.raises(SystemExit) as usage:
+        main(["verify", path, "--jobs", "0", "--out", str(tmp_path / "out")])
+    assert usage.value.code == 2
+    assert "--jobs: must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_csv_rows_keep_the_header_width(tmp_path):
@@ -532,6 +559,10 @@ SECTION_MISTAKES = [
     ("evolve", lambda c: c["evolve"].update(time=[2.0]), "unknown keys"),
     ("converge", lambda c: _with_2d_ball(c)["converge"].update(step_=0.01),
      "unknown keys"),
+    ("spectrum", lambda c: c["spectrum"].update(count=2.9),
+     "'count' must be a positive integer"),
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(points=2.5),
+     "'points' must be a positive integer"),
 ]
 
 

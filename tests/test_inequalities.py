@@ -292,14 +292,14 @@ def test_entropy_trace_constant_function():
     assert np.abs(trace.entropy - phi_mean * math.log(phi_mean)).max() < 1e-9
     assert np.abs(trace.production).max() < 1e-8
     assert np.abs(trace.bound).max() < 1e-12
-    assert trace.is_nonincreasing(tol=1e-8)
+    assert trace.is_nonincreasing()
 
 
 def test_entropy_trace_positive_affine():
     f = from_profile(2 + var(1), [[1.0]])  # values in (1, 3) on the interval
     trace = entropy_trace(f, IVAL, np.linspace(0, 6, 25),
                           op=grid_build(IVAL, 300))
-    assert trace.is_nonincreasing(tol=1e-10)
+    assert trace.is_nonincreasing()
     assert np.all(trace.production_margins() >= -1e-6)
     assert abs(trace.entropy[-1] - trace.terminal_target) < 1e-4
 
