@@ -108,7 +108,8 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     res = spec["resolution"]
     rows = []
     for name in spec["domains"]:
-        op = grid_operator(cfg.domain(name), res, cfg.engine["tail_mass"],
+        op = grid_operator(cfg.domain_at(name, "spectrum: 'domains': "),
+                           res, cfg.engine["tail_mass"],
                            f"spectrum: domain {name!r}: ")
         result = grid_spectrum(op, spec["count"])
         for i, lam in enumerate(result.eigenvalues):
@@ -123,8 +124,8 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.section("evolve")
-    dom = cfg.domain(spec["domain"])
-    fn = cfg.function_on(spec["function"], dom, "evolve: ")
+    dom = cfg.domain_at(spec["domain"], "evolve: 'domain': ")
+    fn = cfg.function_on(spec["function"], dom, "evolve: 'function': ")
     res = spec["resolution"]
     op = grid_operator(dom, res, cfg.engine["tail_mass"],
                        f"evolve: domain {spec['domain']!r}: ")
@@ -146,12 +147,13 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.section("converge")
-    ball = cfg.domain(spec["ball"])
+    ball = cfg.domain_at(spec["ball"], "converge: 'ball': ")
     if not isinstance(ball, Ball) or ball.dim != 2:
         raise ConfigError(f"converge: 'ball' must name a 2D ball, "
                           f"got {spec['ball']!r}")
     study = convergence_study(
-        ball, cfg.function_on(spec["function"], ball, "converge: "),
+        ball, cfg.function_on(spec["function"], ball,
+                              "converge: 'function': "),
         spec["t"], spec["sides"], n_points=spec["points"],
         paths_per_point=spec["paths_per_point"], h=spec["step"],
         seed=cfg.seed, mass_samples=spec["mass_samples"])

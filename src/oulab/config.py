@@ -210,7 +210,12 @@ class RunConfig:
     converge: dict = field(default_factory=dict)
 
     def domain(self, name: str) -> ConvexDomain:
-        return _lookup(self.domains, name, "domain", "")
+        return self.domain_at(name, "")
+
+    def domain_at(self, name: str, where: str) -> ConvexDomain:
+        """The domain ``name`` names, or a ``ConfigError`` that starts with
+        ``where``, the place that names it."""
+        return _lookup(self.domains, name, "domain", where)
 
     def function(self, name: str) -> CylFunction:
         return _lookup(self.functions, name, "function", "")
@@ -293,8 +298,8 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
     if len(getattr(b, "times", ())) < kind.fewest_times:
         raise ConfigError(f"{where}'times' needs {kind.fewest_times} or "
                           f"more values")
-    dom = _lookup(cfg.domains, getattr(b, kind.domain_key), "domain",
-                  f"{where}{kind.domain_key!r}: ")
+    dom = cfg.domain_at(getattr(b, kind.domain_key),
+                        f"{where}{kind.domain_key!r}: ")
     if kind.dim is not None and dom.dim != kind.dim:
         raise ConfigError(f"{where}{b.kind} needs a {kind.dim} dimensional "
                           f"{kind.domain_key!r}")

@@ -140,14 +140,16 @@ class HalfspaceIntersection(ConvexDomain):
         object.__setattr__(self, "dim", normals.shape[1])
 
     def _violations(self, pts):
-        if self.dim != 2:
+        if self.dim > 2:
             return pts @ self.normals.T - self.offsets
         # elementwise, without BLAS: every entry is x nx + y ny - b rounded
-        # three times, whatever the batch (a gemm may fuse or reorder, and a
-        # lone row goes through gemv), so any subset of rows or faces can
-        # recompute the face path's values bit for bit
+        # three times (x nx - b in 1D, the one product a matmul would form
+        # at a degenerate call's cost), whatever the batch (a gemm may fuse
+        # or reorder, and a lone row goes through gemv), so any subset of
+        # rows or faces can recompute the face path's values bit for bit
         out = pts[:, :1] * self.normals[:, 0]
-        out += pts[:, 1:] * self.normals[:, 1]
+        if self.dim == 2:
+            out += pts[:, 1:] * self.normals[:, 1]
         out -= self.offsets
         return out
 

@@ -392,6 +392,10 @@ class CylFunction:
 
     def _projections(self, x):
         pts, single = _as_batch(x, self.dim)
+        if self.dim == 1:
+            # one product per entry, as the matmul forms it, without a
+            # degenerate BLAS call's per-call cost
+            return pts * self.directions.T, single
         return pts @ self.directions.T, single
 
     def eval(self, x):

@@ -3,9 +3,11 @@
 Gauss-Hermite quadrature against the standard normal density, seeded
 sampling, rejection sampling restricted to a convex domain, and
 ``mean_se``, the shared sample mean and standard error.
-All stochastic routines take an explicit integer seed and are bit-stable;
-independent sub-streams are derived by spawning ``numpy.random.SeedSequence``
-children, so batches may run in parallel without changing results.
+All stochastic routines take an explicit integer seed and are bit-stable.
+``sample_gaussian`` and ``restricted_sample`` draw from one stream, in
+sequence; the path engine's ``evolve_starts`` is what spawns one
+``numpy.random.SeedSequence`` child per batch, so its batches may run in
+parallel without changing results.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ConvexDomain
+from .domains import ConvexDomain, WholeSpace
 
 MAX_QUAD_ORDER = 512
 DEFAULT_MASS_FLOOR = 1e-3
@@ -99,11 +101,13 @@ def mean_se(values: np.ndarray):
 
 @dataclass(frozen=True)
 class RestrictedSample:
-    """Rejection-sampled points of the Gaussian conditioned on a domain."""
+    """Points of the Gaussian conditioned on a domain, with the sampler
+    that drew them (``"whole_space"`` or ``"rejection"``)."""
 
     points: np.ndarray
     acceptance_rate: float
     proposed: int
+    sampler: str
 
 
 def restricted_sample(domain: ConvexDomain, count: int,
@@ -112,11 +116,18 @@ def restricted_sample(domain: ConvexDomain, count: int,
 
     The first batch acts as a probe: if its acceptance rate is below
     ``DEFAULT_MASS_FLOOR`` the domain is numerically degenerate for rejection
-    sampling and ``MassTooSmall`` is raised.
+    sampling and ``MassTooSmall`` is raised. On the whole space every
+    proposal is kept, so one draw of ``count`` rows gives the points: they
+    are the loop's first ``count`` rows, since consecutive draws continue
+    one stream.
     """
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if isinstance(domain, WholeSpace):
+        return RestrictedSample(
+            points=rng.standard_normal((count, domain.dim)),
+            acceptance_rate=1.0, proposed=count, sampler="whole_space")
     kept = []
     accepted = 0
     proposed = 0
@@ -137,4 +148,4 @@ def restricted_sample(domain: ConvexDomain, count: int,
         batch = _DRAW_BATCH
     points = np.concatenate(kept)[:count]
     return RestrictedSample(points=points, acceptance_rate=accepted / proposed,
-                            proposed=proposed)
+                            proposed=proposed, sampler="rejection")

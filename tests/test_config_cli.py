@@ -563,6 +563,13 @@ SECTION_MISTAKES = [
      "'count' must be a positive integer"),
     ("converge", lambda c: _with_2d_ball(c)["converge"].update(points=2.5),
      "'points' must be a positive integer"),
+    # a missing or unknown domain name is reported with its key
+    ("evolve", lambda c: c["evolve"].pop("domain"),
+     "'domain': unknown domain None"),
+    ("converge", lambda c: c["converge"].update(ball="nowhere"),
+     "'ball': unknown domain 'nowhere'"),
+    ("spectrum", lambda c: c["spectrum"].update(domains=["line", "nowhere"]),
+     "'domains': unknown domain 'nowhere'"),
 ]
 
 

@@ -379,6 +379,16 @@ def test_2d_violations_are_plain_float_arithmetic(rows):
             assert got[i, j] == x * nx + y * ny - b
 
 
+def test_1d_violations_equal_the_matmul():
+    rng = np.random.default_rng(8)
+    pts = np.concatenate([rng.standard_normal((1000, 1)) * 3.0,
+                          [[0.0], [-0.0]]])
+    for dom in (half_line(0.4), HalfspaceIntersection(
+            normals=[[1.0], [-1.0]], offsets=[1.5, 0.25])):
+        assert np.array_equal(dom._violations(pts),
+                              pts @ dom.normals.T - dom.offsets)
+
+
 def _reference_vertices(normals, offsets, tol=1e-9):
     """The pairwise loop the batched enumeration replaced."""
     m = len(offsets)

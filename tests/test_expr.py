@@ -70,6 +70,17 @@ def test_gradient_fd_pointwise(x, y):
     assert abs(g[0] - fdx) < 1e-6 and abs(g[1] - fdy) < 1e-6
 
 
+def test_1d_projections_equal_the_matmul():
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([rng.standard_normal((1000, 1)) * 3.0,
+                          [[0.0], [-0.0]]])
+    for directions in ([[1.0]], [[-0.7]], [[0.3], [-2.5]]):
+        fn = from_profile(tanh(var(1)), directions)
+        z, single = fn._projections(pts)
+        assert not single
+        assert np.array_equal(z, pts @ fn.directions.T)
+
+
 def test_lift_pads_gradient_with_zeros():
     f = coordinate(1)
     lifted = f.lift(3)

@@ -7,8 +7,9 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from oulab.domains import Ball, HalfspaceIntersection, WholeSpace, half_line
-from oulab.gauss import (MassTooSmall, gauss_hermite, mean_se,
-                         restricted_sample, sample_gaussian)
+from oulab.gauss import (_DRAW_BATCH, PROBE_BATCH, MassTooSmall,
+                         gauss_hermite, mean_se, restricted_sample,
+                         sample_gaussian)
 
 
 def gaussian_moment(degree):
@@ -125,12 +126,29 @@ def test_restricted_whole_space_accepts_everything():
     out = restricted_sample(WholeSpace(2), 1000, seed=3)
     assert out.acceptance_rate == 1.0
     assert out.points.shape == (1000, 2)
+    assert (out.sampler, out.proposed) == ("whole_space", 1000)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("count", [PROBE_BATCH - 1, PROBE_BATCH,
+                                   PROBE_BATCH + _DRAW_BATCH + 1])
+def test_whole_space_draw_is_the_rejection_loops_first_rows(dim, count):
+    # the rejection loop's stream: one probe batch, then full batches
+    rng = np.random.default_rng(np.random.SeedSequence(7))
+    batches = [rng.standard_normal((PROBE_BATCH, dim))]
+    while sum(map(len, batches)) < count:
+        batches.append(rng.standard_normal((_DRAW_BATCH, dim)))
+    expected = np.concatenate(batches)[:count]
+    out = restricted_sample(WholeSpace(dim), count, seed=7)
+    assert np.array_equal(out.points, expected)
 
 
 def test_restricted_halfspace_acceptance_rate():
     dom = half_line()  # {x >= 0}, Gaussian mass 1/2 by symmetry
     out = restricted_sample(dom, 200_000, seed=4)
     assert abs(out.acceptance_rate - 0.5) < 0.01
+    assert out.sampler == "rejection"
+    assert (out.proposed - PROBE_BATCH) % _DRAW_BATCH == 0
     assert dom.contains(out.points).all()
 
 

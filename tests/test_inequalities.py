@@ -12,7 +12,9 @@ from oulab.inequalities import (BelowFloor, InequalityReport, check_decay,
                                 check_invariance, check_logsob,
                                 check_poincare,
                                 check_positivity_and_contraction,
-                                entropy_trace, submultiplicative_reports)
+                                _var_se, entropy_trace,
+                                submultiplicative_reports)
+from oulab.gauss import restricted_sample
 from oulab.expr import const, coordinate, exp, from_profile, sin, tanh, var
 
 LIN = coordinate(1)
@@ -34,6 +36,42 @@ def test_reports_are_pure_data():
         assert rep.passed == (rep.rhs - rep.lhs >= -rep.tolerance)
         assert rep.margin == rep.rhs - rep.lhs
         assert "tolerance_rule" in rep.details
+
+
+def _var_se_by_pow(values):
+    """``_var_se`` with the fourth moment formed through ``** 4``."""
+    n = len(values)
+    centered = values - values.mean()
+    m2 = float(np.mean(centered ** 2))
+    m4 = float(np.mean(centered ** 4))
+    se = math.sqrt(max(m4 - m2 * m2 * (n - 3) / (n - 1), 0.0) / n)
+    return m2 * n / (n - 1), se
+
+
+@pytest.mark.parametrize("n", [4, 5, 1000, 200_000])
+def test_var_se_matches_the_pow_formula(n):
+    rng = np.random.default_rng(n)
+    values = 3.0 + rng.standard_normal(n) * np.exp(rng.uniform(-2, 2, n))
+    var, se = _var_se(values)
+    ref_var, ref_se = _var_se_by_pow(values)
+    assert var == ref_var
+    assert abs(se - ref_se) <= 1e-13 * ref_se
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_var_se_of_three_or_fewer_values_has_no_error(n):
+    assert _var_se(np.arange(n, dtype=float) ** 2)[1] == 0.0
+
+
+def test_sampled_reports_record_their_sampler():
+    for dom, sampler in [(WholeSpace(1), "whole_space"),
+                         (IVAL, "rejection")]:
+        for check in (check_poincare, check_logsob):
+            rep = check(TANH, dom, n_samples=3000, seed=6)
+            sample = restricted_sample(dom, 3000, 6)
+            assert rep.details["sampler"] == sampler == sample.sampler
+            assert rep.details["acceptance_rate"] == sample.acceptance_rate
+            assert rep.details["proposed"] == sample.proposed
 
 
 # Poincare -------------------------------------------------------------------
