@@ -6,8 +6,7 @@ from . import domains, expr, gauss, engines, inequalities, cylapprox, config
 from .domains import (ConvexDomain, WholeSpace, HalfspaceIntersection, Ball,
                       Slab, Product, RegularPolygon, interval, half_line,
                       polygon_approximation, truncation_box, domain_from_config)
-from .gauss import (QuadratureRule, gauss_hermite, sample_gaussian,
-                    restricted_sample)
+from .gauss import QuadratureRule, gauss_hermite, restricted_sample
 from .expr import (CylFunction, parse_expr, format_expr, var, const, exp, tanh,
                    sin, coordinate, from_profile, function_from_config)
 from .engines import (SemigroupEstimate, mehler_apply, simulate_endpoints,

@@ -106,10 +106,12 @@ def cmd_verify(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
 def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.section("spectrum")
     res = spec["resolution"]
+    # every name is looked up before the first spectrum is computed
+    domains = [(name, cfg.domain_at(name, "spectrum: 'domains': "))
+               for name in spec["domains"]]
     rows = []
-    for name in spec["domains"]:
-        op = grid_operator(cfg.domain_at(name, "spectrum: 'domains': "),
-                           res, cfg.engine["tail_mass"],
+    for name, dom in domains:
+        op = grid_operator(dom, res, cfg.engine["tail_mass"],
                            f"spectrum: domain {name!r}: ")
         result = grid_spectrum(op, spec["count"])
         for i, lam in enumerate(result.eigenvalues):

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Ball, ConvexDomain, Product, polygon_approximation
-from .gauss import mean_se, restricted_sample, sample_gaussian
+from .domains import (Ball, ConvexDomain, Product, WholeSpace,
+                      polygon_approximation)
+from .gauss import mean_se, restricted_sample
 from .engines.grid import GridOperator, grid_apply
 from .engines.montecarlo import evolve_starts, transition
 from .inequalities import BIAS_CONST, FACTOR_DISC, InequalityReport, _cells
@@ -123,7 +124,7 @@ def convergence_study(ball: Ball, f, t: float, n_list,
         for j, delta in enumerate(vals - ball_vals):
             diffs[i, j], ses[i, j] = mean_se(delta)
 
-    proposals = sample_gaussian(2, mass_samples, seed + 2)
+    proposals = restricted_sample(WholeSpace(2), mass_samples, seed + 2).points
     in_ball = ball.contains(proposals)
     rows = []
     for i, n in enumerate(n_list):

@@ -26,13 +26,13 @@ positive semidefinite and ``W`` the diagonal of cell masses:
   truncated tails), where every term is nonnegative, so positivity holds
   exactly in floating point.
 
-Unbounded domains are truncated by ``truncation_box``; the truncation
-radius travels with the operator so results can report it. scipy is
-imported inside the functions that use it, so it loads on the engine's
-first call, not with ``import oulab``.
+Unbounded domains are truncated by ``truncation_box``. scipy is imported
+inside the functions that use it, so it loads on the engine's first call,
+not with ``import oulab``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,8 +60,6 @@ class GridOperator:
     """Mesh, Gaussian weights, and sparse generator of one domain."""
 
     domain: ConvexDomain
-    box_lo: np.ndarray
-    box_hi: np.ndarray
     axes: tuple           # cell-center coordinates per axis
     spacing: np.ndarray   # h per axis
     nodes: np.ndarray     # (n, dim)
@@ -84,10 +82,6 @@ class GridOperator:
     def prob_weights(self) -> np.ndarray:
         return self.weights / self.weights.sum()
 
-    @property
-    def truncation_radius(self) -> float:
-        return float(np.max(np.abs(np.concatenate([self.box_lo, self.box_hi]))))
-
     def sample(self, f) -> np.ndarray:
         return np.asarray(f.eval(self.nodes), dtype=float)
 
@@ -107,7 +101,10 @@ def grid_build(domain: ConvexDomain, resolution,
 
     ``resolution`` is the cell count per axis (scalar or one per axis).
     Cells are included when their center lies in the closed domain, which
-    gives the staircase approximation for curved boundaries.
+    gives the staircase approximation for curved boundaries. The faces are
+    assembled in one pass per axis, the same for every dimension: each pair
+    of included cells adjacent along the axis shares a face of coefficient
+    ``phi(edge) * (cross-axis cell mass) / h``.
     """
     import scipy.sparse as sp
     from scipy.special import ndtr
@@ -120,76 +117,45 @@ def grid_build(domain: ConvexDomain, resolution,
     spacing = np.array([e[1] - e[0] for e in edges])
     axis_mass = [np.diff(ndtr(e)) for e in edges]
 
-    if domain.dim == 1:
-        pts = centers[0][:, None]
-        mask = domain.contains(pts)
-        cell_w = axis_mass[0]
-    else:
-        gx, gy = np.meshgrid(centers[0], centers[1], indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        mask = domain.contains(pts).reshape(gx.shape)
-        cell_w = np.outer(axis_mass[0], axis_mass[1])
-
-    for axis in range(domain.dim):
-        filled = mask.any(axis=1 - axis) if domain.dim == 2 else mask
-        if int(filled.sum()) < MIN_NODES_PER_AXIS:
-            raise ResolutionTooCoarse(
-                f"axis {axis} has {int(filled.sum())} nodes, "
-                f"need at least {MIN_NODES_PER_AXIS}")
-
-    flat_mask = mask.ravel()
-    n = int(flat_mask.sum())
-    ids = -np.ones(flat_mask.shape[0], dtype=int)
-    ids[flat_mask] = np.arange(n)
-    nodes = pts[flat_mask]
-    weights = cell_w.ravel()[flat_mask]
+    grids = np.meshgrid(*centers, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    mask = domain.contains(pts).reshape(grids[0].shape)
+    n = int(mask.sum())
+    ids = -np.ones(mask.shape, dtype=int)
+    ids[mask] = np.arange(n)
+    nodes = pts[mask.ravel()]
+    weights = functools.reduce(np.multiply.outer, axis_mass)[mask]
 
     rows, cols, vals = [], [], []
-    shape = mask.shape if domain.dim == 2 else (mask.shape[0],)
-    idgrid = ids.reshape(shape)
     neighbors = -np.ones((n, domain.dim, 2), dtype=int)
-
-    def add_faces(axis, face_coeff):
-        if domain.dim == 1:
-            pair = mask[:-1] & mask[1:]
-            ia, = np.nonzero(pair)
-            a, b = idgrid[ia], idgrid[ia + 1]
-            c = face_coeff(ia)
-        elif axis == 0:
-            pair = mask[:-1, :] & mask[1:, :]
-            ia, ja = np.nonzero(pair)
-            a, b = idgrid[ia, ja], idgrid[ia + 1, ja]
-            c = face_coeff(ia, ja)
-        else:
-            pair = mask[:, :-1] & mask[:, 1:]
-            ia, ja = np.nonzero(pair)
-            a, b = idgrid[ia, ja], idgrid[ia, ja + 1]
-            c = face_coeff(ia, ja)
+    for axis in range(domain.dim):
+        others = tuple(a for a in range(domain.dim) if a != axis)
+        filled = int(mask.any(axis=others).sum())
+        if filled < MIN_NODES_PER_AXIS:
+            raise ResolutionTooCoarse(
+                f"axis {axis} has {filled} nodes, "
+                f"need at least {MIN_NODES_PER_AXIS}")
+        before = (slice(None),) * axis
+        lower = np.nonzero(mask[before + (slice(None, -1),)]
+                           & mask[before + (slice(1, None),)])
+        upper = lower[:axis] + (lower[axis] + 1,) + lower[axis + 1:]
+        a, b = ids[lower], ids[upper]
+        c = _phi(edges[axis][upper[axis]])
+        for other in others:
+            c = c * axis_mass[other][lower[other]]
+        c = c / spacing[axis]
         rows.extend([a, b, a, b])
         cols.extend([a, b, b, a])
         vals.extend([c, c, -c, -c])
         neighbors[a, axis, 1] = b
         neighbors[b, axis, 0] = a
 
-    if domain.dim == 1:
-        add_faces(0, lambda ia: _phi(edges[0][ia + 1]) / spacing[0])
-    else:
-        add_faces(0, lambda ia, ja: _phi(edges[0][ia + 1]) * axis_mass[1][ja]
-                  / spacing[0])
-        add_faces(1, lambda ia, ja: _phi(edges[1][ja + 1]) * axis_mass[0][ia]
-                  / spacing[1])
-
-    if rows:
-        stiff = sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsr()
-    else:
-        stiff = sp.csr_matrix((n, n))
+    stiff = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
     matrix = sp.diags(-1.0 / weights) @ stiff
-    return GridOperator(domain=domain, box_lo=lo, box_hi=hi,
-                        axes=tuple(centers), spacing=spacing, nodes=nodes,
-                        weights=weights, matrix=matrix.tocsr(),
+    return GridOperator(domain=domain, axes=tuple(centers), spacing=spacing,
+                        nodes=nodes, weights=weights, matrix=matrix.tocsr(),
                         stiffness=stiff, neighbors=neighbors)
 
 
@@ -209,13 +175,15 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
     """
     import scipy.sparse as sp
     u = op.check_values(values)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    steps = DEFAULT_CN_STEPS if n_steps is None else int(n_steps)
+    if steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
     if t == 0.0:
         return u.copy()
     propagator = _propagator(op, scheme)
     if propagator == "crank_nicolson":
-        steps = DEFAULT_CN_STEPS if n_steps is None else int(n_steps)
         dt = t / steps
         key = float(dt)
         if key not in op._cn_cache:
@@ -355,7 +323,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # (n, k), unit L2(gamma) norm
     gap: float
-    multiplicities: tuple
 
     @property
     def kernel_vector(self) -> np.ndarray:
@@ -401,19 +368,9 @@ def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
         lead = np.argmax(np.abs(vec[:, j]))
         if vec[lead, j] < 0:
             vec[:, j] = -vec[:, j]
-
-    mult = []
-    i = 0
-    while i < len(lam):
-        j = i
-        while j + 1 < len(lam) and abs(lam[j + 1] - lam[i]) <= CLUSTER_TOL:
-            j += 1
-        mult.append(j - i + 1)
-        i = j + 1
     negative = lam[lam < -CLUSTER_TOL]
     gap = -float(negative.max()) if len(negative) else float("nan")
-    return SpectrumResult(eigenvalues=lam, eigenvectors=vec, gap=gap,
-                          multiplicities=tuple(mult))
+    return SpectrumResult(eigenvalues=lam, eigenvectors=vec, gap=gap)
 
 
 def weighted_mean(op: GridOperator, values) -> float:

@@ -29,8 +29,8 @@ def mehler_apply(f: CylFunction, t: float, x,
     Exact (to quadrature accuracy) for any time ``t >= 0``; the result is
     deterministic, so the estimate carries no standard error.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     x = np.asarray(x, dtype=float)
     if t == 0.0:
         return SemigroupEstimate(value=f.eval(x), t=0.0, method="mehler")

@@ -55,8 +55,8 @@ BATCH_SIZE = 16384
 
 def _schedule(t: float, h: float):
     """Step sizes summing exactly to t, all h except a shortened last step."""
-    if h <= 0 or t < 0:
-        raise ValueError("need h > 0 and t >= 0")
+    if not (math.isfinite(t) and math.isfinite(h)) or h <= 0 or t < 0:
+        raise ValueError("need finite h > 0 and t >= 0")
     if t == 0.0:
         return []
     n = max(1, math.ceil(t / h))
@@ -65,12 +65,6 @@ def _schedule(t: float, h: float):
         n -= 1
         last = t - (n - 1) * h
     return [h] * (n - 1) + [last]
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def _fold(dom):
@@ -155,12 +149,12 @@ def _run_batches(run, n_batches):
 
 
 def evolve_starts(domains, starts: np.ndarray, t: float,
-                  h: float = DEFAULT_STEP, seed: int = 0,
-                  batch_size: int = BATCH_SIZE) -> list:
+                  h: float = DEFAULT_STEP, seed: int = 0) -> list:
     """Evolve per-path starts through several coupled domains.
 
     ``starts`` has one row per path; every domain sees the same noise, so
     runs coupled by a shared seed differ only through the reflections.
+    Paths run in batches of ``BATCH_SIZE`` rows, read at call time.
     Returns one endpoint array per domain.
     """
     starts = np.asarray(starts, dtype=float)
@@ -171,8 +165,9 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
     steps = _schedule(t, h)
     kind, folds = _plan(domains)
     decay, spread = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
+    batch_size = BATCH_SIZE
     n_batches = math.ceil(n / batch_size)
-    seeds = _seed_sequence(seed).spawn(n_batches)
+    seeds = np.random.SeedSequence(seed).spawn(n_batches)
     outs = [np.empty((n, dim)) for _ in domains]
 
     def run(b):

@@ -1,11 +1,11 @@
 """Standard Gaussian measure utilities.
 
 Gauss-Hermite quadrature against the standard normal density, seeded
-sampling, rejection sampling restricted to a convex domain, and
+sampling restricted to a convex domain (the whole space included), and
 ``mean_se``, the shared sample mean and standard error.
 All stochastic routines take an explicit integer seed and are bit-stable.
-``sample_gaussian`` and ``restricted_sample`` draw from one stream, in
-sequence; the path engine's ``evolve_starts`` is what spawns one
+``restricted_sample`` draws from one stream, in sequence; the path
+engine's ``evolve_starts`` is what spawns one
 ``numpy.random.SeedSequence`` child per batch, so its batches may run in
 parallel without changing results.
 """
@@ -80,14 +80,6 @@ def gauss_hermite(order: int) -> QuadratureRule:
     weights = 0.5 * (weights + weights[::-1])
     weights = np.maximum(weights, np.finfo(float).smallest_subnormal)
     return QuadratureRule(nodes=nodes, weights=weights / weights.sum())
-
-
-def sample_gaussian(dim: int, count: int, seed: int) -> np.ndarray:
-    """``count`` i.i.d. standard normal vectors in R^dim, deterministic in seed."""
-    if dim < 1 or count < 1:
-        raise ValueError("dim and count must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rng.standard_normal((count, dim))
 
 
 def mean_se(values: np.ndarray):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from oulab import cli
 from oulab.cli import main, run_checks
 from oulab.config import (CHECK_KINDS, ConfigError, default_config_text,
                           load_default_config, parse_config)
@@ -583,6 +584,22 @@ def test_section_mistakes_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {command}: ") and what in err, \
             (command, err)
+
+
+def test_spectrum_names_are_checked_before_any_spectrum(tmp_path, capsys,
+                                                      monkeypatch):
+    spectra = []
+    monkeypatch.setattr(cli, "grid_spectrum",
+                        lambda *args: spectra.append(args))
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["spectrum"]["domains"] = ["line", "interval", "nowhere"]
+    out = tmp_path / "out"
+    assert main(["spectrum", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: spectrum: 'domains': unknown domain 'nowhere'\n"
+    assert spectra == []
+    assert not (out / "eigenvalues.csv").exists()
 
 
 def test_converge_command(tmp_path):

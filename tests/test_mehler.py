@@ -85,6 +85,12 @@ def test_order_budget():
         mehler_apply(f, 0.5, [0.0, 0.0, 0.0], quad_order=200)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_bad_time_raises_value_error(t):
+    with pytest.raises(ValueError, match="finite"):
+        mehler_apply(coordinate(1), t, [0.5])
+
+
 def test_estimate_invariant():
     with pytest.raises(ValueError):
         SemigroupEstimate(value=1.0, t=0.5, method="mehler", std_error=0.1)

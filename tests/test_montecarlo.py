@@ -149,14 +149,16 @@ POOLED_CASES = {
 
 
 @pytest.mark.parametrize("name", POOLED_CASES)
-def test_batches_match_the_serial_reference(name, engine_cpus):
+def test_batches_match_the_serial_reference(name, engine_cpus,
+                                            monkeypatch):
     # 7 full batches of 128 and a ragged 37-row one
+    monkeypatch.setattr(montecarlo, "BATCH_SIZE", 128)
     domains = POOLED_CASES[name]
     rng = np.random.default_rng(16)
     starts = np.clip(0.5 * rng.standard_normal((7 * 128 + 37,
                                                  domains[0].dim)),
                      -0.6, 0.6)
-    ours = evolve_starts(domains, starts, 0.3, 1e-2, seed=17, batch_size=128)
+    ours = evolve_starts(domains, starts, 0.3, 1e-2, seed=17)
     ref = projected_euler(domains, starts, 0.3, 1e-2, seed=17,
                           batch_size=128)
     assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
@@ -166,6 +168,7 @@ def test_concurrent_callers_get_their_serial_results(monkeypatch):
     # as --jobs check threads do: four callers at once, each on its own
     # three-thread pool, switching threads every microsecond
     monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+    monkeypatch.setattr(montecarlo, "BATCH_SIZE", 64)
     domains = POOLED_CASES["disc-gon16-gon64"]
     starts = np.zeros((5 * 64 + 9, 2))
     expected = [projected_euler(domains, starts, 0.1, 1e-2, seed, 64)
@@ -175,7 +178,7 @@ def test_concurrent_callers_get_their_serial_results(monkeypatch):
     try:
         with ThreadPoolExecutor(4) as callers:
             runs = [callers.submit(evolve_starts, domains, starts, 0.1, 1e-2,
-                                   seed, 64) for seed in range(4)]
+                                   seed) for seed in range(4)]
             got = [run.result(timeout=60) for run in runs]
     finally:
         sys.setswitchinterval(interval_s)
@@ -192,27 +195,28 @@ class _StallingInterval(Slab):
         return super()._project(pts)
 
 
-def test_a_failing_batch_raises_its_own_error(engine_cpus):
+def test_a_failing_batch_raises_its_own_error(engine_cpus, monkeypatch):
+    monkeypatch.setattr(montecarlo, "BATCH_SIZE", 128)
     dom = _StallingInterval(direction=np.array([1.0]), lower=-1.0, upper=1.0)
     starts = np.zeros((7 * 128 + 37, 1))
     with pytest.raises(NoConvergence, match="ragged batch") as err:
-        evolve_starts([dom], starts, 0.1, 1e-2, seed=18, batch_size=128)
+        evolve_starts([dom], starts, 0.1, 1e-2, seed=18)
     assert err.type is NoConvergence
     # the running batches finished before the error propagated
     assert not [th for th in threading.enumerate()
                 if th.name.startswith("oulab-paths")]
     # the engine still runs after a failed call
-    ends = evolve_starts([dom], starts[:-37], 0.1, 1e-2, seed=18,
-                         batch_size=128)[0]
+    ends = evolve_starts([dom], starts[:-37], 0.1, 1e-2, seed=18)[0]
     assert dom.contains(ends).all()
 
 
-def test_euler_fallback_is_unchanged():
+def test_euler_fallback_is_unchanged(monkeypatch):
+    monkeypatch.setattr(montecarlo, "BATCH_SIZE", 256)
     starts = 0.5 + np.abs(np.random.default_rng(14).standard_normal((700, 1)))
     for domains in ([interval(-1.0, 1.0)], [half_line(0.5)],
                     [half_line(), interval(-4.0, 4.0)]):
         ours = evolve_starts(domains, np.minimum(starts, 1.0), 0.3, 1e-2,
-                             seed=15, batch_size=256)
+                             seed=15)
         ref = projected_euler(domains, np.minimum(starts, 1.0), 0.3, 1e-2,
                               seed=15, batch_size=256)
         assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
@@ -284,6 +288,13 @@ def test_coupled_runs_share_noise():
     alone = evolve_starts([big], starts, 0.3, 5e-3, seed=13)[0]
     assert np.array_equal(ends_big, alone)
     assert small.contains(ends_small).all()
+
+
+@pytest.mark.parametrize("t, h", [(math.nan, 1e-2), (math.inf, 1e-2),
+                                  (0.5, math.nan), (0.5, math.inf)])
+def test_bad_time_or_step_raises_value_error(t, h):
+    with pytest.raises(ValueError, match="finite"):
+        evolve_starts([interval(-1.0, 1.0)], np.zeros((4, 1)), t, h, seed=0)
 
 
 def test_start_validation():
