@@ -19,7 +19,7 @@ from .domains import (Ball, ConvexDomain, Product, WholeSpace,
                       polygon_approximation)
 from .gauss import mean_se, restricted_sample
 from .engines.grid import GridOperator, grid_apply
-from .engines.montecarlo import evolve_starts, transition
+from .engines.montecarlo import evolve_starts, path_details
 from .inequalities import BIAS_CONST, FACTOR_DISC, InequalityReport, _cells
 
 
@@ -63,7 +63,7 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
         tolerance=0.0,
         details={"t": t, "free_dims": free_dims, "n_points": n_points,
                  "n_paths": n_paths, "h": h, "resolution": _cells(op),
-                 "seed": seed, "transition": transition([product]),
+                 "seed": seed, **path_details([product]),
                  "worst_point": worst, "mc_value": a,
                  "grid_value": b, "mc_se": se, "bias_const": BIAS_CONST,
                  "disc_const": FACTOR_DISC,
@@ -140,4 +140,4 @@ def convergence_study(ball: Ball, f, t: float, n_list,
     return ConvergenceStudy(rows=rows, details={
         "t": t, "n_points": n_points, "paths_per_point": paths_per_point,
         "h": h, "seed": seed, "mass_samples": mass_samples,
-        "transition": transition(domains)})
+        **path_details(domains)})

@@ -1,7 +1,8 @@
 """Reflected-path Monte Carlo for the semigroup on convex domains.
 
 ``evolve_starts`` picks one of three transitions from the domain types
-alone (``transition`` names it):
+alone (``path_details`` names it and the increments its Euler steps
+draw):
 
 - ``"exact"``: where the reflected law is known in closed form, each
   endpoint is one draw ``Y = e^{-t} x + sqrt(1 - e^{-2t}) xi`` of the free
@@ -12,14 +13,21 @@ alone (``transition`` names it):
   ``half_line()``); a ``Product`` folds its base coordinates by its base's
   fold. There is no step bias.
 - ``"split"``: on a ``Product`` whose base has no exact transition, the free
-  coordinates take the one exact draw and only the base coordinates march
-  with projected Euler steps through ``base.project``.
+  coordinates take the one exact Gaussian draw and only the base
+  coordinates march with projected Euler steps through ``base.project``;
+  a 1D base steps with two-point increments as ``"euler"`` does.
 - ``"euler"``: everywhere else, one projected Euler step is
   ``X <- project(X (1 - h) + sqrt(2 h) xi)``; the projection realizes
   normal reflection at the boundary, so endpoints never leave the closed
-  domain. The weak bias is O(h) in the interior with an O(sqrt(h))
-  contribution where paths press on the boundary; callers fold an explicit
-  bias allowance into their tolerances.
+  domain. A march in one column draws ``xi = +-1`` with probability 1/2
+  each from packed random bits, the simplified weak Euler scheme of
+  Kloeden & Platen (1992, *Numerical Solution of Stochastic Differential
+  Equations*, section 14.1): its first three moments are the Gaussian's,
+  which is all a weak scheme needs. Marches in more columns draw standard
+  Gaussian ``xi``, since a square lattice of increments is not
+  rotation-invariant. Either way the weak bias is O(h) in the interior
+  with an O(sqrt(h)) contribution where paths press on the boundary;
+  callers fold an explicit bias allowance into their tolerances.
 
 Coupled domains take the exact or split transition only when all of them
 allow it; a call that mixes kinds runs Euler for all of them.
@@ -85,39 +93,64 @@ def _fold(dom):
 
 
 def _plan(domains):
-    """The transition on these coupled domains and each domain's fold."""
+    """The transition on these coupled domains, each domain's fold, and how
+    many leading columns march with Euler steps."""
     folds = [_fold(dom) for dom in domains]
     if all(fold is not None for fold in folds):
-        return "exact", folds
+        return "exact", folds, 0
     if (all(isinstance(dom, Product) and dom.free_dims for dom in domains)
             and len({dom.base.dim for dom in domains}) == 1):
-        return "split", folds
-    return "euler", folds
+        return "split", folds, domains[0].base.dim
+    return "euler", folds, domains[0].dim
 
 
-def transition(domains) -> str:
-    """The transition ``evolve_starts`` runs on these coupled domains:
-    ``"exact"``, ``"split"`` or ``"euler"`` (see the module docstring)."""
-    return _plan(domains)[0]
+def _increments(columns: int) -> str:
+    """The increments of an Euler march in ``columns`` columns."""
+    return "two_point" if columns == 1 else "gaussian"
+
+
+def path_details(domains) -> dict:
+    """``details`` entries naming what ``evolve_starts`` runs on these
+    coupled domains: the ``transition`` and the ``increments`` of its Euler
+    steps, ``"two_point"`` or ``"gaussian"`` (an exact transition's one
+    draw is ``"gaussian"``); the module docstring describes each."""
+    kind, _, columns = _plan(domains)
+    return {"transition": kind, "increments": _increments(columns)}
 
 
 def _march(projects, block, steps, rng):
     """Projected Euler paths from ``block``, one per projection, all driven
-    by the same increments.
+    by the same increments ``scale xi``, ``scale = sqrt(2 dt)``.
+
+    In one column ``xi = +-1``, the simplified weak Euler scheme (Kloeden &
+    Platen 1992, section 14.1): one bit per row, unpacked from the bit
+    generator's raw 64-bit words read as little-endian bytes, whatever the
+    platform; ``bit (2 scale) - scale`` is exactly ``+-scale``, as doubling
+    is exact. In more columns ``xi`` is standard normal.
 
     The noise and the drifted state live in two buffers reused by every
     step; the noise is scaled once per step for all projections, and
-    ``state (1 - dt) + scale noise`` is formed in the drift buffer with the
-    same two roundings as the expression, so the paths are bit for bit
-    those of the plain loop. Every ``project`` returns a new array, so the
-    drift buffer is free again once it has been projected.
+    ``state (1 - dt) + noise`` is formed in the drift buffer with the same
+    two roundings as the expression, so the paths are bit for bit those of
+    the plain loop. Every ``project`` returns a new array, so the drift
+    buffer is free again once it has been projected.
     """
     states = [block] * len(projects)
+    rows, columns = block.shape
+    two_point = _increments(columns) == "two_point"
     noise = np.empty(block.shape)
     drift = np.empty(block.shape)
     for dt in steps:
-        rng.standard_normal(out=noise)
-        noise *= math.sqrt(2.0 * dt)
+        scale = math.sqrt(2.0 * dt)
+        if two_point:
+            words = rng.bit_generator.random_raw(-(-rows // 64))
+            bits = np.unpackbits(words.astype("<u8", copy=False)
+                                 .view(np.uint8), count=rows)
+            np.multiply(bits.reshape(block.shape), 2.0 * scale, out=noise)
+            noise -= scale
+        else:
+            rng.standard_normal(out=noise)
+            noise *= scale
         for i, project in enumerate(projects):
             np.multiply(states[i], 1.0 - dt, out=drift)
             drift += noise
@@ -163,7 +196,7 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
         if dom.dim != dim:
             raise ValueError("coupled domains must share a dimension")
     steps = _schedule(t, h)
-    kind, folds = _plan(domains)
+    kind, folds, k = _plan(domains)
     decay, spread = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
     batch_size = BATCH_SIZE
     n_batches = math.ceil(n / batch_size)
@@ -179,7 +212,6 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
             for i, fold in enumerate(folds):
                 outs[i][sl] = fold(y)
         elif kind == "split":
-            k = domains[0].base.dim
             free = block[:, k:]
             free = decay * free + spread * rng.standard_normal(free.shape)
             bases = _march([dom.base.project for dom in domains],

@@ -26,7 +26,7 @@ from .domains import ConvexDomain
 from .gauss import mean_se, restricted_sample
 from .engines.grid import (grid_apply, fd_gradient, weighted_mean, l2_norm,
                            propagator_details, GridOperator, DEFAULT_CN_STEPS)
-from .engines.montecarlo import evolve_starts, transition, DEFAULT_STEP
+from .engines.montecarlo import evolve_starts, path_details, DEFAULT_STEP
 
 EPS_FLOOR = 1e-12
 GRID_EXACT_TOL = 1e-9
@@ -224,7 +224,7 @@ def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
         reports.append(InequalityReport(
             name="submultiplicative", lhs=lhs, rhs=rhs, tolerance=tol,
             details={"t": t, "n_panel": len(x_panel), "n_paths": n_paths,
-                     "h": h, "seed": seed, "transition": transition([domain]),
+                     "h": h, "seed": seed, **path_details([domain]),
                      "worst_point": worst, "points_failing": n_fail,
                      "tolerance_rule": "3*propagated_se+eps"}))
     return reports
@@ -262,16 +262,17 @@ def check_invariance(f, domain: ConvexDomain, t: float,
     diffs = (np.asarray(f.eval(ends), dtype=float)
              - np.asarray(f.eval(starts), dtype=float))
     mean_d, se_d = mean_se(diffs)
-    # the projected Euler scheme is weak order 1/2 at the boundary, so the
-    # stationary mean drifts by O(sqrt(h)) times the gradient scale; the
-    # allowance is kept (and loose) on exact transitions too
+    # projected Euler, two-point in 1D and Gaussian in 2D, is weak order
+    # 1/2 where paths press on the boundary, so the stationary mean drifts
+    # by O(sqrt(h)) times the gradient scale; the allowance is kept (and
+    # loose) on exact transitions, which take no step
     grad_scale = max(1.0, float(np.max(f.gradient_norm(starts))))
     allowance = BIAS_CONST * math.sqrt(h) * grad_scale
     tol = 3.0 * se_d + allowance + _scale_floor(mean_d)
     return InequalityReport(
         name="invariance_mc", lhs=abs(mean_d), rhs=0.0, tolerance=tol,
         details={"t": t, "n_paths": n_paths, "h": h, "seed": seed,
-                 "transition": transition([domain]), "mean_shift": mean_d,
+                 **path_details([domain]), "mean_shift": mean_d,
                  "se": se_d, "bias_const": BIAS_CONST,
                  "bias_allowance": allowance,
                  "tolerance_rule": "3*se(paired diff)+bias_const*sqrt(h)*scale+eps"})

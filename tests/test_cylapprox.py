@@ -39,6 +39,7 @@ def test_factorization_interval_base():
     rep = factorization_check(lin, ival, 1, 0.5, op=grid_build(ival, 400),
                               n_points=10, n_paths=20_000, h=5e-3, seed=3)
     assert rep.passed and rep.details["transition"] == "split"
+    assert rep.details["increments"] == "two_point"
 
 
 def test_factorization_requires_1d_base():
@@ -55,6 +56,7 @@ def test_convergence_study_constant_function():
                               paths_per_point=500, h=5e-3, seed=5)
     assert all(abs(row.error) < 1e-12 for row in study.rows)
     assert study.details["transition"] == "euler"
+    assert study.details["increments"] == "gaussian"
 
 
 def test_convergence_study_decays_with_side_count():

@@ -184,7 +184,9 @@ def test_submultiplicative_reports_share_endpoints():
                                         n_paths=3000, h=5e-3, seed=13)
     assert len(reports) == 3
     assert all(rep.passed for rep in reports)
-    assert all(rep.details["transition"] == "euler" for rep in reports)
+    assert all(rep.details["transition"] == "euler"
+               and rep.details["increments"] == "two_point"
+               for rep in reports)
 
 
 # invariance ---------------------------------------------------------------------
@@ -208,6 +210,7 @@ def test_invariance_mc_whole_space_square():
     rep = check_invariance(SQ, WholeSpace(1), 0.7, engine="monte_carlo",
                            n_paths=100_000, h=1e-3, seed=15)
     assert rep.passed and rep.details["transition"] == "exact"
+    assert rep.details["increments"] == "gaussian"
     val = mehler_apply(SQ, 0.7, [0.0]).value  # T(t)x^2 at 0
     assert abs(val - (1 - math.exp(-1.4))) < 1e-12
 
@@ -216,6 +219,7 @@ def test_invariance_symmetric_interval():
     rep = check_invariance(LIN, IVAL, 1.0, engine="monte_carlo",
                            n_paths=50_000, h=2e-3, seed=16)
     assert rep.passed and rep.details["transition"] == "euler"
+    assert rep.details["increments"] == "two_point"
     grid_rep = check_invariance(LIN, IVAL, 1.0, engine="grid",
                                 op=grid_build(IVAL, 300))
     assert grid_rep.lhs < 1e-9

@@ -10,12 +10,14 @@ from scipy.stats import kstest, norm
 from oulab.domains import (Ball, NoConvergence, Product, Slab, WholeSpace,
                            half_line, interval, polygon_approximation)
 from oulab.engines import montecarlo
+from oulab.engines.grid import grid_apply, grid_build
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.montecarlo import (_schedule, evolve_starts, mc_apply,
-                                      mc_apply_many, simulate_endpoints,
-                                      transition)
+                                      mc_apply_many, path_details,
+                                      simulate_endpoints)
 from oulab.expr import const, coordinate, from_profile, var
 from oulab.gauss import mean_se
+from oulab.inequalities import BIAS_CONST
 
 
 def test_time_zero_is_identity():
@@ -84,31 +86,52 @@ def test_product_free_coordinate_is_exact():
 def test_transition_follows_the_domain_types():
     ball = Ball(center=[0.0, 0.0], radius=1.0)
     cases = [
-        ([WholeSpace(1)], "exact"),
-        ([half_line()], "exact"),
-        ([Product(half_line(), 2)], "exact"),
-        ([Product(WholeSpace(1), 1)], "exact"),
-        ([WholeSpace(1), half_line()], "exact"),
-        ([Product(interval(-1.0, 1.0), 1)], "split"),
-        ([Product(interval(-1.0, 1.0), 1), Product(half_line(), 1)], "split"),
-        ([half_line(0.5)], "euler"),
-        ([interval(-1.0, 1.0)], "euler"),
-        ([half_line(), interval(-4.0, 4.0)], "euler"),
-        ([Product(interval(-1.0, 1.0), 1), WholeSpace(2)], "euler"),
-        ([ball, polygon_approximation(ball, 16)], "euler"),
+        ([WholeSpace(1)], "exact", "gaussian"),
+        ([half_line()], "exact", "gaussian"),
+        ([Product(half_line(), 2)], "exact", "gaussian"),
+        ([Product(WholeSpace(1), 1)], "exact", "gaussian"),
+        ([WholeSpace(1), half_line()], "exact", "gaussian"),
+        ([Product(interval(-1.0, 1.0), 1)], "split", "two_point"),
+        ([Product(interval(-1.0, 1.0), 1), Product(half_line(), 1)], "split",
+         "two_point"),
+        ([Product(ball, 1)], "split", "gaussian"),
+        ([half_line(0.5)], "euler", "two_point"),
+        ([interval(-1.0, 1.0)], "euler", "two_point"),
+        ([half_line(), interval(-4.0, 4.0)], "euler", "two_point"),
+        ([Product(interval(-1.0, 1.0), 1), WholeSpace(2)], "euler",
+         "gaussian"),
+        ([ball, polygon_approximation(ball, 16)], "euler", "gaussian"),
     ]
-    for domains, expected in cases:
-        assert transition(domains) == expected, domains
+    for domains, kind, increments in cases:
+        assert path_details(domains) == {"transition": kind,
+                                         "increments": increments}, domains
 
 
-def projected_euler(domains, starts, t, h, seed, batch_size):
+def euler_increments(rng, shape, dt, two_point):
+    """One step's increments sqrt(2 dt) xi: xi = +-1 from one bit per row of
+    the bit generator's raw 64-bit words, read as little-endian bytes, or
+    standard normal."""
+    scale = math.sqrt(2.0 * dt)
+    if two_point:
+        words = rng.bit_generator.random_raw(math.ceil(shape[0] / 64))
+        packed = np.frombuffer(words.astype("<u8").tobytes(), np.uint8)
+        bits = np.unpackbits(packed, count=shape[0]).reshape(shape)
+        return np.where(bits == 1, scale, -scale)
+    return scale * rng.standard_normal(shape)
+
+
+def projected_euler(domains, starts, t, h, seed, batch_size, two_point=None):
     """Reference: the projected Euler loop with its noise consumption. On
     ``Product`` domains with free dimensions (the split transition), the
     free coordinates first take one exact OU draw and the loop runs on the
-    base coordinates through ``base.project``."""
+    base coordinates through ``base.project``. The increments are two-point
+    when the loop runs in one column, as the engine's are, unless
+    ``two_point`` says otherwise."""
     n, dim = starts.shape
-    k = domains[0].base.dim if montecarlo.transition(domains) == "split" \
-        else dim
+    k = domains[0].base.dim \
+        if path_details(domains)["transition"] == "split" else dim
+    if two_point is None:
+        two_point = k == 1
     projects = [dom.base.project if k < dim else dom.project
                 for dom in domains]
     n_batches = math.ceil(n / batch_size)
@@ -123,10 +146,9 @@ def projected_euler(domains, starts, t, h, seed, batch_size):
                 * rng.standard_normal(free.shape)
         states = [starts[sl, :k].copy() for _ in domains]
         for dt in _schedule(t, h):
-            noise = rng.standard_normal(states[0].shape)
+            noise = euler_increments(rng, states[0].shape, dt, two_point)
             for i, project in enumerate(projects):
-                states[i] = project(states[i] * (1.0 - dt)
-                                    + math.sqrt(2.0 * dt) * noise)
+                states[i] = project(states[i] * (1.0 - dt) + noise)
         for i in range(len(domains)):
             outs[i][sl, :k] = states[i]
             outs[i][sl, k:] = free
@@ -222,6 +244,66 @@ def test_euler_fallback_is_unchanged(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
 
 
+def test_one_dimensional_step_is_two_point():
+    # one step from 0, far from the walls, lands on +-sqrt(2h) with
+    # probability 1/2 each; 100,003 rows leave a ragged last batch
+    h, n = 1e-2, 100_003
+    ends = evolve_starts([interval(-10.0, 10.0)], np.zeros((n, 1)), h, h,
+                         seed=19)[0][:, 0]
+    scale = math.sqrt(2.0 * h)
+    assert set(np.unique(ends).tolist()) == {-scale, scale}
+    assert abs(np.mean(ends > 0) - 0.5) <= 3.0 * math.sqrt(0.25 / n)
+
+
+WEAK_ORDER_CASES = {
+    "interval": (interval(-1.0, 1.0), 0.9),
+    "half-line": (half_line(-0.5), -0.4),
+}
+
+
+@pytest.mark.parametrize("name", WEAK_ORDER_CASES)
+def test_weak_order_by_step_refinement(name):
+    # E tanh(X_t) from a start near the wall, where the O(sqrt(h)) boundary
+    # term of projected Euler shows, at three step sizes, for the engine's
+    # two-point increments and for Gaussian ones, against a Crank-Nicolson
+    # grid reference
+    dom, x0 = WEAK_ORDER_CASES[name]
+    assert path_details([dom])["increments"] == "two_point"
+    t, hs, n = 0.5, (0.02, 0.01, 0.005), 1 << 17
+    exact = {}
+    for cells in (400, 800):
+        op = grid_build(dom, cells)
+        u = grid_apply(op, np.tanh(op.nodes[:, 0]), t, n_steps=5 * cells // 2)
+        exact[cells] = float(np.interp(x0, op.nodes[:, 0], u))
+    starts = np.full((n, 1), x0)
+    bias = {}
+    for i, h in enumerate(hs):
+        runs = {"two_point": evolve_starts([dom], starts, t, h, seed=40 + i),
+                "gaussian": projected_euler([dom], starts, t, h, 50 + i, n,
+                                            two_point=False)}
+        for kind, (ends,) in runs.items():
+            mean, se = mean_se(np.tanh(ends[:, 0]))
+            bias[kind, h] = (mean - exact[800], se)
+    # the reference moves by under a tenth of the smallest bias when its
+    # cells are halved, and a second-order grid's own error is less still
+    assert abs(exact[800] - exact[400]) \
+        < 0.1 * min(abs(b) for b, _ in bias.values())
+    for h in hs:
+        (b2, se2), (bg, seg) = bias["two_point", h], bias["gaussian", h]
+        assert abs(b2) <= abs(bg) + 3.0 * math.hypot(se2, seg)
+        # the allowance the MC checks charge, with sup |tanh'| = 1
+        assert abs(b2) <= BIAS_CONST * math.sqrt(h)
+    # least-squares slope of log|bias| on log h, its SE by the delta method
+    # from the independent runs' standard errors
+    log_h = np.log(hs)
+    weights = (log_h - log_h.mean()) / np.sum((log_h - log_h.mean()) ** 2)
+    for kind in ("two_point", "gaussian"):
+        b, se = np.array([bias[kind, h] for h in hs]).T
+        order = float(weights @ np.log(np.abs(b)))
+        order_se = float(np.sqrt(np.sum((weights * se / b) ** 2)))
+        assert order >= 3.0 * order_se, (kind, order, order_se)
+
+
 def test_reflected_path_single():
     dom = interval(-1.0, 1.0)
     end = simulate_endpoints(dom, np.array([0.9]), 0.3, n_paths=1, h=1e-2,
@@ -252,7 +334,6 @@ def test_symmetric_invariant_mean_on_interval():
     est = mc_apply(f, interval(-1.0, 1.0), 6.0, [0.5], n_paths=50_000,
                    h=5e-3, seed=8)
     # cross-check with the grid engine at the same horizon
-    from oulab.engines.grid import grid_apply, grid_build
     op = grid_build(interval(-1.0, 1.0), 200)
     u = grid_apply(op, op.sample(f), 6.0)
     node = int(np.argmin(np.abs(op.nodes[:, 0] - 0.5)))
