@@ -1,7 +1,8 @@
 """Open convex subsets of R^d.
 
 Membership, Euclidean projection, product structure with free Gaussian
-factors, and regular polygons circumscribed about discs. All point
+factors, and regular polygons circumscribed about discs. Only half-space
+systems in 2D and above lack a closed-form projection. All point
 operations accept a single point of shape ``(dim,)`` or a batch of shape
 ``(n, dim)``; batches are the fast path used by the reflected-path engine.
 """
@@ -117,6 +118,12 @@ class WholeSpace(ConvexDomain):
         return {"shape": "whole_space", "dim": self.dim}
 
 
+# violations held at once by the feasibility tests of the vertex and
+# projection candidates of a half-space system (512 kB: a block stays in
+# cache, which made the 1024-gon faster than larger blocks did)
+VERTEX_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class HalfspaceIntersection(ConvexDomain):
     """Intersection of half-spaces ``{x : a_i . x <= b_i}`` with unit normals."""
@@ -145,8 +152,8 @@ class HalfspaceIntersection(ConvexDomain):
         # elementwise, without BLAS: every entry is x nx + y ny - b rounded
         # three times (x nx - b in 1D, the one product a matmul would form
         # at a degenerate call's cost), whatever the batch (a gemm may fuse
-        # or reorder, and a lone row goes through gemv), so any subset of
-        # rows or faces can recompute the face path's values bit for bit
+        # or reorder, and a lone row goes through gemv), so a row's values
+        # do not depend on the rows beside it
         out = pts[:, :1] * self.normals[:, 0]
         if self.dim == 2:
             out += pts[:, 1:] * self.normals[:, 1]
@@ -163,7 +170,13 @@ class HalfspaceIntersection(ConvexDomain):
             raise UnsupportedDimension("vertices are enumerated in 2D only")
         return _polygon_vertices(self.normals, self.offsets)
 
+    @cached_property
+    def _interval(self):
+        return self.axis_bounds()
+
     def _project(self, pts):
+        if self.dim == 1:
+            return np.clip(pts, *self._interval)
         viol = self._violations(pts)
         j = np.argmax(viol, axis=1)
         worst = viol[np.arange(len(pts)), j]
@@ -411,205 +424,17 @@ class Product(ConvexDomain):
                 "free_dims": int(self.free_dims)}
 
 
-# Exactness of the two-ball shortcut. Write u = 2**-53, c and r for the
-# recorded centre and inradius, d = p - c, S = r + |tol| + |c|, and
-# eta = UNIT_TOL + 2u, which bounds ||n_j| - 1| for every normal that passed
-# the unit check of HalfspaceIntersection. The face path computes
-# v_j = fl(x_j - b_j) with x_j = fl(p . n_j) and b_j = fl(fl(n_j . c) + r).
-# A two-term dot product errs by at most 2.01u |p| |n_j|, with or without
-# a fused multiply-add, so
-#     |(x_j - b_j) - (d . n_j - r)| <= 2.02u |d| + 5.05u |c| + u r.      (1)
-# Rounding is monotone, so v_j <= tol once x_j - b_j <= tol, and v_j > tol
-# once x_j - b_j > tol + 2u |tol|.
-# Inside: d . n_j <= (1 + eta) |d|, so by (1) every v_j <= tol when
-#     |d| <= r + tol - BALL_SLACK * S.
-# Outside: each direction lies between two neighbouring normals. The
-# computed cosine k of the largest half-angle between them (recorded as
-# r / circumradius; k >= 1/2 for n >= 3) is within 1.02 eta + 3.1u of the
-# exact one, so some d . n_j >= |d| (k - 2.02 eta - 3.1u), and by (1)
-# some v_j > tol when
-#     |d| > (r + tol + BALL_SLACK * S) / (k - BALL_SLACK).
-# BALL_SLACK = 4 UNIT_TOL exceeds every coefficient of S and of |d| above
-# (2.02 eta + 6u at most) by nearly 2 UNIT_TOL, which leaves room for the
-# rounding of |d|^2, of the two radii and of r / circumradius (under
-# 16u (S + |d|) in all). The bound is derived, not tuned: a point that
-# passes either test gets exactly the answer of the face path.
-BALL_SLACK = 4.0 * UNIT_TOL
-# Exactness of the sector path, which settles a RegularPolygon row outside
-# the inscribed ball from three faces. Let P0 be the exact regular
-# n-gon that the stored faces round: unit normals m_j at angle j beta,
-# beta = 2 pi / n, offsets m_j . c + r, circumradius R, edges
-# L = 2 r tan(beta / 2), and V0_j(x) = m_j . x - m_j . c - r its
-# violations. Fix a reach rho and let eps = BALL_SLACK S,
-# S = rho + 3 R + |c|. For every point x below (|x - c| <= rho + 2 R), a
-# computed violation v_j(x) is within eps of V0_j(x): the terms of (1), the
-# stored normals' error (rounded cos and sin of rounded angles, under 30u)
-# and the rounding of the offsets come to under 40u S. So do the angle of
-# p - c that atan2 gives (times |p - c|), the tangential coordinates
-# (p - c) . t_j, t_j = (-m_jy, m_jx), and the foot q = p - v_j(p) n_j,
-# which lies within 2 eps of the exact foot on face j of P0. eps overstates
-# these by a factor of 100 or more, which also absorbs the rounding of the
-# constants below. A row with |p - c| <= rho is settled by four decisions;
-# every other row takes the face path.
-# 1. Window: the argmax lies among faces j0 - 1, j0, j0 + 1, where atan2
-#    names j0. The normal m_j0 is within pi/n + delta of p - c, with
-#    delta |p - c| <= eps, and faces outside the window are at least
-#    3 pi/n - delta from it. So their violations fall short of v_j0 by at
-#    least |p - c| G1 - 4 eps, G1 = cos(pi/n) - cos(3 pi/n). That is
-#    positive when (r - eps) G1 > 4 eps, as |p - c| >= r - eps outside the
-#    inscribed ball.
-# 2. Ties: the window's values are the face path's own (see
-#    ``_violations``), so np.argmax picks the lowest index among the
-#    window's maxima. This decision is exact and needs no margin.
-# 3. Foot: the face path keeps q if no face violates it by more than
-#    DYKSTRA_TOL = tol. Faces j, j +- 1 are computed exactly. q is within
-#    2 eps of line j of P0, and by faces j +- 1 within (tol + 3 eps) /
-#    sin beta of edge j along it. Every other face is at least
-#    2 r (1 - cos beta) away from both ends of edge j (n >= 4), and a
-#    violation changes at rate at most 1, so it stays <= tol when
-#        2 r (1 - cos beta) >= (tol + 3 eps) / sin beta + 3 eps.
-# 4. Vertex: otherwise the face path enumerates candidates. Let
-#    p - V0 = la m_a + lb m_b, where V0 is the vertex of face a = j and
-#    its neighbour b on the side of p. Then la sin beta and lb sin beta are
-#    how far the tangential coordinates of p - c pass r tan(beta / 2). If
-#    both la and lb are >= mu = (tol + 4 eps) / sin^2 beta, the feet on a
-#    and b violate b and a by more than tol, so neither face is a
-#    candidate. Any other face's candidate that passes lies within
-#    sig = tol + 3 eps of P0 and on a line that is not adjacent to V0.
-#    That puts it at least Lam = sqrt(3)/2 L - sig / sin beta - 2 sig
-#    from V0, since non-adjacent edges lie at least sqrt(3)/2 L from V0.
-#    V0 is the projection onto P0, so the obtuse-angle inequality puts the
-#    candidate farther from p than V0 by Lam^2 / (2A + Lam), A = |p - V0|
-#    <= rho + R. Every other vertex is farther by at least as much. The
-#    stored vertex is within eps / sin(beta / 2) of V0, and the face path
-#    picks it when
-#        Lam^2 > (2 (rho + R) + Lam) (2 sig + eps + 2 eps / sin(beta / 2)
-#                                     + 6u (rho + 2 R)).
-# rho is the largest R 2^k that satisfies 1, 3 and 4. A polygon with no
-# such rho, or whose vertices merged (the corner map needs all n), takes
-# the face path on every row.
-# violations held at once by the vertex enumeration's feasibility test
-# (512 kB: a block stays in cache, which made the 1024-gon faster than
-# larger blocks did)
-VERTEX_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class _Sectors:
-    """Face tables of the O(1) projection onto a ``RegularPolygon`` (see
-    the sector margins above), one column per face or sector j."""
-
-    center: np.ndarray
-    window: np.ndarray  # nx, ny, b, index of faces j - 1, j, j + 1, sorted
-    around: np.ndarray  # nx, ny, b of faces j - 1, j, j + 1, in that order
-    corners: np.ndarray  # x; y of the vertex of faces j - 1 and j (j <= n)
-    per_radian: float
-    reach2: float
-    cone: float
-
-    @classmethod
-    def build(cls, gon):
-        """The tables, or None where the margins or the corner map fail."""
-        n = gon.sides
-        verts = gon.vertices
-        if len(verts) != n:
-            return None
-        r, big_r = gon.radius, gon.circumradius
-        c_norm = float(np.linalg.norm(gon.center))
-        beta = 2.0 * math.pi / n
-        sin_b, sin_h = math.sin(beta), math.sin(beta / 2.0)
-        tan_h = math.tan(beta / 2.0)
-        g1 = 2.0 * sin_b * sin_h  # cos(pi / n) - cos(3 pi / n)
-        g3 = 4.0 * r * sin_h * sin_h  # 2 r (1 - cos beta)
-
-        def margins_hold(rho):
-            eps = BALL_SLACK * (rho + 3.0 * big_r + c_norm)
-            sig = DYKSTRA_TOL + 3.0 * eps
-            lam = math.sqrt(3.0) * r * tan_h - sig / sin_b - 2.0 * sig
-            room = (2.0 * sig + eps + 2.0 * eps / sin_h
-                    + 6.0 * 2.0 ** -53 * (rho + 2.0 * big_r))
-            return ((r - eps) * g1 > 4.0 * eps
-                    and (n == 3 or g3 >= (DYKSTRA_TOL + 3.0 * eps) / sin_b
-                         + 3.0 * eps)
-                    and lam > 0.0
-                    and lam * lam > (2.0 * (rho + big_r) + lam) * room)
-
-        if not margins_hold(big_r):
-            return None
-        rho = big_r
-        while margins_hold(2.0 * rho):  # fails at the latest at inf
-            rho *= 2.0
-        eps = BALL_SLACK * (rho + 3.0 * big_r + c_norm)
-        nbrs = (np.arange(n) + np.array([[-1], [0], [1]])) % n
-        ranked = np.sort(nbrs, axis=0)
-        nx, ny = gon.normals[:, 0], gon.normals[:, 1]
-        # the vertex of faces j and j + 1 is number j + 1 of the adjacent
-        # pairs (0, 1), (0, n - 1), (1, 2), ...: 0 for j = 0, 1 for j = n - 1
-        order = np.concatenate([[1, 0], np.arange(2, n), [1]])
-        return cls(
-            center=gon.center,
-            window=np.concatenate([nx[ranked], ny[ranked],
-                                   gon.offsets[ranked], ranked]),
-            around=np.concatenate([nx[nbrs], ny[nbrs], gon.offsets[nbrs]]),
-            corners=np.ascontiguousarray(verts[order].T),
-            per_radian=n / (2.0 * math.pi), reach2=rho * rho,
-            cone=r * tan_h + (DYKSTRA_TOL + 4.0 * eps) / sin_b + 2.0 * eps)
-
-    def project(self, pts):
-        """``(settled, out)``: ``out[settled]`` is the face path's projection
-        of those rows of ``pts`` (rows outside the inscribed ball)."""
-        px, py = pts[:, 0], pts[:, 1]
-        dx, dy = px - self.center[0], py - self.center[1]
-        near = _dist2(pts, self.center) <= self.reach2
-        # the sector of p - c names three faces; their violations are the
-        # face path's, and np.argmax's tie rule is the lowest index
-        angle = np.arctan2(dy, dx)
-        if not near.all():
-            angle[~near] = 0.0  # not settled; keeps the index finite
-        sector = np.rint(angle * self.per_radian).astype(np.intp)
-        sector %= self.window.shape[1]
-        win = np.take(self.window, sector, axis=1)
-        viol = px * win[0:3]
-        viol += py * win[3:6]
-        viol -= win[6:9]
-        top = viol.max(axis=0)
-        face = np.where(viol[0] == top, win[9],
-                        np.where(viol[1] == top, win[10], win[11]))
-        face = face.astype(np.intp)
-        # the foot on that face, kept if it violates no neighbour
-        near_face = np.take(self.around, face, axis=1)
-        foot_x = px - top * near_face[1]
-        foot_y = py - top * near_face[4]
-        fviol = foot_x * near_face[0:3]
-        fviol += foot_y * near_face[3:6]
-        fviol -= near_face[6:9]
-        on_face = fviol.max(axis=0) <= DYKSTRA_TOL
-        # else the vertex shared with the neighbour on p's side, if p lies
-        # deep enough in its normal cone
-        along = dy * near_face[0:3] - dx * near_face[3:6]
-        ccw = along[1] > 0.0
-        at_corner = ((np.abs(along[1]) >= self.cone)
-                     & (np.where(ccw, along[2], -along[0]) <= -self.cone))
-        corner = np.take(self.corners, face + ccw, axis=1)
-        free = top <= 0.0
-        out = np.empty_like(pts)
-        out[:, 0] = np.where(free, px, np.where(on_face, foot_x, corner[0]))
-        out[:, 1] = np.where(free, py, np.where(on_face, foot_y, corner[1]))
-        return near & (free | on_face | at_corner), out
-
-
 @dataclass(frozen=True)
 class RegularPolygon(HalfspaceIntersection):
     """Regular n-gon (``n = sides >= 3``) circumscribed about the disc of
     ``radius`` r at ``center``: face j touches it in direction
-    ``(cos, sin)(2 pi j / n)``, so the n, 2n, 4n, ...-gons nest down to it.
+    ``m_j = (cos, sin)(2 pi j / n)``, so the n, 2n, 4n, ...-gons nest down
+    to it. Its vertices lie at ``circumradius`` R = r / cos(pi / n).
 
-    Points well inside the disc or well outside the circumscribed ball (of
-    radius ``circumradius``, r / cos(pi / n)) skip the violation matrix.
-    ``project`` settles nearly every other point in O(1) from the three
-    faces its polar angle names (see the sector margins beside BALL_SLACK),
-    bit for bit as the face path, which takes the rest. The vertices are
-    solved from adjacent face pairs alone."""
+    In closed form: the polar angle of p - c names the sector j =
+    rint(angle n / 2 pi) mod n. With u, v the coordinates of p - c along
+    m_j and t_j = (-m_jy, m_jx), p is inside when u <= r and otherwise
+    projects to c + r m_j + clip(v, +-r tan(pi / n)) t_j."""
 
     normals: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
@@ -617,7 +442,6 @@ class RegularPolygon(HalfspaceIntersection):
     radius: float
     sides: int
     circumradius: float = field(init=False)
-    _sectors: _Sectors | None = field(init=False, repr=False)
 
     def __post_init__(self):
         disc = Ball(center=self.center, radius=float(self.radius))
@@ -628,60 +452,56 @@ class RegularPolygon(HalfspaceIntersection):
         center, radius, n = disc.center, disc.radius, int(self.sides)
         angles = 2.0 * np.pi * np.arange(n) / n
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
-        # cos(pi/n) as the stored normals have it: the cosine of the largest
-        # half-angle between neighbouring normals
-        cos_half = np.sqrt(
-            (1.0 + np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0)))
-            / 2.0).min()
         for name, value in (("center", center), ("radius", radius),
                             ("sides", n), ("normals", normals),
                             ("offsets", normals @ center + radius),
-                            ("circumradius", radius / float(cos_half))):
+                            ("circumradius", radius / math.cos(math.pi / n))):
             object.__setattr__(self, name, value)
         super().__post_init__()
-        object.__setattr__(self, "_sectors", _Sectors.build(self))
 
-    def radii(self, tol):
-        """Distances from the centre within which every face violation
-        surely rounds to <= ``tol``, and beyond which one surely rounds to
-        > ``tol`` (see BALL_SLACK)."""
-        r, big_r = self.radius, self.circumradius
-        slack = BALL_SLACK * (r + abs(tol) + float(np.linalg.norm(self.center)))
-        return (r + tol - slack,
-                (r + tol + slack) * big_r / (r - BALL_SLACK * big_r))
-
-    def sure(self, pts, tol):
-        """Masks of the rows inside the inner and beyond the outer radius."""
-        inner, outer = self.radii(tol)
-        dist2 = _dist2(pts, self.center)
-        return (dist2 <= math.copysign(inner * inner, inner),
-                dist2 > math.copysign(outer * outer, outer))
+    def _sector(self, pts):
+        """The normal m_j of each row's sector (two columns) and the row's
+        coordinates u, v on it."""
+        dx = pts[:, 0] - self.center[0]
+        dy = pts[:, 1] - self.center[1]
+        j = np.rint(np.arctan2(dy, dx) * (self.sides / (2.0 * math.pi)))
+        j = j.astype(np.intp) % self.sides
+        mx, my = self.normals[:, 0].take(j), self.normals[:, 1].take(j)
+        return mx, my, dx * mx + dy * my, dy * mx - dx * my
 
     def _contains(self, pts, tol):
-        inside, outside = self.sure(pts, tol)
-        rest = ~(inside | outside)
-        inside[rest] = super()._contains(pts[rest], tol)
+        reach = self.radius + tol
+        if reach < 0.0:
+            return np.zeros(len(pts), dtype=bool)
+        # inside within r + tol of c, outside beyond the corners of the
+        # polygon widened by tol, and the sector test on the ring between
+        dist2 = _dist2(pts, self.center)
+        inside = dist2 <= reach * reach
+        outer = reach / math.cos(math.pi / self.sides)
+        ring = np.flatnonzero(~inside & (dist2 <= outer * outer))
+        inside[ring] = self._sector(pts[ring])[2] <= reach
         return inside
 
     @cached_property
     def vertices(self) -> np.ndarray:
-        """The corners, from the n adjacent face pairs in ``triu_indices``
-        order: (0, 1), (0, n - 1), (1, 2), ..., (n - 2, n - 1)."""
-        n = self.sides
-        pairs = (np.concatenate([[0, 0], np.arange(1, n - 1)]),
-                 np.concatenate([[1, n - 1], np.arange(2, n)]))
-        return _polygon_vertices(self.normals, self.offsets, pairs)
+        """The corners c + R (cos, sin)((j + 1/2) 2 pi / n), j = 0..n - 1;
+        corner j is shared by faces j and j + 1."""
+        angles = np.pi * (2.0 * np.arange(self.sides) + 1.0) / self.sides
+        return self.center + self.circumradius * np.column_stack(
+            [np.cos(angles), np.sin(angles)])
 
     def _project(self, pts):
-        inside, _ = self.sure(pts, 0.0)
-        rest = np.flatnonzero(~inside)
+        # rows inside the disc stay where they are
         out = pts.copy()
-        if self._sectors is not None and len(rest):
-            settled, proj = self._sectors.project(pts[rest])
-            out[rest[settled]] = proj[settled]
-            rest = rest[~settled]
-        if len(rest):
-            out[rest] = super()._project(pts[rest])
+        r = self.radius
+        far = np.flatnonzero(_dist2(pts, self.center) > r * r)
+        mx, my, u, v = self._sector(pts[far])
+        outside = u > r
+        far, mx, my, v = far[outside], mx[outside], my[outside], v[outside]
+        half = r * math.tan(math.pi / self.sides)
+        np.clip(v, -half, half, out=v)
+        out[far, 0] = self.center[0] + r * mx - v * my
+        out[far, 1] = self.center[1] + r * my + v * mx
         return out
 
     def to_config(self):
@@ -689,16 +509,15 @@ class RegularPolygon(HalfspaceIntersection):
                 "radius": self.radius, "sides": self.sides}
 
 
-def _polygon_vertices(normals, offsets, pairs=None, tol=1e-9):
+def _polygon_vertices(normals, offsets, tol=1e-9):
     """Feasible intersections of face-line pairs of a 2D half-space system.
 
-    ``pairs`` (two index arrays, ``i < j``) defaults to all pairs in the
-    order (0, 1), (0, 2), ..., (1, 2), ...; nearly parallel pairs are
-    skipped. All pairs go through one batched solve; the feasibility test
-    runs over blocks of pairs, so it holds at most ``VERTEX_BLOCK``
-    violations at a time however many faces there are.
+    The pairs come in the order (0, 1), (0, 2), ..., (1, 2), ...; nearly
+    parallel pairs are skipped. All pairs go through one batched solve; the
+    feasibility test runs over blocks of pairs, so it holds at most
+    ``VERTEX_BLOCK`` violations at a time however many faces there are.
     """
-    i, j = np.triu_indices(len(offsets), 1) if pairs is None else pairs
+    i, j = np.triu_indices(len(offsets), 1)
     det = normals[i, 0] * normals[j, 1] - normals[i, 1] * normals[j, 0]
     keep = np.abs(det) >= 1e-12
     i, j = i[keep], j[keep]
@@ -757,7 +576,7 @@ def half_line(threshold: float = 0.0) -> HalfspaceIntersection:
 def polygon_approximation(ball: Ball, n: int) -> RegularPolygon:
     """Circumscribed regular n-gon around a 2D ball: the ``RegularPolygon``
     whose inscribed ball is ``ball``. Its ``to_config`` rebuilds the same
-    polygon, fast paths and arithmetic included."""
+    polygon."""
     if not isinstance(ball, Ball) or ball.dim != 2:
         raise UnsupportedDimension("polygon approximation needs a 2D ball")
     return RegularPolygon(center=ball.center, radius=ball.radius, sides=n)

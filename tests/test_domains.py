@@ -15,7 +15,7 @@ from oulab.domains import (CONTAINS_TOL, DYKSTRA_TOL, Ball, DimensionMismatch,
                            EmptyDomain, HalfspaceIntersection, NoConvergence,
                            Product, RegularPolygon, Slab,
                            UnsupportedDimension, WholeSpace,
-                           _dykstra, _polygon_vertices, _Sectors,
+                           _dist2, _dykstra, _polygon_vertices,
                            domain_from_config, half_line, interval,
                            polygon_approximation, truncation_box)
 from oulab.engines.montecarlo import evolve_starts
@@ -213,44 +213,115 @@ def _shell_points(ball, n, radii, rng):
     return ball.center + rows[:, :1] * unit
 
 
+EPS = np.finfo(float).eps
+
+
+def _scale(gon, pts):
+    """|p| + |c| + R per row: the size of every quantity the closed form
+    and the face path round."""
+    return (np.linalg.norm(pts, axis=1) + np.linalg.norm(gon.center)
+            + gon.circumradius)
+
+
+def _assert_is_the_projection(gon, pts, out):
+    """``out`` is the projection of ``pts`` onto ``gon`` up to rounding.
+
+    The closed form c + r m_j + w t_j rounds each coordinate three times
+    and the violations m_k . q - b_k round three more, each by at most
+    eps times the size of their terms (|c|, R, |q|); the sector's u and v
+    carry 2 eps |p - c|, which moves a row's answer by as much along its
+    face or across the u <= r decision. So q is within E = 4 eps S of the
+    projection onto the exact faces, S = |p| + |c| + R, and feasible to
+    twice that. The obtuse-angle inequality (p - q) . (y - q) <= 0 for
+    every vertex y (so for all of the polygon) then holds up to
+    E (|p - q| + 2 R) for q's error and as much for the test's own
+    products."""
+    scale = _scale(gon, pts)
+    assert np.all(gon._violations(out).max(axis=1) <= 8.0 * EPS * scale)
+    away = pts - out
+    corner_x, corner_y = gon.vertices.T
+    obtuse = np.concatenate([
+        ((corner_x - q[:, :1]) * a[:, :1]
+         + (corner_y - q[:, 1:]) * a[:, 1:]).max(axis=1)
+        for q, a in zip(np.array_split(out, len(out) // 2048 + 1),
+                        np.array_split(away, len(out) // 2048 + 1))])
+    gap = np.linalg.norm(away, axis=1)
+    assert np.all(obtuse <= 8.0 * EPS * scale * (gap + 2.0 * gon.circumradius))
+
+
+def _face_path_gap(gon, pts):
+    """How far the face path may part from the closed form.
+
+    The face path keeps a foot on face j while it violates a neighbour by
+    at most DYKSTRA_TOL (plus the rounding of the foot and its violations,
+    under 2 eps S each way), and a violation d of the neighbour is d /
+    sin(2 pi / n) along face j past the vertex."""
+    sin_b = math.sin(2.0 * math.pi / gon.sides)
+    return (DYKSTRA_TOL + 4.0 * EPS * _scale(gon, pts)) / sin_b
+
+
+def _assert_contains_within_rounding(gon, pts, tols):
+    """``contains(pts, tol)`` is "every violation <= tol" except within
+    8 eps S of tol, where the closed form's u and the face violations may
+    round to either side; at tol < -r nothing is contained."""
+    worst = gon._violations(pts).max(axis=1)
+    band = 8.0 * EPS * _scale(gon, pts)
+    for tol in tols:
+        got = gon.contains(pts, tol)
+        if gon.radius + tol < 0.0:
+            assert not got.any()
+        sure = np.abs(worst - tol) > band
+        assert np.array_equal(got[sure], worst[sure] <= tol)
+
+
 @pytest.mark.parametrize("n", [3, 4, 16, 256])
 @pytest.mark.parametrize("ball", SHORTCUT_BALLS, ids=["unit", "offcentre"])
 def test_polygon_shortcut_is_exact(ball, n):
-    # the generic system on the same faces runs the face path on every
-    # row: the shortcut must not change a single bit
+    # the disc tests and the sector step give the projection and the
+    # membership up to rounding on both sides of every radius they test,
+    # with the face path as a second opinion
     gon = polygon_approximation(ball, n)
     rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
     rng = np.random.default_rng(n)
     cos_n = math.cos(math.pi / n)
     radii = [ball.radius, ball.radius / cos_n]
-    for tol in (0.0, DYKSTRA_TOL, CONTAINS_TOL):
-        radii += list(gon.radii(tol))
-        radii.append((ball.radius + tol) / cos_n)
+    for tol in (0.0, DYKSTRA_TOL, CONTAINS_TOL, -CONTAINS_TOL):
+        radii += [ball.radius + tol, (ball.radius + tol) / cos_n]
     pts = np.concatenate([_shell_points(ball, n, radii, rng),
                           rng.standard_normal((1000, 2))])
-    assert np.array_equal(gon.project(pts), rebuilt.project(pts))
-    for tol in (0.0, DYKSTRA_TOL, CONTAINS_TOL, 0.5):
-        assert np.array_equal(gon.contains(pts, tol),
-                              rebuilt.contains(pts, tol))
-    # single points, and one undecided row beside a decided one: numpy
-    # sends a one-row matmul through gemv, which rounds differently
-    for p in pts[::len(pts) // 300]:
-        pair = np.stack([ball.center, p])
-        assert np.array_equal(gon.project(p), rebuilt.project(p))
-        assert np.array_equal(gon.project(pair), rebuilt.project(pair))
-        assert np.array_equal(gon.contains(pair), rebuilt.contains(pair))
+    out = gon.project(pts)
+    _assert_is_the_projection(gon, pts, out)
+    assert np.all(np.abs(out - rebuilt.project(pts)).max(axis=1)
+                  <= _face_path_gap(gon, pts))
+    _assert_contains_within_rounding(
+        gon, pts, (0.0, DYKSTRA_TOL, CONTAINS_TOL, 0.5, -CONTAINS_TOL,
+                   -0.5 * ball.radius, -2.0 * ball.radius))
+    # a row's answer does not depend on the rows beside it
+    inside = gon.contains(pts)
+    for i in range(0, len(pts), len(pts) // 300):
+        pair = np.stack([ball.center, pts[i]])
+        assert np.array_equal(gon.project(pts[i]), out[i])
+        assert np.array_equal(gon.project(pair)[1], out[i])
+        assert gon.contains(pts[i]) == inside[i]
 
 
-def test_polygon_shortcut_coupled_paths_are_exact():
+def test_polygon_coupled_paths_follow_the_face_path():
     ball = SHORTCUT_BALLS[1]
     gon = polygon_approximation(ball, 256)
     rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
     starts = np.repeat(ball.center[None, :], 2000, axis=0)
-    ends_gon, ends_rebuilt = evolve_starts([gon, rebuilt], starts, 0.5,
-                                           1e-2, seed=4)
-    assert np.array_equal(ends_gon, ends_rebuilt)
-    # some paths end on the boundary, so the face path did run
+    t, h = 0.5, 1e-2
+    ends_gon, ends_rebuilt = evolve_starts([gon, rebuilt], starts, t, h,
+                                           seed=4)
+    # both projections are nonexpansive up to rounding, so the paths part
+    # by at most one face-path gap per step
+    steps = round(t / h)
+    gap = steps * _face_path_gap(gon, np.concatenate([ends_gon,
+                                                      ends_rebuilt])).max()
+    assert np.abs(ends_gon - ends_rebuilt).max() <= gap
+    # some paths end on the boundary, so the sector step did run
     assert not gon.contains(ends_gon, tol=-1e-9).all()
+    _assert_contains_within_rounding(gon, ends_gon, [-1e-9])
 
 
 def _sector_panel(gon, ball, rng):
@@ -307,62 +378,67 @@ def test_sector_path_is_the_face_path(ball, n):
     # the generic system on the same faces runs the face path
     gon = polygon_approximation(ball, n)
     rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
-    assert gon._sectors is not None
     pts = _sector_panel(gon, ball, np.random.default_rng(n))
-    for chunk in np.array_split(pts, math.ceil(len(pts) / 2000)):
-        assert np.array_equal(gon.project(chunk), rebuilt.project(chunk))
-    # the panel settles rows inside the polygon, on a face and at a
-    # vertex, and rows beyond the reach fall back
-    settled, out = gon._sectors.project(pts)
-    free = settled & np.all(out == pts, axis=1)
-    at_vertex = (out[:, None, :] == gon.vertices).all(axis=2).any(axis=1)
-    corner = settled & at_vertex
-    assert free.any() and corner.any() and (settled & ~free & ~corner).any()
-    assert not settled.all()
-    for p in pts[::len(pts) // 50]:
-        assert np.array_equal(gon.project(p), rebuilt.project(p))
+    out = gon.project(pts)
+    _assert_is_the_projection(gon, pts, out)
+    face = np.concatenate([rebuilt.project(chunk) for chunk in
+                           np.array_split(pts, math.ceil(len(pts) / 2000))])
+    # The face path ranks its candidates by |p - y|^2, rounded to 4 eps
+    # |p - q|^2. Neighbouring vertices on a face differ by at least L^2
+    # (L the edge), so it cannot confuse them while |p - q| < L / (2
+    # sqrt(eps)); the 1024-gon's rows at 1e6 R and beyond are past that,
+    # and the face path's own answer is off by whole edges there.
+    edge = 2.0 * gon.radius * math.tan(math.pi / n)
+    ranked = np.linalg.norm(pts - out, axis=1) < edge / (2.0 * math.sqrt(EPS))
+    assert ranked.mean() > 0.95
+    assert np.all(np.abs(out - face).max(axis=1)[ranked]
+                  <= _face_path_gap(gon, pts)[ranked])
+    # the panel has rows inside the polygon, on a face and at a vertex
+    free = np.all(out == pts, axis=1)
+    vertex = np.linalg.norm(out[:, None, :] - gon.vertices,
+                            axis=2).min(axis=1) <= 8.0 * EPS * _scale(gon, pts)
+    assert free.any() and vertex.any() and (~free & ~vertex).any()
+    for i in range(0, len(pts), len(pts) // 50):
+        assert np.array_equal(gon.project(pts[i]), out[i])
 
 
-def test_sector_path_settles_almost_every_row(monkeypatch):
-    # polygon_reflect's largest polygon: all but a sliver of the rows
-    # outside the inscribed ball must be settled without the face path
+def test_sector_step_skips_rows_inside_the_disc(monkeypatch):
+    # polygon_reflect's largest polygon: only rows outside the inscribed
+    # disc reach the sector step, and every end is the projection
     ball = Ball(center=[0.0, 0.0], radius=1.0)
     gon = polygon_approximation(ball, 256)
     counts = []
-    sector_project = _Sectors.project
+    sector = RegularPolygon._sector
 
     def spy(self, pts):
-        settled, out = sector_project(self, pts)
-        counts.append((len(pts), int(np.count_nonzero(settled))))
-        return settled, out
+        counts.append((len(pts), int(np.count_nonzero(
+            _dist2(pts, self.center) <= self.radius ** 2))))
+        return sector(self, pts)
 
-    monkeypatch.setattr(_Sectors, "project", spy)
+    monkeypatch.setattr(RegularPolygon, "_sector", spy)
     starts = restricted_sample(ball, 8000, 5).points
-    evolve_starts([gon], starts, 0.5, 4e-3, seed=6)
-    outside, settled = np.sum(counts, axis=0)
+    ends = evolve_starts([gon], starts, 0.5, 4e-3, seed=6)[0]
+    outside, inside = np.sum(counts, axis=0)
     assert outside > 50_000
-    assert outside - settled < 0.01 * outside
+    assert inside == 0
+    assert gon.contains(ends, tol=8.0 * EPS * _scale(gon, ends).max()).all()
 
 
-def test_merged_vertices_take_the_face_path():
-    # at radius 1e-8 the 1e-9 vertex dedup merges neighbouring vertices
-    # of the 256-gon, so the corner map of the sector path would be wrong
+def test_tiny_polygon_projects_feasibly():
+    # at radius 1e-8 the 1e-9 vertex dedup of the face path merges
+    # neighbouring vertices of the 256-gon; the closed form has them all
     ball = Ball(center=[0.0, 0.0], radius=1e-8)
     gon = polygon_approximation(ball, 256)
-    assert len(gon.vertices) < 256
-    assert gon._sectors is None
+    assert len(gon.vertices) == 256
+    assert len(_polygon_vertices(gon.normals, gon.offsets)) < 256
     rng = np.random.default_rng(8)
     pts = np.concatenate([s * 1e-8 * rng.standard_normal((500, 2))
                           for s in (0.5, 1.0, 1.02, 3.0, 1e3)])
-    assert np.array_equal(gon.project(pts),
-                          HalfspaceIntersection._project(gon, pts))
-    # the generic system on the same faces enumerates all face pairs and
-    # keeps more vertices (the 1e-9 feasibility tolerance is a tenth of the
-    # polygon), so the two face paths part only where their vertex sets
-    # do, beyond about 3 r
-    rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
-    near = pts[:2000]
-    assert np.array_equal(gon.project(near), rebuilt.project(near))
+    out = gon.project(pts)
+    _assert_is_the_projection(gon, pts, out)
+    # the face path on the closed-form vertices
+    face = HalfspaceIntersection._project(gon, pts)
+    assert np.all(np.abs(out - face).max(axis=1) <= _face_path_gap(gon, pts))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 1000])
@@ -428,22 +504,44 @@ def _vertex_panel():
     return panel
 
 
+def _assert_same_vertices(gon, solved):
+    """The closed-form corners of ``gon`` are the ``solved`` vertex set.
+
+    A solved corner is where two face lines at angle beta = 2 pi / n
+    cross. Each line is off by under 2 eps (|c| + R) (its normal's rounding
+    at the corner and its offset's), the solve rounds as much again, and a
+    line moved by d moves the crossing by up to d / sin(beta): under
+    8 eps (|c| + R) / sin(beta) in all. The closed form's own rounding,
+    2 eps (|c| + R), fits in what that overstates."""
+    bound = (8.0 * EPS * (np.linalg.norm(gon.center) + gon.circumradius)
+             / math.sin(2.0 * math.pi / gon.sides))
+    dist = np.linalg.norm(solved[:, None, :] - gon.vertices[None, :, :],
+                          axis=2)
+    assert solved.shape == gon.vertices.shape
+    assert np.array_equal(np.sort(dist.argmin(axis=1)),
+                          np.arange(gon.sides))
+    assert dist.min(axis=1).max() <= bound
+
+
 @pytest.mark.parametrize("dom", _vertex_panel())
 def test_polygon_vertices_match_pairwise_loop(dom):
     expected = _reference_vertices(dom.normals, dom.offsets)
     got = _polygon_vertices(dom.normals, dom.offsets)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
-    # a RegularPolygon solves only its n adjacent face pairs
-    assert np.array_equal(dom.vertices, expected)
+    # a RegularPolygon has its corners in closed form
+    if isinstance(dom, RegularPolygon):
+        _assert_same_vertices(dom, expected)
+    else:
+        assert np.array_equal(dom.vertices, expected)
 
 
 def test_polygon_vertices_memory_is_bounded():
     # all 523,776 face pairs of a 1024-gon against all faces would be a
     # 4 GB feasibility matrix; with row blocks the peak is the per-pair
     # arrays, about 50 MB. Only the generic system on the same faces
-    # enumerates them all; the RegularPolygon itself solves its 1,024
-    # adjacent pairs and must find the same vertices bit for bit.
+    # enumerates them all; the RegularPolygon has its 1,024 corners in
+    # closed form, and they must be the same vertices.
     gon = polygon_approximation(Ball(center=[0.0, 0.0], radius=1.0), 1024)
     rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
     tracemalloc.start()
@@ -456,7 +554,7 @@ def test_polygon_vertices_memory_is_bounded():
     assert np.allclose(np.linalg.norm(verts, axis=1),
                        1.0 / math.cos(math.pi / 1024))
     assert peak < 256e6
-    assert np.array_equal(gon.vertices, verts)
+    _assert_same_vertices(gon, verts)
 
 
 def _reference_project_candidates(self, pts):
