@@ -19,6 +19,9 @@ UNIT_TOL = 1e-12
 CONTAINS_TOL = 1e-9
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_SWEEPS = 10_000
+# the rounding a face foot and its violations may take, per unit of
+# |p|_1 + max |b| (a few roundings of terms of that size)
+FOOT_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 class DimensionMismatch(ValueError):
@@ -190,7 +193,8 @@ class HalfspaceIntersection(ConvexDomain):
         # superset of the intersection).
         j = j[bad]
         cand = sub - worst[bad][:, None] * self.normals[j]
-        feasible = np.all(self._violations(cand) <= DYKSTRA_TOL, axis=1)
+        feasible = np.all(self._foot_violations(cand, j)
+                          <= self._foot_tol(sub)[:, None], axis=1)
         if not np.all(feasible):
             rest = sub[~feasible]
             if self.dim == 2:
@@ -200,6 +204,22 @@ class HalfspaceIntersection(ConvexDomain):
         out[bad] = cand
         return out
 
+    def _foot_violations(self, feet, faces):
+        """Violations of each foot, with its own face left out: a normal
+        may be ``UNIT_TOL`` off unit, which leaves the foot off its face by
+        that much of its step, far above the rounding ``_foot_tol`` allows
+        the other faces."""
+        viol = self._violations(feet)
+        viol[np.arange(len(feet)), faces] = -np.inf
+        return viol
+
+    def _foot_tol(self, pts):
+        """The most a face foot of each row may violate another face by
+        rounding alone; a foot past that is outside, and a vertex is
+        nearer."""
+        return FOOT_ROUNDING * (np.abs(pts).sum(axis=1)
+                                + np.abs(self.offsets).max())
+
     def _project_candidates(self, pts):
         """Exact 2D projection by enumerating face and vertex candidates.
 
@@ -207,19 +227,22 @@ class HalfspaceIntersection(ConvexDomain):
         violated at the point, so only violated faces contribute face
         candidates; vertices cover the rest. Closed form, unlike iterative
         projection, which stalls on nearly parallel adjacent faces.
-        Candidates are tested in blocks of at most ``VERTEX_BLOCK``
-        violations.
+        A face candidate counts only while it violates no other face by
+        more than its rounding (``_foot_tol``). Candidates are tested in
+        blocks of at most ``VERTEX_BLOCK`` violations.
         """
         n, m = len(pts), len(self.offsets)
         sviol = self._violations(pts)
         dist2 = np.full((n, m), np.inf)
         rows, faces = np.nonzero(sviol > 0.0)
         cand = pts[rows] - sviol[rows, faces][:, None] * self.normals[faces]
+        tol = self._foot_tol(pts)[rows]
         ok = np.empty(len(cand), dtype=bool)
         block = max(1, VERTEX_BLOCK // m)
         for start in range(0, len(cand), block):
             sl = slice(start, start + block)
-            ok[sl] = self._contains(cand[sl], DYKSTRA_TOL)
+            ok[sl] = np.all(self._foot_violations(cand[sl], faces[sl])
+                            <= tol[sl, None], axis=1)
         dist2[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]] ** 2
         verts = self.vertices
         if len(verts):
@@ -323,9 +346,9 @@ class Ball(ConvexDomain):
     def _project(self, pts):
         r = np.sqrt(_dist2(pts, self.center))
         out = pts.copy()
-        bad = r > self.radius
-        out[bad] = self.center + (pts[bad] - self.center) \
-            * (self.radius / r[bad])[:, None]
+        far = np.flatnonzero(r > self.radius)
+        out[far] = self.center + (pts[far] - self.center) \
+            * (self.radius / r[far])[:, None]
         return out
 
     def axis_bounds(self):

@@ -177,6 +177,8 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
     u = op.check_values(values)
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    if isinstance(n_steps, float) and not n_steps.is_integer():
+        raise ValueError(f"n_steps must be a whole number, got {n_steps!r}")
     steps = DEFAULT_CN_STEPS if n_steps is None else int(n_steps)
     if steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")

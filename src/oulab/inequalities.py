@@ -14,6 +14,14 @@ plain Gaussian integrals. The variance/energy comparison is invariant
 under that normalization, and the entropy inequality is stated in the
 normalized form, which is the version that is exact for constants on
 domains of any mass.
+
+The sampled checks (Poincare, log-Sobolev) stream their sample: f, its
+gradient and the integrands are evaluated on the blocks of at most
+``gauss.BLOCK_ROWS`` rows that ``gauss._sample_blocks`` yields, and each
+block is reduced at once into a ``gauss.Moments`` accumulator. No array
+of ``n_samples`` rows is built, and the rows are those of
+``restricted_sample``; only the order of summation differs from a
+reduction of one whole array.
 """
 from __future__ import annotations
 
@@ -23,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import ConvexDomain
-from .gauss import mean_se, restricted_sample
+from .gauss import (Moments, _sample_blocks, _sampler_details, mean_se,
+                    restricted_sample)
 from .engines.grid import (grid_apply, fd_gradient, weighted_mean, l2_norm,
                            propagator_details, GridOperator, DEFAULT_CN_STEPS)
 from .engines.montecarlo import evolve_starts, path_details, DEFAULT_STEP
@@ -73,32 +82,6 @@ class InequalityReport:
                 f"margin={self.margin:.3g} tol={self.tolerance:.3g}")
 
 
-def _var_se(values: np.ndarray):
-    """Sample variance and its standard error (fourth-moment formula).
-
-    The fourth central moment is the mean of ``sq * sq`` for the squared
-    deviations ``sq``: numpy hands ``centered ** 4`` to libm ``pow``, which
-    costs some eighty times a multiply. It may differ from the ``pow``
-    value in the last bit, which moves only the standard error.
-    """
-    n = len(values)
-    centered = values - values.mean()
-    sq = centered * centered
-    m2 = float(np.mean(sq))
-    var = m2 * n / (n - 1) if n > 1 else 0.0
-    sq *= sq
-    m4 = float(np.mean(sq))
-    se = math.sqrt(max(m4 - m2 * m2 * (n - 3) / (n - 1), 0.0) / n) if n > 3 else 0.0
-    return var, se
-
-
-def _sampler_details(sample) -> dict:
-    """How a sampled report's points were drawn."""
-    return {"sampler": sample.sampler,
-            "acceptance_rate": sample.acceptance_rate,
-            "proposed": sample.proposed}
-
-
 def _scale_floor(*values) -> float:
     return EPS_FLOOR * max(1.0, *(abs(v) for v in values))
 
@@ -112,17 +95,19 @@ def _cells(op: GridOperator):
 def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
                    seed: int = 0) -> InequalityReport:
     """Variance of f bounded by the mean squared gradient norm (constant one)."""
-    sample = restricted_sample(domain, n_samples, seed)
-    pts = sample.points
-    vals = np.asarray(f.eval(pts), dtype=float)
-    grad = f.gradient(pts)
-    lhs, se_lhs = _var_se(vals)
-    rhs, se_rhs = mean_se(np.einsum("ij,ij->i", grad, grad))
+    values, grad_sq = Moments(fourth=True), Moments(fourth=False)
+    for pts, accepted, proposed in _sample_blocks(domain, n_samples, seed):
+        values.add(np.asarray(f.eval(pts), dtype=float))
+        grad = f.gradient(pts)
+        grad_sq.add(np.einsum("ij,ij->i", grad, grad))
+    lhs, se_lhs = values.var_se()
+    rhs, se_rhs = grad_sq.mean_se()
     tol = 3.0 * (se_lhs + se_rhs) + _scale_floor(lhs, rhs)
     return InequalityReport(
         name="poincare", lhs=lhs, rhs=rhs, tolerance=tol,
         details={"n_samples": n_samples, "seed": seed, "se_lhs": se_lhs,
-                 "se_rhs": se_rhs, **_sampler_details(sample),
+                 "se_rhs": se_rhs,
+                 **_sampler_details(domain, accepted, proposed),
                  "tolerance_rule": "3*(se_lhs+se_rhs)+eps"})
 
 
@@ -135,17 +120,21 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
     |f| below ``LOG_CLIP`` are clipped inside the logarithm (0 log 0 = 0)
     and the clip count is reported.
     """
-    sample = restricted_sample(domain, n_samples, seed)
-    pts = sample.points
-    vals = np.asarray(f.eval(pts), dtype=float)
-    grad = f.gradient(pts)
-    absv = np.abs(vals)
-    clipped = int(np.count_nonzero(absv < LOG_CLIP))
-    logs = np.log(np.maximum(absv, LOG_CLIP))
-    integrand = np.where(absv > 0.0, vals * vals * logs, 0.0)
-    lhs, se_lhs = mean_se(integrand)
-    energy, se_energy = mean_se(np.einsum("ij,ij->i", grad, grad))
-    nrm2, se_nrm2 = mean_se(vals * vals)
+    entropy, grad_sq, square = (Moments(fourth=False) for _ in range(3))
+    clipped = 0
+    for pts, accepted, proposed in _sample_blocks(domain, n_samples, seed):
+        vals = np.asarray(f.eval(pts), dtype=float)
+        grad = f.gradient(pts)
+        absv = np.abs(vals)
+        clipped += int(np.count_nonzero(absv < LOG_CLIP))
+        logs = np.log(np.maximum(absv, LOG_CLIP))
+        sq = vals * vals
+        entropy.add(np.where(absv > 0.0, sq * logs, 0.0))
+        grad_sq.add(np.einsum("ij,ij->i", grad, grad))
+        square.add(sq)
+    lhs, se_lhs = entropy.mean_se()
+    energy, se_energy = grad_sq.mean_se()
+    nrm2, se_nrm2 = square.mean_se()
     norm_term = 0.5 * nrm2 * math.log(nrm2) if nrm2 > 0 else 0.0
     se_norm = abs(0.5 * (math.log(nrm2) + 1.0)) * se_nrm2 if nrm2 > 0 else 0.0
     rhs = energy + norm_term
@@ -153,7 +142,8 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
     return InequalityReport(
         name="log_sobolev", lhs=lhs, rhs=rhs, tolerance=tol,
         details={"n_samples": n_samples, "seed": seed, "clipped": clipped,
-                 "energy": energy, "l2_sq": nrm2, **_sampler_details(sample),
+                 "energy": energy, "l2_sq": nrm2,
+                 **_sampler_details(domain, accepted, proposed),
                  "tolerance_rule": "3*(se_lhs+se_energy+se_norm)+eps"})
 
 

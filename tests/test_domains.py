@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import scipy.optimize
 from scipy.special import ndtri
 from scipy.stats import norm
+from oulab import domains
 
 from oulab.config import load_default_config
 from oulab.domains import (CONTAINS_TOL, DYKSTRA_TOL, Ball, DimensionMismatch,
@@ -272,6 +273,117 @@ def _assert_contains_within_rounding(gon, pts, tols):
             assert not got.any()
         sure = np.abs(worst - tol) > band
         assert np.array_equal(got[sure], worst[sure] <= tol)
+
+
+def _mask_ball_project(ball, pts):
+    """Ball projection gathering the rows outside by a boolean mask."""
+    r = np.sqrt(_dist2(pts, ball.center))
+    out = pts.copy()
+    bad = r > ball.radius
+    out[bad] = ball.center + (pts[bad] - ball.center) \
+        * (ball.radius / r[bad])[:, None]
+    return out
+
+
+@pytest.mark.parametrize("ball", SHORTCUT_BALLS + [
+    Ball(center=[0.5, -1.0, 2.0], radius=0.7)],
+    ids=["unit", "offcentre", "3d"])
+def test_ball_projection_gathers_by_index(ball):
+    rng = np.random.default_rng(ball.dim)
+    # rows exactly at the radius along each axis, and shells on both sides
+    on_axes = ball.center + ball.radius * np.vstack([np.eye(ball.dim),
+                                                     -np.eye(ball.dim)])
+    pts = [on_axes, ball.center + rng.standard_normal((2000, ball.dim))]
+    if ball.dim == 2:
+        pts.append(_shell_points(ball, 8, [ball.radius], rng))
+    pts = np.concatenate(pts)
+    out = ball.project(pts)
+    assert np.array_equal(out, _mask_ball_project(ball, pts))
+    assert np.array_equal(out[:len(on_axes)], on_axes)
+
+
+GENERIC_POLYGON = HalfspaceIntersection(
+    normals=np.column_stack([np.cos([0.3, 1.4, 2.9, 4.0, 5.2]),
+                             np.sin([0.3, 1.4, 2.9, 4.0, 5.2])]),
+    offsets=[1.0, 0.8, 1.2, 0.9, 1.1])
+
+
+def _past_the_corners(dom, dists):
+    """Rows ``dists`` past each vertex, in directions well inside its
+    normal cone (the bisector of its two face normals and 20% either
+    side), with the vertex each one projects to."""
+    rows, corners = [], []
+    for vertex in dom.vertices:
+        faces = np.flatnonzero(np.abs(dom._violations(vertex[None, :])[0])
+                               <= 1e-12)
+        n_a, n_b = dom.normals[faces[:2]]
+        for w in (0.4, 0.5, 0.6):
+            direction = w * n_a + (1.0 - w) * n_b
+            direction /= np.linalg.norm(direction)
+            for d in dists:
+                rows.append(vertex + d * direction)
+                corners.append(vertex)
+    return np.array(rows), np.array(corners)
+
+
+@pytest.mark.parametrize("dom", [
+    HalfspaceIntersection(normals=[[-1.0, 0.0], [0.0, -1.0]],
+                          offsets=[0.0, 0.0]),
+    GENERIC_POLYGON], ids=["quadrant", "pentagon"])
+def test_a_face_foot_past_a_neighbouring_face_gives_way_to_the_corner(dom):
+    # the foot on the most violated face violates its neighbour by less
+    # than DYKSTRA_TOL here, but it is outside: the corner is the answer
+    pts, corners = _past_the_corners(dom, [1e-12, 1e-11, 1e-10])
+    if len(dom.offsets) == 2:  # {x >= 0, y >= 0}
+        pts = np.concatenate([pts, [[-0.5, -1e-11], [-1e-11, -0.5],
+                                    [-3.0, -5e-11]]])
+        corners = np.zeros((len(pts), 2))
+    # the foot's violation of the neighbour is within DYKSTRA_TOL
+    worst = np.argmax(dom._violations(pts), axis=1)
+    viol = dom._violations(pts)[np.arange(len(pts)), worst]
+    feet = pts - viol[:, None] * dom.normals[worst]
+    assert np.all(dom._violations(feet).max(axis=1) <= DYKSTRA_TOL)
+    for out in (dom.project(pts), dom._project_candidates(pts),
+                np.array([dom.project(p) for p in pts])):
+        assert np.all(dom._violations(out).max(axis=1)
+                      <= dom._foot_tol(pts))
+        assert np.array_equal(out, corners)
+
+
+@pytest.mark.parametrize("scale", [1.0 - 5e-13, 1.0 + 5e-13],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("normals", [
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0]],
+    [[1.0, 0.0], [-1.0, 0.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+], ids=["vertex", "one-face", "parallel", "3d"])
+def test_a_foot_on_a_not_quite_unit_normal_is_kept(normals, scale,
+                                                   monkeypatch):
+    # a normal 5e-13 off unit leaves the foot off its own face by about
+    # 1e-12 of its step, far above the foot's rounding bound; that face is
+    # not a neighbour, so the foot stands (no vertex, no Dykstra)
+    normals = np.array(normals)
+    normals[0] *= scale
+    dom = HalfspaceIntersection(normals=normals,
+                                offsets=np.ones(len(normals)))
+
+    def no_dykstra(*args, **kwargs):
+        raise AssertionError("a face foot went to Dykstra")
+
+    monkeypatch.setattr(domains, "_dykstra", no_dykstra)
+    x = np.array([1.5, 3.0, 3.0, 1e3, 1e6])
+    pts = np.zeros((len(x), dom.dim))
+    pts[:, 0] = x
+    pts[1:, 1:] = -0.5
+    feet = pts - dom._violations(pts)[:, :1] * dom.normals[0]
+    outs = [dom.project(pts), np.array([dom.project(p) for p in pts])]
+    if dom.dim == 2:
+        outs.append(dom._project_candidates(pts))
+    for out in outs:
+        assert np.array_equal(out, feet)
+        assert np.all(np.abs(out[:, 0] - 1.0) <= 2e-12 * x)
+        assert np.all(dom._violations(out)[:, 1:] <= 0.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 16, 256])
@@ -565,7 +677,8 @@ def _reference_project_candidates(self, pts):
     dist2 = np.full((n, m), np.inf)
     rows, faces = np.nonzero(sviol > 0.0)
     cand = pts[rows] - sviol[rows, faces][:, None] * self.normals[faces]
-    ok = self._contains(cand, DYKSTRA_TOL)
+    ok = np.all(self._foot_violations(cand, faces)
+                <= self._foot_tol(pts)[rows, None], axis=1)
     dist2[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]] ** 2
     verts = self.vertices
     if len(verts):

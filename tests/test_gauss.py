@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,13 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 from scipy.special import erf
 
-from oulab.domains import Ball, HalfspaceIntersection, WholeSpace, half_line
-from oulab.gauss import (_DRAW_BATCH, PROBE_BATCH, MassTooSmall,
-                         gauss_hermite, mean_se, restricted_sample)
+from oulab.domains import (Ball, HalfspaceIntersection, WholeSpace,
+                           half_line, interval)
+from oulab.expr import exp, from_profile, tanh, var
+from oulab.gauss import (_DRAW_BATCH, BLOCK_ROWS, PROBE_BATCH, MassTooSmall,
+                         Moments, _sample_blocks, gauss_hermite, mean_se,
+                         restricted_sample)
+from oulab.inequalities import check_logsob, check_poincare
 
 
 def gaussian_moment(degree):
@@ -192,3 +197,126 @@ def test_gaussian_mass_quadrant_independence():
                                 offsets=[0.0, 0.0])
     mass, se = gaussian_mass(dom, 400_000, seed=10)
     assert abs(mass - 0.25) <= 3.0 * se
+
+
+def _mask_sample(domain, count, seed):
+    """The sampler as one whole-array rejection loop: boolean-mask gathers,
+    kept batches joined at the end (one draw of ``count`` rows on the
+    whole space). Returns (points, acceptance_rate, proposed)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if isinstance(domain, WholeSpace):
+        return rng.standard_normal((count, domain.dim)), 1.0, count
+    kept, accepted, proposed, batch = [], 0, 0, PROBE_BATCH
+    while accepted < count:
+        draw = rng.standard_normal((batch, domain.dim))
+        inside = domain.contains(draw)
+        proposed += batch
+        accepted += int(inside.sum())
+        kept.append(draw[inside])
+        batch = _DRAW_BATCH
+    return np.concatenate(kept)[:count], accepted / proposed, proposed
+
+
+SAMPLED_DOMAINS = [WholeSpace(1), WholeSpace(2), half_line(),
+                   interval(-1.0, 1.0), Ball(center=[0.0, 0.0], radius=1.0)]
+
+
+@pytest.mark.parametrize("count", [1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, 200_000])
+@pytest.mark.parametrize("domain", SAMPLED_DOMAINS,
+                         ids=["line", "plane", "halfline", "interval", "disc"])
+def test_sample_blocks_are_the_sample(domain, count):
+    points, rate, proposed = _mask_sample(domain, count, seed=13)
+    out = restricted_sample(domain, count, seed=13)
+    assert np.array_equal(out.points, points)
+    assert (out.acceptance_rate, out.proposed) == (rate, proposed)
+    blocks = []
+    for rows, accepted, drawn in _sample_blocks(domain, count, seed=13):
+        # a lone last row joins the block before it
+        assert 1 < len(rows) <= BLOCK_ROWS or count == 1
+        blocks.append(rows.copy())  # a block lives until the next draw
+    assert np.array_equal(np.concatenate(blocks), points)
+    assert (accepted / drawn, drawn) == (rate, proposed)
+
+
+def _central_sums(values):
+    """Exact-sum reference for M2, M3 and M4 about the exactly summed mean."""
+    mean = math.fsum(values.tolist()) / len(values)
+    dev = values - mean
+    return mean, [math.fsum((dev ** k).tolist()) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0])
+def test_moments_merged_over_uneven_blocks(offset):
+    rng = np.random.default_rng(17)
+    values = offset + rng.standard_normal(60_000) * np.exp(
+        rng.uniform(-2.0, 2.0, 60_000))
+    cuts = np.cumsum([1, 1, 2, 3, BLOCK_ROWS - 1, 1, BLOCK_ROWS, 5000, 1])
+    merged = Moments(fourth=True)
+    for block in np.split(values, cuts):
+        merged.add(block)
+    whole = Moments(fourth=True).add(values)
+    assert merged.n == whole.n == len(values)
+    # merging moves only rounding: within 1e-12 of the spread on the mean,
+    # relative 1e-12 on the variance and on each standard error
+    spread = math.sqrt(whole.var_se()[0])
+    assert abs(merged.mean - whole.mean) <= 1e-12 * spread
+    for got, want in zip(merged.mean_se()[1:] + merged.var_se(),
+                         whole.mean_se()[1:] + whole.var_se()):
+        assert abs(got - want) <= 1e-12 * want
+    # and the central sums (M3 feeds the M4 update) are the exact ones
+    mean, sums = _central_sums(values)
+    for got, want, k in zip((merged.m2, merged.m3, merged.m4), sums,
+                            (2, 3, 4)):
+        scale = math.fsum((np.abs(values - mean) ** k).tolist())
+        assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 199, BLOCK_ROWS + 1, 200_000])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_one_block_is_the_two_pass_reduction(n, offset):
+    # bit for bit: numpy's mean and std(ddof=1) of the one array, and
+    # Moments fed that array as one block
+    values = offset + np.random.default_rng(n).standard_normal(n)
+    mean, se = mean_se(values)
+    assert mean == float(values.mean())
+    assert se == float(values.std(ddof=1) / math.sqrt(len(values)))
+    for fourth in (False, True):
+        assert Moments(fourth).add(values).mean_se() == (mean, se)
+
+
+def test_a_large_offset_survives_streaming():
+    # the streamed reduction keeps the variance of 1e-3 noise on top of 1e6
+    values = 1e6 + 1e-3 * np.random.default_rng(0).standard_normal(200_000)
+    acc = Moments(fourth=False)
+    for start in range(0, len(values), BLOCK_ROWS):
+        acc.add(values[start:start + BLOCK_ROWS])
+    mean, se = acc.mean_se()
+    assert abs(mean - math.fsum(values.tolist()) / len(values)) < 1e-9
+    assert math.isclose(se, 2.2388e-6, rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("check", [check_poincare, check_logsob])
+@pytest.mark.parametrize("f, domain", [
+    (from_profile(2 + tanh(var(1)), [[1.0]]), WholeSpace(1)),
+    (from_profile(2 + tanh(var(1)), [[1.0]]), interval(-1.0, 1.0)),
+    (from_profile(2 + tanh(var(1)) * exp(0.3 * var(2)),
+                  [[0.6, 0.8], [1.0, -1.0]]),
+     Ball(center=[0.0, 0.0], radius=1.0)),
+], ids=["line", "interval", "disc"])
+def test_sampled_check_memory_does_not_grow_with_the_sample(check, f, domain):
+    # a whole-array check holds some 64 bytes per sample row (22 MB more at
+    # 400,000 rows than at 50,000); a streamed one holds blocks. The run at
+    # 50,000 makes its one full rejection draw before any block is
+    # evaluated, while later draws also see the last block's values, so
+    # the bound allows one block of 8 float64 values per row.
+    peaks = []
+    for n_samples in (50_000, 400_000):
+        check(f, domain, n_samples=n_samples, seed=1)  # caches warm
+        tracemalloc.start()
+        try:
+            check(f, domain, n_samples=n_samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + BLOCK_ROWS * 8 * 8

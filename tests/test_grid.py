@@ -261,6 +261,17 @@ def test_bad_time_inputs_raise_value_error(t, scheme, n_steps, what):
         grid_apply(op, np.ones(op.n_nodes), t, scheme=scheme, n_steps=n_steps)
 
 
+def test_fractional_n_steps_is_refused():
+    # int(200.5) would run 200 steps while a caller charges dt = t / 200.5
+    op = grid_build(interval(-1.0, 1.0), 50)
+    u0 = np.cos(op.nodes[:, 0])
+    for n_steps in (200.5, np.float64(0.5)):
+        with pytest.raises(ValueError, match="n_steps"):
+            grid_apply(op, u0, 0.5, n_steps=n_steps)
+    assert np.array_equal(grid_apply(op, u0, 0.5, n_steps=200.0),
+                          grid_apply(op, u0, 0.5, n_steps=200))
+
+
 def test_masked_ball_mesh_geometry():
     ball = Ball(center=[0.0, 0.0], radius=1.0)
     op = grid_build(ball, 40)
