@@ -77,14 +77,23 @@ class ConvexDomain:
         return bool(out[0]) if single else out
 
     def project(self, x):
-        """Euclidean projection onto the closed set."""
+        """Euclidean projection onto the closed set. In 1D every domain is
+        the closed interval ``axis_bounds()``, and its projection is one
+        clip onto it: the foot is exact, however far the point."""
         pts, single = _as_batch(x, self.dim)
-        out = self._project(pts)
+        if self.dim == 1:
+            out = np.clip(pts, *self._interval)
+        else:
+            out = self._project(pts)
         return out[0] if single else out
 
     def axis_bounds(self):
         """Per-axis bounding interval ``(lo, hi)`` with +-inf where unbounded."""
         raise NotImplementedError
+
+    @cached_property
+    def _interval(self):
+        return self.axis_bounds()
 
     def to_config(self) -> dict:
         """JSON-ready description; ``from_config`` round-trips it exactly."""
@@ -173,13 +182,7 @@ class HalfspaceIntersection(ConvexDomain):
             raise UnsupportedDimension("vertices are enumerated in 2D only")
         return _polygon_vertices(self.normals, self.offsets)
 
-    @cached_property
-    def _interval(self):
-        return self.axis_bounds()
-
     def _project(self, pts):
-        if self.dim == 1:
-            return np.clip(pts, *self._interval)
         viol = self._violations(pts)
         j = np.argmax(viol, axis=1)
         worst = viol[np.arange(len(pts)), j]
@@ -225,15 +228,19 @@ class HalfspaceIntersection(ConvexDomain):
 
         If the projection foot lies on a face, that face's constraint is
         violated at the point, so only violated faces contribute face
-        candidates; vertices cover the rest. Closed form, unlike iterative
-        projection, which stalls on nearly parallel adjacent faces.
-        A face candidate counts only while it violates no other face by
-        more than its rounding (``_foot_tol``). Candidates are tested in
-        blocks of at most ``VERTEX_BLOCK`` violations.
+        candidates. A face candidate that violates no other face by more
+        than its rounding (``_foot_tol``) is the projection, as in
+        ``_project``, so the nearest such foot wins outright; the other
+        rows go to the nearest vertex. Vertices are ranked by
+        ``|v - c|^2 - 2 (p - c).(v - c)`` about their mean c: that is
+        ``|p - v|^2`` without the ``|p - c|^2`` they all share, whose
+        rounding would swamp their differences on far rows. Closed form,
+        unlike iterative projection, which stalls on nearly parallel
+        adjacent faces. Face candidates are tested in blocks of at most
+        ``VERTEX_BLOCK`` violations.
         """
         n, m = len(pts), len(self.offsets)
         sviol = self._violations(pts)
-        dist2 = np.full((n, m), np.inf)
         rows, faces = np.nonzero(sviol > 0.0)
         cand = pts[rows] - sviol[rows, faces][:, None] * self.normals[faces]
         tol = self._foot_tol(pts)[rows]
@@ -243,23 +250,27 @@ class HalfspaceIntersection(ConvexDomain):
             sl = slice(start, start + block)
             ok[sl] = np.all(self._foot_violations(cand[sl], faces[sl])
                             <= tol[sl, None], axis=1)
-        dist2[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]] ** 2
-        verts = self.vertices
-        if len(verts):
-            dv = pts[:, None, :] - verts[None, :, :]
-            dist2 = np.concatenate(
-                [dist2, np.einsum("ijk,ijk->ij", dv, dv)], axis=1)
-        best = np.argmin(dist2, axis=1)
-        if not np.all(np.isfinite(dist2[np.arange(n), best])):
-            raise NoConvergence("no feasible projection candidate found")
+        dist = np.full((n, m), np.inf)
+        dist[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]]
+        face = np.argmin(dist, axis=1)
+        on_face = np.isfinite(dist[np.arange(n), face])
         out = np.empty_like(pts)
-        from_face = best < m
-        if np.any(from_face):
-            j = best[from_face]
-            sel = np.flatnonzero(from_face)
-            out[sel] = pts[sel] - sviol[sel, j][:, None] * self.normals[j]
-        if len(verts):
-            out[~from_face] = verts[best[~from_face] - m]
+        sel = np.flatnonzero(on_face)
+        out[sel] = pts[sel] - sviol[sel, face[sel]][:, None] \
+            * self.normals[face[sel]]
+        rest = np.flatnonzero(~on_face)
+        if len(rest):
+            verts = self.vertices
+            if not len(verts):
+                raise NoConvergence("no feasible projection candidate found")
+            c = verts.mean(axis=0)
+            rel, far = verts - c, pts[rest] - c
+            # elementwise, as in _violations: a row's ranks do not depend
+            # on the rows beside it
+            rank = np.einsum("ij,ij->i", rel, rel) - 2.0 * (
+                np.multiply.outer(far[:, 0], rel[:, 0])
+                + np.multiply.outer(far[:, 1], rel[:, 1]))
+            out[rest] = verts[np.argmin(rank, axis=1)]
         return out
 
     def axis_bounds(self):
@@ -377,21 +388,16 @@ class Slab(ConvexDomain):
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "dim", direction.shape[0])
 
-    def _coord(self, pts):
-        if self.dim == 1:
-            # the one product the matmul would form, without its per-call
-            # cost (most of a 1D projection); only the sign of a zero
-            # coordinate can differ, and neither clip nor shift sees it
-            return pts[:, 0] * self.direction[0]
-        return pts @ self.direction
-
     def _contains(self, pts, tol):
-        s = self._coord(pts)
+        if self.dim == 1:  # the interval projection clips onto
+            (lo,), (hi,) = self._interval
+            return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
+        s = pts @ self.direction
         return (s >= self.lower - tol) & (s <= self.upper + tol)
 
     def _project(self, pts):
         # pts + (clip(s) - s) d, in one output array and one scratch vector
-        s = self._coord(pts)
+        s = pts @ self.direction
         shift = np.clip(s, self.lower, self.upper)
         shift -= s
         out = np.multiply(shift[:, None], self.direction)
@@ -399,15 +405,17 @@ class Slab(ConvexDomain):
         return out
 
     def axis_bounds(self):
+        """Per-axis bounds, read as a half-space face's ``b / a``: a
+        direction within ``UNIT_TOL`` of ``+-e_i`` bounds axis i by
+        ``lower / d_i`` and ``upper / d_i`` (a zero bound is +0.0)."""
         lo = np.full(self.dim, -np.inf)
         hi = np.full(self.dim, np.inf)
         axis = np.flatnonzero(np.abs(np.abs(self.direction) - 1.0) <= UNIT_TOL)
         if len(axis) == 1:
             i = axis[0]
-            if self.direction[i] > 0:
-                lo[i], hi[i] = self.lower, self.upper
-            else:
-                lo[i], hi[i] = -self.upper, -self.lower
+            ends = sorted((self.lower / self.direction[i],
+                           self.upper / self.direction[i]))
+            lo[i], hi[i] = ends[0] + 0.0, ends[1] + 0.0
         return lo, hi
 
     def to_config(self):
@@ -433,7 +441,7 @@ class Product(ConvexDomain):
 
     def _project(self, pts):
         out = pts.copy()
-        out[:, : self.base.dim] = self.base._project(pts[:, : self.base.dim])
+        out[:, : self.base.dim] = self.base.project(pts[:, : self.base.dim])
         return out
 
     def axis_bounds(self):

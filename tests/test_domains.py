@@ -98,8 +98,12 @@ def test_ball_projection_properties(x, y, r, cx):
 
 
 def _slab_projection_reference(slab, pts):
-    """Reference: the slab projection as one expression, temporaries and
-    all."""
+    """Reference: in 1D one clip onto ``[lower, upper] / d``, and above the
+    slab projection as one expression, temporaries and all."""
+    if slab.dim == 1:
+        ends = sorted((slab.lower / slab.direction[0],
+                       slab.upper / slab.direction[0]))
+        return np.clip(pts, ends[0] + 0.0, ends[1] + 0.0)
     s = pts @ slab.direction
     shift = np.clip(s, slab.lower, slab.upper) - s
     return pts + shift[:, None] * slab.direction
@@ -141,6 +145,47 @@ def test_slab_reference_panel_has_inexact_shifts():
     assert shift[0] + s[0] != np.clip(s[0], slab.lower, slab.upper)
     assert slab.project(pts).tobytes() == \
         _slab_projection_reference(slab, pts).tobytes()
+
+
+ONE_D_DOMAINS = {
+    "interval": interval(0.05, 1.0),
+    "reversed-slab": Slab(direction=[-1.0], lower=-1.0, upper=0.3),
+    "off-unit-slab": Slab(direction=[-1.0 + 5e-13], lower=-1.0, upper=0.3),
+    "half-line": half_line(0.05),
+    "ball": Ball(center=[0.3], radius=0.7),
+    "line": WholeSpace(1),
+}
+
+
+@pytest.mark.parametrize("name", ONE_D_DOMAINS)
+def test_one_d_projection_is_one_clip(name):
+    # a 1D domain is its interval axis_bounds(): the projection, of the
+    # domain and of a product's base, is one clip onto it bit for bit, and
+    # every foot lies in it exactly, however far the row (the shift
+    # pts + (clip(s) - s) d could land an ulp outside)
+    dom = ONE_D_DOMAINS[name]
+    (lo,), (hi,) = dom.axis_bounds()
+    dists = np.concatenate([[0.0], 10.0 ** np.arange(-17, 18)])
+    rows = [np.random.default_rng(3).uniform(-3.0, 3.0, 1000)]
+    for end in (lo, hi):
+        if np.isfinite(end):
+            rows += [end - dists, end + dists,
+                     np.nextafter(end, [-np.inf, np.inf])]
+    pts = np.concatenate(rows)[:, None]
+    feet = dom.project(pts)
+    assert feet.tobytes() == np.clip(pts, lo, hi).tobytes()
+    assert np.all((lo <= feet) & (feet <= hi))
+    assert dom.contains(feet).all()
+    assert np.array_equal([dom.project(p) for p in pts], feet)
+    prod = Product(base=dom, free_dims=1)
+    both = prod.project(np.column_stack([pts, -pts]))
+    assert both.tobytes() == np.column_stack([feet, -pts]).tobytes()
+    if isinstance(dom, Slab):
+        # a slab's membership reads the same interval, so its feet are in
+        # even at tol = 0 with a direction 5e-13 off -1
+        assert dom.contains(feet, tol=0.0).all()
+        past = np.nextafter([lo, hi], [-np.inf, np.inf])[:, None]
+        assert not dom.contains(past, tol=0.0).any()
 
 
 def test_product_projection_splits_exactly():
@@ -671,31 +716,33 @@ def test_polygon_vertices_memory_is_bounded():
 
 def _reference_project_candidates(self, pts):
     """The unblocked candidate enumeration: every candidate of every row
-    checked against every face in one violation matrix."""
+    checked against every face in one violation matrix, the nearest
+    feasible face foot taken over any vertex, and the vertices ranked by
+    |p - v|^2 - |p - c|^2 about their mean c."""
     n, m = len(pts), len(self.offsets)
     sviol = self._violations(pts)
-    dist2 = np.full((n, m), np.inf)
+    dist = np.full((n, m), np.inf)
     rows, faces = np.nonzero(sviol > 0.0)
     cand = pts[rows] - sviol[rows, faces][:, None] * self.normals[faces]
     ok = np.all(self._foot_violations(cand, faces)
                 <= self._foot_tol(pts)[rows, None], axis=1)
-    dist2[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]] ** 2
+    dist[rows[ok], faces[ok]] = sviol[rows[ok], faces[ok]]
+    best = np.argmin(dist, axis=1)
+    on_face = np.isfinite(dist[np.arange(n), best])
     verts = self.vertices
-    if len(verts):
-        dv = pts[:, None, :] - verts[None, :, :]
-        dist2 = np.concatenate(
-            [dist2, np.einsum("ijk,ijk->ij", dv, dv)], axis=1)
-    best = np.argmin(dist2, axis=1)
-    if not np.all(np.isfinite(dist2[np.arange(n), best])):
+    if not (np.all(on_face) or len(verts)):
         raise NoConvergence("no feasible projection candidate found")
+    c = verts.mean(axis=0)
+    rel = verts - c
     out = np.empty_like(pts)
-    from_face = best < m
-    if np.any(from_face):
-        j = best[from_face]
-        sel = np.flatnonzero(from_face)
-        out[sel] = pts[sel] - sviol[sel, j][:, None] * self.normals[j]
-    if len(verts):
-        out[~from_face] = verts[best[~from_face] - m]
+    for i in range(n):
+        if on_face[i]:
+            out[i] = pts[i] - sviol[i, best[i]] * self.normals[best[i]]
+        else:
+            rank = -2.0 * ((pts[i, 0] - c[0]) * rel[:, 0]
+                           + (pts[i, 1] - c[1]) * rel[:, 1]) \
+                + (rel ** 2).sum(axis=1)
+            out[i] = verts[np.argmin(rank)]
     return out
 
 
@@ -721,6 +768,25 @@ def test_polygon_candidate_memory_is_bounded(monkeypatch):
     expected = np.concatenate([gon.project(pts[i:i + 1000])
                                for i in range(0, len(pts), 1000)])
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("center", [[0.0, 0.0], [0.4, -0.3]],
+                         ids=["unit", "offcentre"])
+def test_far_rows_find_their_corner(center):
+    # |p - v|^2 rounds to about eps |p|^2, which swamped the differences
+    # between neighbouring corners of a 1024-gon: of these 500 rows, 7-8 at
+    # |p| = 1e10 and about 330 at 1e12 landed an edge or more away; ranked
+    # without the |p - c|^2 all corners share, the generic system finds the
+    # closed form's answer to the rounding of a foot's coordinates
+    gon = polygon_approximation(Ball(center=center, radius=1.0), 1024)
+    rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
+    angles = np.linspace(0.0, 2.0 * np.pi, 500, endpoint=False)
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    for radius in (1e10, 1e12):
+        pts = gon.center + radius * ring
+        gap = np.abs(rebuilt.project(pts) - gon.project(pts)).max(axis=1)
+        assert np.all(gap <= np.maximum(1e-12,
+                                        4.0 * EPS * np.abs(pts).max(axis=1)))
 
 
 def test_truncation_box_matches_tail_formula():

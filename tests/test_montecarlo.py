@@ -186,6 +186,34 @@ def test_batches_match_the_serial_reference(name, engine_cpus,
     assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
 
 
+ROUNDING_WALL_CASES = {
+    "euler": [interval(0.05, 1.0), half_line(0.05),
+              Slab(direction=[-1.0], lower=-1.0, upper=0.3)],
+    "split": [Product(interval(0.05, 1.0), 1)],
+}
+
+
+@pytest.mark.parametrize("name", ROUNDING_WALL_CASES)
+def test_one_column_marches_end_inside_walls_the_shift_rounded_past(
+        name, engine_cpus, monkeypatch):
+    # steps of h = 1/4 overshoot 0.05 and -0.3 by up to 0.7, where
+    # pts + (clip(s) - s) d landed up to an ulp outside (121 to 157 of
+    # these endpoints per domain); the in-place clip is the reference's
+    # project and stays in the closed interval exactly
+    monkeypatch.setattr(montecarlo, "BATCH_SIZE", 128)
+    domains = ROUNDING_WALL_CASES[name]
+    rng = np.random.default_rng(20)
+    starts = rng.uniform(0.05, 0.3, (7 * 128 + 37, domains[0].dim))
+    ours = evolve_starts(domains, starts, 2.0, 0.25, seed=21)
+    ref = projected_euler(domains, starts, 2.0, 0.25, seed=21,
+                          batch_size=128)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
+    for dom, ends in zip(domains, ours):
+        (lo,), (hi,) = (dom.base if name == "split" else dom).axis_bounds()
+        assert np.all((lo <= ends[:, 0]) & (ends[:, 0] <= hi))
+        assert np.any(ends[:, 0] == lo)
+
+
 def test_concurrent_callers_get_their_serial_results(monkeypatch):
     # as --jobs check threads do: four callers at once, each on its own
     # three-thread pool, switching threads every microsecond
@@ -208,8 +236,10 @@ def test_concurrent_callers_get_their_serial_results(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
 
 
-class _StallingInterval(Slab):
-    """(-1, 1), whose projection gives up on the 37-row batch."""
+class _StallingDisc(Ball):
+    """The unit disc, whose projection gives up on the 37-row batch (a
+    march in one column clips onto the interval and calls no projection,
+    so the stalling domain has two)."""
 
     def _project(self, pts):
         if len(pts) == 37:
@@ -219,8 +249,8 @@ class _StallingInterval(Slab):
 
 def test_a_failing_batch_raises_its_own_error(engine_cpus, monkeypatch):
     monkeypatch.setattr(montecarlo, "BATCH_SIZE", 128)
-    dom = _StallingInterval(direction=np.array([1.0]), lower=-1.0, upper=1.0)
-    starts = np.zeros((7 * 128 + 37, 1))
+    dom = _StallingDisc(center=[0.0, 0.0], radius=1.0)
+    starts = np.zeros((7 * 128 + 37, 2))
     with pytest.raises(NoConvergence, match="ragged batch") as err:
         evolve_starts([dom], starts, 0.1, 1e-2, seed=18)
     assert err.type is NoConvergence
