@@ -109,7 +109,7 @@ CheckKind = namedtuple(
 # One row per check kind: the key naming its domain, the keys naming its
 # functions, its engine labels (the first is the default), its runner, the
 # check keys only this kind reads with their defaults, the domain dimension
-# it needs (None for any) and the fewest times it takes. A runner takes the
+# it needs (None for any) and the fewest distinct times. A runner takes the
 # check's settings b (read by ``_check`` at parse time), the domain d and
 # the functions, and returns a list of reports; b.grid(d) is d's grid.
 # Decay and factorization keep DEFAULT_CN_STEPS: their tolerances have no
@@ -295,9 +295,9 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
         **kind.options}, where))
     if b.engine not in kind.engines:
         raise ConfigError(f"{where}unknown engine {b.engine!r}")
-    if len(getattr(b, "times", ())) < kind.fewest_times:
+    if len(set(getattr(b, "times", ()))) < kind.fewest_times:
         raise ConfigError(f"{where}'times' needs {kind.fewest_times} or "
-                          f"more values")
+                          f"more distinct values")
     dom = cfg.domain_at(getattr(b, kind.domain_key),
                         f"{where}{kind.domain_key!r}: ")
     if kind.dim is not None and dom.dim != kind.dim:

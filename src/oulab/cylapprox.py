@@ -20,7 +20,8 @@ from .domains import (Ball, ConvexDomain, Product, WholeSpace,
 from .gauss import _sample_blocks, mean_se, restricted_sample
 from .engines.grid import GridOperator, grid_apply
 from .engines.montecarlo import evolve_starts, path_details
-from .inequalities import BIAS_CONST, FACTOR_DISC, InequalityReport, _cells
+from .inequalities import (BIAS_CONST, FACTOR_DISC, Z, InequalityReport,
+                           _cells, _terms)
 
 
 def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
@@ -32,8 +33,9 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
     The panel is drawn from the stationary law of the product; side A
     evolves the lifted function by reflected paths, side B interpolates the
     evolution of ``v`` on ``op``, the base's grid, at the projected panel
-    points. The report's lhs is the worst excess of |A - B| over three
-    standard errors; the rhs is the explicit step-bias plus grid allowance.
+    points. The report's lhs is the worst excess of |A - B| over ``Z``
+    standard errors; the rhs is the recorded sum of the explicit step-bias
+    and grid allowances, and the tolerance is 0.
     """
     if base.dim != 1:
         raise ValueError("the grid reference needs a one dimensional base")
@@ -47,17 +49,15 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
     starts = np.repeat(panel, n_paths, axis=0)
     ends = evolve_starts([product], starts, t, h, seed=seed)[0]
     vals = np.asarray(lifted.eval(ends), dtype=float).reshape(n_points, n_paths)
-    excess = []
-    values = []
-    for i, x in enumerate(panel):
-        a, se = mean_se(vals[i])
-        b = float(np.interp(x[0], xs, u_t))
-        excess.append(abs(a - b) - 3.0 * se)
-        values.append((a, b, se))
+    values = [(*mean_se(vals[i]), float(np.interp(x[0], xs, u_t)))
+              for i, x in enumerate(panel)]
+    excess = [abs(a - b) - Z * se for a, se, b in values]
     worst = int(np.argmax(excess))
     h_grid = float(op.spacing.max())
-    allowance = BIAS_CONST * math.sqrt(h) + FACTOR_DISC * h_grid * h_grid
-    a, b, se = values[worst]
+    allowance, terms = _terms(
+        ("step_bias", BIAS_CONST * math.sqrt(h)),
+        ("discretization", FACTOR_DISC * h_grid * h_grid))
+    a, se, b = values[worst]
     return InequalityReport(
         name="factorization", lhs=max(max(excess), 0.0), rhs=allowance,
         tolerance=0.0,
@@ -66,8 +66,7 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
                  "seed": seed, **path_details([product]),
                  "worst_point": worst, "mc_value": a,
                  "grid_value": b, "mc_se": se, "bias_const": BIAS_CONST,
-                 "disc_const": FACTOR_DISC,
-                 "tolerance_rule": "max(|A-B|-3se) <= C1*sqrt(h)+C2*h_grid^2"})
+                 "disc_const": FACTOR_DISC, **terms})
 
 
 @dataclass(frozen=True)

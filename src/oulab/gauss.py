@@ -171,13 +171,9 @@ class Moments:
 
 
 def mean_se(values: np.ndarray):
-    """Sample mean and its standard error, two-pass so that a large common
-    offset cannot cancel the variance away: ``Moments`` fed one block, bit
-    for bit, without the third and fourth powers nothing here reads."""
-    n = len(values)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
+    """Sample mean and its standard error of one array: ``Moments`` fed it
+    as one block, two-pass so a large offset cannot cancel the variance."""
+    return Moments(fourth=False).add(values).mean_se()
 
 
 @dataclass(frozen=True)

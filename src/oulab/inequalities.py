@@ -2,11 +2,11 @@
 
 Every check produces an ``InequalityReport`` whose pass flag is a pure
 function of (lhs, rhs, tolerance): pass iff ``rhs - lhs >= -tolerance``.
-Tolerances are built from three times the propagated standard errors of
-the Monte Carlo estimates plus explicit discretization allowances; the
-construction is recorded in the report details so a failure points at a
-real violation rather than noise. Grid checks run on the grid ``op`` they
-are given; ``config.grid_operator`` builds the CLI's grids.
+Each tolerance is a sum of named terms (``Z`` standard errors, explicit
+allowances, roundoff) that ``_terms`` adds and records in the report's
+``details`` as ``tolerance_rule`` and ``tolerance_terms``, so a failure
+points at a real violation rather than noise. Grid checks run on the grid
+``op`` they are given; ``config.grid_operator`` builds the CLI's grids.
 
 Sampled integrals are means against the Gaussian measure conditioned on
 the domain (what rejection samples estimate); on the whole space these are
@@ -37,6 +37,7 @@ from .engines.grid import (grid_apply, fd_gradient, weighted_mean, l2_norm,
                            propagator_details, GridOperator, DEFAULT_CN_STEPS)
 from .engines.montecarlo import evolve_starts, path_details, DEFAULT_STEP
 
+Z = 3.0  # standard errors a sampled estimate may stray by as noise
 EPS_FLOOR = 1e-12
 GRID_EXACT_TOL = 1e-9
 MAXPRINCIPLE_TOL = 1e-10
@@ -86,6 +87,24 @@ def _scale_floor(*values) -> float:
     return EPS_FLOOR * max(1.0, *(abs(v) for v in values))
 
 
+def _terms(*terms):
+    """The sum of ``(name, value)`` terms, added left to right from 0.0,
+    and the ``details`` entries that record it: ``tolerance_rule`` (the
+    names joined by ``+``) and ``tolerance_terms`` (name -> value)."""
+    total = 0.0
+    for _, value in terms:
+        total += value
+    return total, dict(tolerance_rule="+".join(name for name, _ in terms),
+                       tolerance_terms=dict(terms))
+
+
+def _report(name, lhs, rhs, terms, details) -> InequalityReport:
+    """A report whose tolerance is the recorded sum of ``terms``."""
+    tolerance, recorded = _terms(*terms)
+    return InequalityReport(name=name, lhs=lhs, rhs=rhs, tolerance=tolerance,
+                            details={**details, **recorded})
+
+
 def _cells(op: GridOperator):
     """Cells per axis of the mesh, one number when all axes agree."""
     cells = [len(axis) for axis in op.axes]
@@ -102,13 +121,11 @@ def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
         grad_sq.add(np.einsum("ij,ij->i", grad, grad))
     lhs, se_lhs = values.var_se()
     rhs, se_rhs = grad_sq.mean_se()
-    tol = 3.0 * (se_lhs + se_rhs) + _scale_floor(lhs, rhs)
-    return InequalityReport(
-        name="poincare", lhs=lhs, rhs=rhs, tolerance=tol,
-        details={"n_samples": n_samples, "seed": seed, "se_lhs": se_lhs,
-                 "se_rhs": se_rhs,
-                 **_sampler_details(domain, accepted, proposed),
-                 "tolerance_rule": "3*(se_lhs+se_rhs)+eps"})
+    return _report(
+        "poincare", lhs, rhs,
+        [("sampling", Z * (se_lhs + se_rhs)), ("eps", _scale_floor(lhs, rhs))],
+        {"n_samples": n_samples, "seed": seed, "se_lhs": se_lhs,
+         "se_rhs": se_rhs, **_sampler_details(domain, accepted, proposed)})
 
 
 def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
@@ -138,13 +155,13 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
     norm_term = 0.5 * nrm2 * math.log(nrm2) if nrm2 > 0 else 0.0
     se_norm = abs(0.5 * (math.log(nrm2) + 1.0)) * se_nrm2 if nrm2 > 0 else 0.0
     rhs = energy + norm_term
-    tol = 3.0 * (se_lhs + se_energy + se_norm) + _scale_floor(lhs, rhs)
-    return InequalityReport(
-        name="log_sobolev", lhs=lhs, rhs=rhs, tolerance=tol,
-        details={"n_samples": n_samples, "seed": seed, "clipped": clipped,
-                 "energy": energy, "l2_sq": nrm2,
-                 **_sampler_details(domain, accepted, proposed),
-                 "tolerance_rule": "3*(se_lhs+se_energy+se_norm)+eps"})
+    return _report(
+        "log_sobolev", lhs, rhs,
+        [("sampling", Z * (se_lhs + se_energy + se_norm)),
+         ("eps", _scale_floor(lhs, rhs))],
+        {"n_samples": n_samples, "seed": seed, "clipped": clipped,
+         "energy": energy, "l2_sq": nrm2,
+         **_sampler_details(domain, accepted, proposed)})
 
 
 def check_gradient_bound(f, domain: ConvexDomain, t: float, op: GridOperator,
@@ -167,18 +184,18 @@ def check_gradient_bound(f, domain: ConvexDomain, t: float, op: GridOperator,
     h = float(op.spacing.max())
     dt = t / n_steps if t > 0 else 0.0
     scale = max(1.0, float(g0.max()))
-    tol = GRAD_DISC * (h * h + dt * dt) * scale + EPS_FLOOR
-    return InequalityReport(
-        name="gradient_bound", lhs=float(lhs_nodes[worst]),
-        rhs=float(rhs_nodes[worst]), tolerance=tol,
-        details={"t": t, "resolution": _cells(op), "h": h, "dt": dt,
-                 "n_interior": int(interior.sum()), "disc_const": GRAD_DISC,
-                 "tolerance_rule": "disc_const*(h^2+dt^2)*scale+eps"})
+    return _report(
+        "gradient_bound", float(lhs_nodes[worst]), float(rhs_nodes[worst]),
+        [("discretization", GRAD_DISC * (h * h + dt * dt) * scale),
+         ("eps", EPS_FLOOR)],
+        {"t": t, "resolution": _cells(op), "h": h, "dt": dt,
+         "n_interior": int(interior.sum()), "disc_const": GRAD_DISC,
+         "scale": scale})
 
 
 def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
-                              x_panel=None, n_panel: int = 20,
-                              n_paths: int = 100_000, h: float = DEFAULT_STEP,
+                              n_panel: int = 20, n_paths: int = 100_000,
+                              h: float = DEFAULT_STEP,
                               seed: int = 0) -> list:
     """Squared mean of a product versus the product of squared means.
 
@@ -187,36 +204,32 @@ def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
     Standard errors are propagated through the empirical covariance of the
     three payoffs.
     """
-    if x_panel is None:
-        x_panel = restricted_sample(domain, n_panel, seed + 1).points
-    x_panel = np.atleast_2d(np.asarray(x_panel, dtype=float))
-    n_points = len(x_panel)
+    x_panel = restricted_sample(domain, n_panel, seed + 1).points
     starts = np.repeat(x_panel, n_paths, axis=0)
     ends = evolve_starts([domain], starts, t, h, seed=seed)[0]
-    per_pair = [[] for _ in pairs]
-    for p, (f, g) in enumerate(pairs):
-        fv = np.asarray(f.eval(ends), dtype=float).reshape(n_points, n_paths)
-        gv = np.asarray(g.eval(ends), dtype=float).reshape(n_points, n_paths)
-        for i in range(n_points):
+    details = {"t": t, "n_panel": n_panel, "n_paths": n_paths, "h": h,
+               "seed": seed, **path_details([domain])}
+    reports = []
+    for f, g in pairs:
+        fv = np.asarray(f.eval(ends), dtype=float).reshape(n_panel, n_paths)
+        gv = np.asarray(g.eval(ends), dtype=float).reshape(n_panel, n_paths)
+        rows = []
+        for i in range(n_panel):
             payoffs = np.stack([fv[i] * gv[i], fv[i] * fv[i], gv[i] * gv[i]])
             a, b, c = payoffs.mean(axis=1)
             cov = np.cov(payoffs)
             grad = np.array([-2.0 * a, c, b])
             var_s = float(grad @ cov @ grad) / n_paths
             lhs, rhs = a * a, b * c
-            tol = 3.0 * math.sqrt(max(var_s, 0.0)) + _scale_floor(lhs, rhs)
-            per_pair[p].append((lhs, rhs, tol))
-    reports = []
-    for p, rows in enumerate(per_pair):
-        worst = min(range(len(rows)), key=lambda i: rows[i][1] - rows[i][0] + rows[i][2])
-        lhs, rhs, tol = rows[worst]
-        n_fail = sum(1 for (l, r, tl) in rows if r - l < -tl)
-        reports.append(InequalityReport(
-            name="submultiplicative", lhs=lhs, rhs=rhs, tolerance=tol,
-            details={"t": t, "n_panel": len(x_panel), "n_paths": n_paths,
-                     "h": h, "seed": seed, **path_details([domain]),
-                     "worst_point": worst, "points_failing": n_fail,
-                     "tolerance_rule": "3*propagated_se+eps"}))
+            rows.append(_report(
+                "submultiplicative", lhs, rhs,
+                [("sampling", Z * math.sqrt(max(var_s, 0.0))),
+                 ("eps", _scale_floor(lhs, rhs))], details))
+        worst = min(range(n_panel),
+                    key=lambda i: rows[i].margin + rows[i].tolerance)
+        rows[worst].details.update(
+            worst_point=worst, points_failing=sum(not r.passed for r in rows))
+        reports.append(rows[worst])
     return reports
 
 
@@ -239,12 +252,11 @@ def check_invariance(f, domain: ConvexDomain, t: float,
         u_t = grid_apply(op, u0, t, n_steps=n_steps)
         before = weighted_mean(op, u0)
         after = weighted_mean(op, u_t)
-        lhs = abs(after - before)
-        return InequalityReport(
-            name="invariance_grid", lhs=lhs, rhs=0.0, tolerance=GRID_EXACT_TOL,
-            details={"t": t, "resolution": _cells(op), "n_steps": n_steps,
-                     "mean_before": before, "mean_after": after,
-                     "tolerance_rule": "solver roundoff"})
+        return _report(
+            "invariance_grid", abs(after - before), 0.0,
+            [("roundoff", GRID_EXACT_TOL)],
+            {"t": t, "resolution": _cells(op), "n_steps": n_steps,
+             "mean_before": before, "mean_after": after})
     if engine != "monte_carlo":
         raise ValueError("engine must be 'grid' or 'monte_carlo'")
     starts = restricted_sample(domain, n_paths, seed + 1).points
@@ -252,20 +264,19 @@ def check_invariance(f, domain: ConvexDomain, t: float,
     diffs = (np.asarray(f.eval(ends), dtype=float)
              - np.asarray(f.eval(starts), dtype=float))
     mean_d, se_d = mean_se(diffs)
-    # projected Euler, two-point in 1D and Gaussian in 2D, is weak order
-    # 1/2 where paths press on the boundary, so the stationary mean drifts
-    # by O(sqrt(h)) times the gradient scale; the allowance is kept (and
-    # loose) on exact transitions, which take no step
-    grad_scale = max(1.0, float(np.max(f.gradient_norm(starts))))
-    allowance = BIAS_CONST * math.sqrt(h) * grad_scale
-    tol = 3.0 * se_d + allowance + _scale_floor(mean_d)
-    return InequalityReport(
-        name="invariance_mc", lhs=abs(mean_d), rhs=0.0, tolerance=tol,
-        details={"t": t, "n_paths": n_paths, "h": h, "seed": seed,
-                 **path_details([domain]), "mean_shift": mean_d,
-                 "se": se_d, "bias_const": BIAS_CONST,
-                 "bias_allowance": allowance,
-                 "tolerance_rule": "3*se(paired diff)+bias_const*sqrt(h)*scale+eps"})
+    # the step_bias term: projected Euler, two-point in 1D and Gaussian in
+    # 2D, is weak order 1/2 where paths press on the boundary, so the
+    # stationary mean drifts by O(sqrt(h)) times the gradient scale; the
+    # term is kept (and loose) on exact transitions, which take no step
+    scale = max(1.0, float(np.max(f.gradient_norm(starts))))
+    return _report(
+        "invariance_mc", abs(mean_d), 0.0,
+        [("sampling", Z * se_d),
+         ("step_bias", BIAS_CONST * math.sqrt(h) * scale),
+         ("eps", _scale_floor(mean_d))],
+        {"t": t, "n_paths": n_paths, "h": h, "seed": seed,
+         **path_details([domain]), "mean_shift": mean_d, "se": se_d,
+         "bias_const": BIAS_CONST, "scale": scale})
 
 
 def check_decay(f, domain: ConvexDomain, t_list, op: GridOperator) -> list:
@@ -274,18 +285,14 @@ def check_decay(f, domain: ConvexDomain, t_list, op: GridOperator) -> list:
     m = weighted_mean(op, u0)
     nrm0 = l2_norm(op, u0)
     h = float(op.spacing.max())
-    reports = []
-    for t in t_list:
-        u_t = grid_apply(op, u0, t)
-        lhs = l2_norm(op, u_t - m)
-        rhs = math.exp(-t) * nrm0
-        tol = DECAY_DISC * h * h * max(1.0, nrm0) * max(t, 1.0) + EPS_FLOOR
-        reports.append(InequalityReport(
-            name="decay", lhs=lhs, rhs=rhs, tolerance=tol,
-            details={"t": t, "resolution": _cells(op),
-                     **propagator_details(op, t), "mean": m, "h": h,
-                     "tolerance_rule": "disc_const*h^2*scale*max(t,1)+eps"}))
-    return reports
+    scale = max(1.0, nrm0)
+    return [_report(
+        "decay", l2_norm(op, grid_apply(op, u0, t) - m), math.exp(-t) * nrm0,
+        [("discretization", DECAY_DISC * h * h * scale * max(t, 1.0)),
+         ("eps", EPS_FLOOR)],
+        {"t": t, "resolution": _cells(op), **propagator_details(op, t),
+         "mean": m, "h": h, "disc_const": DECAY_DISC, "scale": scale})
+        for t in t_list]
 
 
 def check_positivity_and_contraction(f, domain: ConvexDomain, t: float,
@@ -306,16 +313,15 @@ def check_positivity_and_contraction(f, domain: ConvexDomain, t: float,
     upper_violation = max(0.0, float(u_t.max()) - float(u0.max()))
     lower_violation = max(0.0, float(u0.min()) - float(u_t.min()))
     l2_violation = max(0.0, l2_norm(op, u_t) - l2_norm(op, u0))
-    lhs = max(pos_violation, upper_violation, lower_violation, l2_violation)
-    return InequalityReport(
-        name="positivity_contraction", lhs=lhs, rhs=0.0,
-        tolerance=MAXPRINCIPLE_TOL,
-        details={"t": t, "resolution": _cells(op),
-                 **propagator_details(op, t, "expm"),
-                 "min_after": float(u_t.min()), "max_after": float(u_t.max()),
-                 "min_before": float(u0.min()), "max_before": float(u0.max()),
-                 "l2_before": l2_norm(op, u0), "l2_after": l2_norm(op, u_t),
-                 "tolerance_rule": "fixed roundoff budget"})
+    return _report(
+        "positivity_contraction",
+        max(pos_violation, upper_violation, lower_violation, l2_violation),
+        0.0, [("roundoff", MAXPRINCIPLE_TOL)],
+        {"t": t, "resolution": _cells(op),
+         **propagator_details(op, t, "expm"),
+         "min_after": float(u_t.min()), "max_after": float(u_t.max()),
+         "min_before": float(u0.min()), "max_before": float(u0.max()),
+         "l2_before": l2_norm(op, u0), "l2_after": l2_norm(op, u_t)})
 
 
 @dataclass(frozen=True)
@@ -356,32 +362,30 @@ def check_entropy(f, domain: ConvexDomain, t_grid, op: GridOperator) -> list:
             if key not in ("fisher", "floor", "mean_phi")}
     h = grid["h"]
     scale = max(1.0, abs(trace.entropy[0]), trace.details["fisher"])
-    worst = int(np.argmin(trace.production - trace.bound[:-1]))
-    production_report = InequalityReport(
-        name="entropy_production", lhs=float(trace.bound[worst]),
-        rhs=float(trace.production[worst]),
-        tolerance=ENTROPY_DISC * h * h * scale + EPS_FLOOR,
-        details={**grid, "worst_step": worst, "n_steps": len(trace.production),
-                 "nonincreasing": trace.is_nonincreasing(),
-                 "tolerance_rule": "disc_const*h^2*scale+eps"})
+    grid.update(disc_const=ENTROPY_DISC, scale=scale)
+    disc = ("discretization", ENTROPY_DISC * h * h * scale)
+    worst = int(np.argmin(trace.production_margins()))
     t_end = float(trace.times[-1])
     residual = math.exp(-2.0 * t_end) * abs(trace.entropy[0]
                                             - trace.terminal_target)
-    terminal_report = InequalityReport(
-        name="entropy_terminal",
-        lhs=abs(float(trace.entropy[-1]) - trace.terminal_target), rhs=0.0,
-        tolerance=ENTROPY_DISC * h * h * scale + residual + EPS_FLOOR,
-        details={**grid, "t_end": t_end,
+    return [
+        _report("entropy_production", float(trace.bound[worst]),
+                float(trace.production[worst]), [disc, ("eps", EPS_FLOOR)],
+                {**grid, "worst_step": worst,
+                 "n_steps": len(trace.production),
+                 "nonincreasing": trace.is_nonincreasing()}),
+        _report("entropy_terminal",
+                abs(float(trace.entropy[-1]) - trace.terminal_target), 0.0,
+                [disc, ("decay_residual", residual), ("eps", EPS_FLOOR)],
+                {**grid, "t_end": t_end,
                  "terminal_target": trace.terminal_target,
-                 "terminal_entropy": float(trace.entropy[-1]),
-                 "decay_residual": residual,
-                 "tolerance_rule": "disc_const*h^2*scale+residual+eps"})
-    return [production_report, terminal_report]
+                 "terminal_entropy": float(trace.entropy[-1])})]
 
 
 def entropy_trace(f, domain: ConvexDomain, t_grid,
                   op: GridOperator) -> EntropyTrace:
-    """Track the entropy of T(t)(f^2) on ``op`` and its dissipation bound.
+    """Track the entropy of T(t)(f^2) on ``op`` and its dissipation bound
+    at the distinct times of ``t_grid``, in increasing order.
 
     Requires f >= ENTROPY_FLOOR on the mesh (raises ``BelowFloor``
     otherwise); the evolved square then stays above ENTROPY_FLOOR^2 by the
@@ -389,9 +393,9 @@ def entropy_trace(f, domain: ConvexDomain, t_grid,
     name the propagator, with its term count and bounds at the largest
     time.
     """
-    times = np.asarray(sorted(t_grid), dtype=float)
+    times = np.unique(np.asarray(t_grid, dtype=float))
     if len(times) < 2:
-        raise ValueError("need at least two time points")
+        raise ValueError("need at least two distinct time points")
     u0 = op.sample(f)
     if float(u0.min()) < ENTROPY_FLOOR:
         raise BelowFloor(f"min f = {u0.min():.3g} is below the floor "

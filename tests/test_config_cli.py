@@ -318,6 +318,13 @@ def _factorization(**settings):
             "base": "interval", **settings}
 
 
+def _entropy(cfg, times):
+    """Check 2 of ``cfg`` made an entropy check at ``times``."""
+    cfg["functions"].update(pos={
+        "dim": 1, "directions": [[1.0]], "profile": "(sum 2 (tanh v1))"})
+    cfg["checks"][2].update(kind="entropy", function="pos", times=times)
+
+
 # check budgets and engine settings out of range, on SMALL_CONFIG's checks
 # (0 poincare, 1 grid invariance, 2 decay)
 BAD_BUDGETS = [
@@ -331,9 +338,10 @@ BAD_BUDGETS = [
     lambda c: c["checks"][1].update(engine="monte_carlo", t=-0.5),
     lambda c: c["checks"][2].update(times=[-0.5]),
     lambda c: c["checks"][2].update(times=[]),
-    lambda c: (c["functions"].update(pos={
-        "dim": 1, "directions": [[1.0]], "profile": "(sum 2 (tanh v1))"}),
-        c["checks"][2].update(kind="entropy", function="pos", times=[0.5])),
+    # an entropy check needs two distinct times
+    lambda c: _entropy(c, [0.5]),
+    lambda c: _entropy(c, [1.0, 1.0]),
+    lambda c: _entropy(c, [0.5, 0.5, 0.5]),
     lambda c: c["checks"][0].update(sampels=3),
     lambda c: c["checks"][0].update(tail_mass=1e-4),
     lambda c: c["checks"][1].update(cn_steps=0),

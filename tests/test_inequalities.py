@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oulab.cli import run_checks
+from oulab.config import load_default_config
+from oulab.cylapprox import factorization_check
 from oulab.domains import (Ball, HalfspaceIntersection, Product, WholeSpace,
                            half_line, interval)
 from oulab.engines.grid import grid_apply, grid_build
@@ -23,18 +26,54 @@ ONE = from_profile(const(1.0), [[1.0]])
 IVAL = interval(-1.0, 1.0)
 
 
+REPORT_NAMES = {"poincare", "log_sobolev", "gradient_bound",
+                "submultiplicative", "invariance_grid", "invariance_mc",
+                "decay", "positivity_contraction", "entropy_production",
+                "entropy_terminal", "factorization"}
+
+
+def _assert_recorded_terms(rep):
+    # the terms, added left to right from 0.0, are the tolerance (the rhs
+    # of factorization, whose tolerance is 0), and the rule names them
+    terms = rep.details["tolerance_terms"]
+    total = 0.0
+    for value in terms.values():
+        total += value
+    assert np.array_equal(
+        total, rep.rhs if rep.name == "factorization" else rep.tolerance)
+    assert rep.details["tolerance_rule"] == "+".join(terms)
+
+
 def test_reports_are_pure_data():
+    op = grid_build(IVAL, 100)
+    pos = from_profile(2 + tanh(var(1)), [[1.0]])
     reports = [
         check_poincare(LIN, WholeSpace(1), n_samples=5000, seed=1),
-        check_logsob(from_profile(2 + tanh(var(1)), [[1.0]]), IVAL,
-                     n_samples=5000, seed=2),
-        check_invariance(SQ, IVAL, 0.5, engine="grid",
-                         op=grid_build(IVAL, 100)),
+        check_logsob(pos, IVAL, n_samples=5000, seed=2),
+        check_gradient_bound(TANH, IVAL, 0.5, op=op),
+        *submultiplicative_reports([(LIN, TANH)], IVAL, 0.5, n_panel=3,
+                                   n_paths=2000, h=5e-3, seed=3),
+        check_invariance(SQ, IVAL, 0.5, engine="grid", op=op),
+        check_invariance(SQ, IVAL, 0.5, n_paths=2000, h=5e-3, seed=4),
+        *check_decay(SQ, IVAL, [0.5], op=op),
+        check_positivity_and_contraction(SQ, IVAL, 0.5, op=op),
+        *check_entropy(pos, IVAL, [0.0, 0.5, 1.0], op=op),
+        factorization_check(SQ, IVAL, 1, 0.5, op=op, n_points=3,
+                            n_paths=2000, h=5e-3, seed=5),
     ]
+    assert {rep.name for rep in reports} == REPORT_NAMES
+    assert len(reports) == len(REPORT_NAMES)
     for rep in reports:
         assert rep.passed == (rep.rhs - rep.lhs >= -rep.tolerance)
         assert rep.margin == rep.rhs - rep.lhs
-        assert "tolerance_rule" in rep.details
+        _assert_recorded_terms(rep)
+
+
+def test_bundled_reports_record_their_tolerance_terms():
+    _, reports = run_checks(load_default_config())
+    assert {rep.name for _, rep in reports} == REPORT_NAMES
+    for _, rep in reports:
+        _assert_recorded_terms(rep)
 
 
 def _var_se(values):
@@ -167,10 +206,8 @@ def test_submultiplicative_jensen_case():
 
 
 def test_submultiplicative_mixed_pair_with_grid_cross_check():
-    x_panel = np.array([[-0.5], [0.0], [0.6]])
-    rep, = submultiplicative_reports([(LIN, TANH)], IVAL, 0.5,
-                                     x_panel=x_panel, n_paths=40_000,
-                                     h=2e-3, seed=11)
+    rep, = submultiplicative_reports([(LIN, TANH)], IVAL, 0.5, n_panel=3,
+                                     n_paths=40_000, h=2e-3, seed=11)
     assert rep.passed
     # cross-check one MC product estimate against the grid engine
     op = grid_build(IVAL, 300)
@@ -340,6 +377,18 @@ def test_entropy_trace_constant_function():
     assert np.abs(trace.production).max() < 1e-8
     assert np.abs(trace.bound).max() < 1e-12
     assert trace.is_nonincreasing()
+
+
+def test_entropy_trace_ignores_a_repeated_time():
+    f = from_profile(2 + tanh(var(1)), [[1.0]])
+    op = grid_build(IVAL, 100)
+    once = entropy_trace(f, IVAL, [0.0, 1.0, 0.5], op=op)
+    twice = entropy_trace(f, IVAL, [1.0, 0.0, 1.0, 0.5], op=op)
+    for name in ("times", "entropy", "production", "bound"):
+        assert np.array_equal(getattr(once, name), getattr(twice, name))
+    assert once.terminal_target == twice.terminal_target
+    assert once.details == twice.details
+    assert np.all(np.isfinite(twice.production))
 
 
 def test_entropy_trace_positive_affine():
