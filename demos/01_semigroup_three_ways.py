@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from oulab import (WholeSpace, interval, coordinate, from_profile, var, tanh,
-                   mehler_apply, mc_apply, grid_build, grid_apply)
+                   mehler_apply, mc_apply_many, grid_build, grid_apply)
 
 line = WholeSpace(1)
 f = from_profile(tanh(var(1)), [[1.0]])
@@ -28,7 +28,7 @@ grid_val = float(np.interp(x, op.nodes[:, 0], u))
 print(f"grid (400 cells)    : {grid_val:+.6f}   "
       f"(|diff| = {abs(grid_val - exact.value):.2e})")
 
-mc = mc_apply(f, line, t, [x], n_paths=200_000, h=1e-3, seed=42)
+mc, = mc_apply_many([f], line, t, [x], n_paths=200_000, h=1e-3, seed=42)
 print(f"monte carlo (2e5)   : {mc.value:+.6f} +- {mc.std_error:.5f}   "
       f"(|diff| = {abs(mc.value - exact.value):.2e})")
 
@@ -39,8 +39,8 @@ op = grid_build(dom, 300)
 for t in (0.2, 1.0):
     u = grid_apply(op, op.sample(coordinate(1)), t)
     grid_val = float(np.interp(0.4, op.nodes[:, 0], u))
-    mc = mc_apply(coordinate(1), dom, t, [0.4], n_paths=200_000, h=2e-3,
-                  seed=7)
+    mc, = mc_apply_many([coordinate(1)], dom, t, [0.4], n_paths=200_000,
+                        h=2e-3, seed=7)
     print(f"t = {t}: grid {grid_val:+.5f}   paths {mc.value:+.5f} "
           f"+- {mc.std_error:.5f}")
 

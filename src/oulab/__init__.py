@@ -9,9 +9,9 @@ from .domains import (ConvexDomain, WholeSpace, HalfspaceIntersection, Ball,
 from .gauss import QuadratureRule, gauss_hermite, restricted_sample
 from .expr import (CylFunction, parse_expr, format_expr, var, const, exp, tanh,
                    sin, coordinate, from_profile, function_from_config)
-from .engines import (SemigroupEstimate, mehler_apply, simulate_endpoints,
-                      mc_apply, mc_apply_many, GridOperator, SpectrumResult,
-                      grid_build, grid_apply, grid_spectrum)
+from .engines import (SemigroupEstimate, mehler_apply, mc_apply_many,
+                      GridOperator, SpectrumResult, grid_build, grid_apply,
+                      grid_spectrum)
 from .inequalities import (InequalityReport, EntropyTrace, check_poincare,
                            check_logsob, check_gradient_bound,
                            check_invariance, check_decay,

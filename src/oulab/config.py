@@ -69,10 +69,13 @@ def _listed(convert):
 # every numeric setting, wherever it stands: key -> (conversion, what it
 # accepts of a value or of each list entry, how the error says that)
 _SETTINGS = {
-    **dict.fromkeys(("samples", "mc_paths", "cn_steps", "panel", "points",
-                     "paths_per_point", "count", "mass_samples",
+    **dict.fromkeys(("cn_steps", "panel", "points", "count", "mass_samples",
                      "free_dims"),
                     (_integer, lambda v: v > 0, "a positive integer")),
+    # a standard error needs two values; a variance's needs four
+    **dict.fromkeys(("mc_paths", "paths_per_point"),
+                    (_integer, lambda v: v >= 2, "an integer >= 2")),
+    "samples": (_integer, lambda v: v >= 4, "an integer >= 4"),
     **dict.fromkeys(("mc_step", "step"),
                     (float, lambda v: v > 0, "a positive number")),
     **dict.fromkeys(("grid_resolution", "resolution"),

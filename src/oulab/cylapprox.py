@@ -46,8 +46,7 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
     u_t = grid_apply(op, op.sample(v), t)
     xs = op.nodes[:, 0]
 
-    starts = np.repeat(panel, n_paths, axis=0)
-    ends = evolve_starts([product], starts, t, h, seed=seed)[0]
+    ends = evolve_starts([product], panel, n_paths, t, h, seed)[0]
     vals = np.asarray(lifted.eval(ends), dtype=float).reshape(n_points, n_paths)
     values = [(*mean_se(vals[i]), float(np.interp(x[0], xs, u_t)))
               for i, x in enumerate(panel)]
@@ -112,8 +111,7 @@ def convergence_study(ball: Ball, f, t: float, n_list,
     n_list = list(n_list)
     domains = [polygon_approximation(ball, n) for n in n_list] + [ball]
     panel = restricted_sample(ball, n_points, seed + 1).points
-    starts = np.repeat(panel, paths_per_point, axis=0)
-    ends = evolve_starts(domains, starts, t, h, seed=seed)
+    ends = evolve_starts(domains, panel, paths_per_point, t, h, seed)
 
     ball_vals = np.asarray(f.eval(ends[-1]), dtype=float) \
         .reshape(n_points, paths_per_point)

@@ -74,7 +74,8 @@ def _schedule(t: float, h: float):
         return []
     n = max(1, math.ceil(t / h))
     last = t - (n - 1) * h
-    if last <= 1e-15:
+    # a tiny last step merges into the one before it, where there is one
+    if last <= 1e-15 and n > 1:
         n -= 1
         last = t - (n - 1) * h
     return [h] * (n - 1) + [last]
@@ -193,17 +194,22 @@ def _run_batches(run, n_batches):
         pool.shutdown(cancel_futures=True)
 
 
-def evolve_starts(domains, starts: np.ndarray, t: float,
-                  h: float = DEFAULT_STEP, seed: int = 0) -> list:
-    """Evolve per-path starts through several coupled domains.
+def evolve_starts(domains, panel: np.ndarray, repeats: int, t: float,
+                  h: float, seed: int) -> list:
+    """Evolve ``repeats`` paths from each row of ``panel`` through several
+    coupled domains.
 
-    ``starts`` has one row per path; every domain sees the same noise, so
-    runs coupled by a shared seed differ only through the reflections.
-    Paths run in batches of ``BATCH_SIZE`` rows, read at call time.
-    Returns one endpoint array per domain.
+    Path ``r`` starts at ``panel[r // repeats]``, so the endpoints come in
+    ``len(panel)`` consecutive groups of ``repeats`` rows. Every domain sees
+    the same noise, so runs coupled by a shared seed differ only through
+    the reflections. Paths run in batches of ``BATCH_SIZE`` rows, read at
+    call time, and each batch gathers only its own starts. Returns one
+    endpoint array per domain.
     """
-    starts = np.asarray(starts, dtype=float)
-    n, dim = starts.shape
+    panel = np.asarray(panel, dtype=float)
+    if repeats < 1:
+        raise ValueError("need at least one path per start")
+    n, dim = len(panel) * repeats, panel.shape[1]
     for dom in domains:
         if dom.dim != dim:
             raise ValueError("coupled domains must share a dimension")
@@ -218,7 +224,7 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
     def run(b):
         sl = slice(b * batch_size, min((b + 1) * batch_size, n))
         rng = np.random.default_rng(seeds[b])
-        block = starts[sl]
+        block = panel[np.arange(sl.start, sl.stop) // repeats]
         if kind == "exact":
             y = decay * block + spread * rng.standard_normal(block.shape)
             for i, fold in enumerate(folds):
@@ -240,28 +246,14 @@ def evolve_starts(domains, starts: np.ndarray, t: float,
     return outs
 
 
-def simulate_endpoints(domain: ConvexDomain, x0, t: float, n_paths: int,
-                       h: float = DEFAULT_STEP, seed: int = 0) -> np.ndarray:
-    """Endpoints of ``n_paths`` reflected paths started at ``x0``."""
-    x0 = np.asarray(x0, dtype=float)
-    if not domain.contains(x0):
-        raise ValueError("start point must lie in the domain")
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    starts = np.repeat(x0[None, :], n_paths, axis=0)
-    return evolve_starts([domain], starts, t, h, seed)[0]
-
-
-def mc_apply(f, domain: ConvexDomain, t: float, x, n_paths: int,
-             h: float = DEFAULT_STEP, seed: int = 0) -> SemigroupEstimate:
-    """Monte Carlo semigroup value: sample mean of f over path endpoints."""
-    return mc_apply_many([f], domain, t, x, n_paths, h, seed)[0]
-
-
 def mc_apply_many(fs, domain: ConvexDomain, t: float, x, n_paths: int,
                   h: float = DEFAULT_STEP, seed: int = 0) -> list:
-    """Apply several integrands over one shared set of endpoints."""
-    endpoints = simulate_endpoints(domain, x, t, n_paths, h, seed)
+    """Monte Carlo semigroup values of several integrands at ``x``: the
+    sample means of each over one shared set of ``n_paths`` endpoints."""
+    x = np.asarray(x, dtype=float)
+    if not domain.contains(x):
+        raise ValueError("start point must lie in the domain")
+    endpoints = evolve_starts([domain], x[None, :], n_paths, t, h, seed)[0]
     out = []
     for f in fs:
         mean, se = mean_se(np.asarray(f.eval(endpoints), dtype=float))

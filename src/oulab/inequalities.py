@@ -205,8 +205,7 @@ def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
     three payoffs.
     """
     x_panel = restricted_sample(domain, n_panel, seed + 1).points
-    starts = np.repeat(x_panel, n_paths, axis=0)
-    ends = evolve_starts([domain], starts, t, h, seed=seed)[0]
+    ends = evolve_starts([domain], x_panel, n_paths, t, h, seed)[0]
     details = {"t": t, "n_panel": n_panel, "n_paths": n_paths, "h": h,
                "seed": seed, **path_details([domain])}
     reports = []
@@ -260,7 +259,7 @@ def check_invariance(f, domain: ConvexDomain, t: float,
     if engine != "monte_carlo":
         raise ValueError("engine must be 'grid' or 'monte_carlo'")
     starts = restricted_sample(domain, n_paths, seed + 1).points
-    ends = evolve_starts([domain], starts, t, h, seed=seed)[0]
+    ends = evolve_starts([domain], starts, 1, t, h, seed)[0]
     diffs = (np.asarray(f.eval(ends), dtype=float)
              - np.asarray(f.eval(starts), dtype=float))
     mean_d, se_d = mean_se(diffs)

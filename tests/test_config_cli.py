@@ -277,6 +277,9 @@ BAD_SECTIONS = [
         points="many")),
     ("converge", lambda c: _with_2d_ball(c)["converge"].update(
         paths_per_point=0)),
+    # one path a point has no standard error
+    ("converge", lambda c: _with_2d_ball(c)["converge"].update(
+        paths_per_point=1)),
     ("converge", lambda c: _with_2d_ball(c)["converge"].update(step=0)),
     ("evolve", lambda c: c["evolve"].update(times=["x"])),
     ("evolve", lambda c: c["evolve"].update(times=[-1.0])),
@@ -359,6 +362,16 @@ BAD_BUDGETS = [
     lambda c: c["checks"].__setitem__(2, _factorization(free_dims=0)),
     lambda c: c["checks"].__setitem__(2, _factorization(free_dims=-1)),
     lambda c: c["engine"].update(sampels=3),
+    # too few values for a standard error: two for a mean, four for a
+    # variance (one path made a submultiplicative tolerance nan)
+    lambda c: c["checks"][0].update(samples=3),
+    lambda c: c["engine"].update(samples=3),
+    lambda c: c["checks"][1].update(engine="monte_carlo", mc_paths=1),
+    lambda c: c["engine"].update(mc_paths=1),
+    lambda c: c["checks"].__setitem__(2, {
+        "kind": "submultiplicative", "function": "linear",
+        "function2": "square", "domain": "interval", "mc_paths": 1}),
+    lambda c: c["checks"].__setitem__(2, _factorization(mc_paths=1)),
     # the entropy floor is a constant of the check, not a setting
     lambda c: c["checks"][2].update(kind="entropy", function="linear",
                                     times=[0.0, 0.5], floor=-2),

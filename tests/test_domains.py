@@ -466,10 +466,9 @@ def test_polygon_coupled_paths_follow_the_face_path():
     ball = SHORTCUT_BALLS[1]
     gon = polygon_approximation(ball, 256)
     rebuilt = HalfspaceIntersection(normals=gon.normals, offsets=gon.offsets)
-    starts = np.repeat(ball.center[None, :], 2000, axis=0)
     t, h = 0.5, 1e-2
-    ends_gon, ends_rebuilt = evolve_starts([gon, rebuilt], starts, t, h,
-                                           seed=4)
+    ends_gon, ends_rebuilt = evolve_starts([gon, rebuilt],
+                                           ball.center[None, :], 2000, t, h, 4)
     # both projections are nonexpansive up to rounding, so the paths part
     # by at most one face-path gap per step
     steps = round(t / h)
@@ -574,7 +573,7 @@ def test_sector_step_skips_rows_inside_the_disc(monkeypatch):
 
     monkeypatch.setattr(RegularPolygon, "_sector", spy)
     starts = restricted_sample(ball, 8000, 5).points
-    ends = evolve_starts([gon], starts, 0.5, 4e-3, seed=6)[0]
+    ends = evolve_starts([gon], starts, 1, 0.5, 4e-3, 6)[0]
     outside, inside = np.sum(counts, axis=0)
     assert outside > 50_000
     assert inside == 0

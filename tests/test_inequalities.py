@@ -10,6 +10,7 @@ from oulab.domains import (Ball, HalfspaceIntersection, Product, WholeSpace,
                            half_line, interval)
 from oulab.engines.grid import grid_apply, grid_build
 from oulab.engines.mehler import mehler_apply
+from oulab.engines.montecarlo import mc_apply_many
 from oulab.inequalities import (BelowFloor, InequalityReport, check_decay,
                                 check_entropy, check_gradient_bound,
                                 check_invariance, check_logsob,
@@ -213,8 +214,8 @@ def test_submultiplicative_mixed_pair_with_grid_cross_check():
     op = grid_build(IVAL, 300)
     prod = from_profile(var(1) * tanh(var(1)), [[1.0]])
     u = grid_apply(op, op.sample(prod), 0.5)
-    from oulab.engines.montecarlo import mc_apply
-    est = mc_apply(prod, IVAL, 0.5, [0.0], n_paths=40_000, h=2e-3, seed=12)
+    est, = mc_apply_many([prod], IVAL, 0.5, [0.0], n_paths=40_000, h=2e-3,
+                         seed=12)
     grid_val = float(np.interp(0.0, op.nodes[:, 0], u))
     assert abs(est.value - grid_val) <= 3 * est.std_error \
         + 1.0 * math.sqrt(2e-3)

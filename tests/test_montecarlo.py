@@ -12,9 +12,8 @@ from oulab.domains import (Ball, NoConvergence, Product, Slab, WholeSpace,
 from oulab.engines import montecarlo
 from oulab.engines.grid import grid_apply, grid_build
 from oulab.engines.mehler import mehler_apply
-from oulab.engines.montecarlo import (_schedule, evolve_starts, mc_apply,
-                                      mc_apply_many, path_details,
-                                      simulate_endpoints)
+from oulab.engines.montecarlo import (_schedule, evolve_starts,
+                                      mc_apply_many, path_details)
 from oulab.expr import const, coordinate, from_profile, var
 from oulab.gauss import mean_se
 from oulab.inequalities import BIAS_CONST
@@ -22,8 +21,8 @@ from oulab.inequalities import BIAS_CONST
 
 def test_time_zero_is_identity():
     x0 = np.array([0.3, -0.5])
-    ends = simulate_endpoints(Ball(center=[0.0, 0.0], radius=1.0), x0, 0.0,
-                              n_paths=50, seed=1)
+    ends = evolve_starts([Ball(center=[0.0, 0.0], radius=1.0)], x0[None, :],
+                         50, 0.0, 1e-3, 1)[0]
     assert np.array_equal(ends, np.tile(x0, (50, 1)))
 
 
@@ -31,17 +30,17 @@ def test_endpoints_stay_in_the_domain():
     for dom in (interval(-1.0, 1.0), half_line(),
                 Ball(center=[0.0, 0.0], radius=1.0),
                 Product(interval(-1.0, 1.0), 1), Product(half_line(), 1)):
-        x0 = np.zeros(dom.dim) + 0.25
-        ends = simulate_endpoints(dom, x0, 1.0, n_paths=5000, h=5e-3, seed=2)
+        x0 = np.zeros((1, dom.dim)) + 0.25
+        ends = evolve_starts([dom], x0, 5000, 1.0, 5e-3, 2)[0]
         assert dom.contains(ends).all()
 
 
 def test_same_seed_reproduces():
     dom = interval(-1.0, 1.0)
-    a = simulate_endpoints(dom, np.array([0.0]), 0.5, 1000, h=2e-3, seed=9)
-    b = simulate_endpoints(dom, np.array([0.0]), 0.5, 1000, h=2e-3, seed=9)
+    a = evolve_starts([dom], np.zeros((1, 1)), 1000, 0.5, 2e-3, 9)[0]
+    b = evolve_starts([dom], np.zeros((1, 1)), 1000, 0.5, 2e-3, 9)[0]
     assert np.array_equal(a, b)
-    c = simulate_endpoints(dom, np.array([0.0]), 0.5, 1000, h=2e-3, seed=10)
+    c = evolve_starts([dom], np.zeros((1, 1)), 1000, 0.5, 2e-3, 10)[0]
     assert not np.array_equal(a, c)
 
 
@@ -54,8 +53,8 @@ def test_whole_space_endpoint_law():
     # oracle: the exact transition is N(e^{-t} x0, 1 - e^{-2t}) per
     # coordinate, drawn in one step, so no step-bias allowance
     t, x0 = 0.5, 1.0
-    ends = simulate_endpoints(WholeSpace(1), np.array([x0]), t, 100_000,
-                              h=1e-3, seed=3)[:, 0]
+    ends = evolve_starts([WholeSpace(1)], np.array([[x0]]), 100_000, t,
+                         1e-3, 3)[0][:, 0]
     mean, std = _free_law(x0, t)
     assert kstest(ends, "norm", args=(mean, std)).pvalue > 1e-3
     assert abs(ends.mean() - mean) < 3 * ends.std() / math.sqrt(len(ends))
@@ -66,8 +65,7 @@ def test_half_line_endpoint_law_is_folded_normal():
     # OU is symmetric about 0, so the reflected endpoint is |free endpoint|
     t, x0 = 0.5, 0.3
     dom = half_line()
-    ends = simulate_endpoints(dom, np.array([x0]), t, 100_000, h=1e-3,
-                              seed=4)
+    ends = evolve_starts([dom], np.array([[x0]]), 100_000, t, 1e-3, 4)[0]
     assert dom.contains(ends).all()
     mean, std = _free_law(x0, t)
     folded_cdf = lambda y: norm.cdf((y - mean) / std) \
@@ -78,7 +76,7 @@ def test_half_line_endpoint_law_is_folded_normal():
 def test_product_free_coordinate_is_exact():
     t, x0 = 0.5, np.array([0.5, 1.0])
     dom = Product(interval(-1.0, 1.0), 1)
-    ends = simulate_endpoints(dom, x0, t, 50_000, h=5e-3, seed=5)
+    ends = evolve_starts([dom], x0[None, :], 50_000, t, 5e-3, 5)[0]
     assert dom.contains(ends).all()
     assert kstest(ends[:, 1], "norm", args=_free_law(x0[1], t)).pvalue > 1e-3
 
@@ -170,19 +168,23 @@ POOLED_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", POOLED_CASES)
-def test_batches_match_the_serial_reference(name, engine_cpus,
+@pytest.mark.parametrize("name, repeats", [
+    pytest.param(name, repeats, id=name if repeats == 1 else f"{name}-x3")
+    for repeats in (1, 3) for name in POOLED_CASES])
+def test_batches_match_the_serial_reference(name, repeats, engine_cpus,
                                             monkeypatch):
-    # 7 full batches of 128 and a ragged 37-row one
+    # one path a start: 7 full batches of 128 and a ragged 37-row one;
+    # three a start: 21 full batches and a ragged 111-row one, with the
+    # groups of three straddling the batch edges
     monkeypatch.setattr(montecarlo, "BATCH_SIZE", 128)
     domains = POOLED_CASES[name]
     rng = np.random.default_rng(16)
-    starts = np.clip(0.5 * rng.standard_normal((7 * 128 + 37,
-                                                 domains[0].dim)),
-                     -0.6, 0.6)
-    ours = evolve_starts(domains, starts, 0.3, 1e-2, seed=17)
-    ref = projected_euler(domains, starts, 0.3, 1e-2, seed=17,
-                          batch_size=128)
+    panel = np.clip(0.5 * rng.standard_normal((7 * 128 + 37,
+                                                domains[0].dim)),
+                    -0.6, 0.6)
+    ours = evolve_starts(domains, panel, repeats, 0.3, 1e-2, 17)
+    ref = projected_euler(domains, np.repeat(panel, repeats, axis=0), 0.3,
+                          1e-2, seed=17, batch_size=128)
     assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
 
 
@@ -204,7 +206,7 @@ def test_one_column_marches_end_inside_walls_the_shift_rounded_past(
     domains = ROUNDING_WALL_CASES[name]
     rng = np.random.default_rng(20)
     starts = rng.uniform(0.05, 0.3, (7 * 128 + 37, domains[0].dim))
-    ours = evolve_starts(domains, starts, 2.0, 0.25, seed=21)
+    ours = evolve_starts(domains, starts, 1, 2.0, 0.25, 21)
     ref = projected_euler(domains, starts, 2.0, 0.25, seed=21,
                           batch_size=128)
     assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
@@ -227,8 +229,8 @@ def test_concurrent_callers_get_their_serial_results(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as callers:
-            runs = [callers.submit(evolve_starts, domains, starts, 0.1, 1e-2,
-                                   seed) for seed in range(4)]
+            runs = [callers.submit(evolve_starts, domains, starts, 1, 0.1,
+                                   1e-2, seed) for seed in range(4)]
             got = [run.result(timeout=60) for run in runs]
     finally:
         sys.setswitchinterval(interval_s)
@@ -252,13 +254,13 @@ def test_a_failing_batch_raises_its_own_error(engine_cpus, monkeypatch):
     dom = _StallingDisc(center=[0.0, 0.0], radius=1.0)
     starts = np.zeros((7 * 128 + 37, 2))
     with pytest.raises(NoConvergence, match="ragged batch") as err:
-        evolve_starts([dom], starts, 0.1, 1e-2, seed=18)
+        evolve_starts([dom], starts, 1, 0.1, 1e-2, 18)
     assert err.type is NoConvergence
     # the running batches finished before the error propagated
     assert not [th for th in threading.enumerate()
                 if th.name.startswith("oulab-paths")]
     # the engine still runs after a failed call
-    ends = evolve_starts([dom], starts[:-37], 0.1, 1e-2, seed=18)[0]
+    ends = evolve_starts([dom], starts[:-37], 1, 0.1, 1e-2, 18)[0]
     assert dom.contains(ends).all()
 
 
@@ -267,8 +269,8 @@ def test_euler_fallback_is_unchanged(monkeypatch):
     starts = 0.5 + np.abs(np.random.default_rng(14).standard_normal((700, 1)))
     for domains in ([interval(-1.0, 1.0)], [half_line(0.5)],
                     [half_line(), interval(-4.0, 4.0)]):
-        ours = evolve_starts(domains, np.minimum(starts, 1.0), 0.3, 1e-2,
-                             seed=15)
+        ours = evolve_starts(domains, np.minimum(starts, 1.0), 1, 0.3, 1e-2,
+                             15)
         ref = projected_euler(domains, np.minimum(starts, 1.0), 0.3, 1e-2,
                               seed=15, batch_size=256)
         assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
@@ -278,8 +280,8 @@ def test_one_dimensional_step_is_two_point():
     # one step from 0, far from the walls, lands on +-sqrt(2h) with
     # probability 1/2 each; 100,003 rows leave a ragged last batch
     h, n = 1e-2, 100_003
-    ends = evolve_starts([interval(-10.0, 10.0)], np.zeros((n, 1)), h, h,
-                         seed=19)[0][:, 0]
+    ends = evolve_starts([interval(-10.0, 10.0)], np.zeros((1, 1)), n, h, h,
+                         19)[0][:, 0]
     scale = math.sqrt(2.0 * h)
     assert set(np.unique(ends).tolist()) == {-scale, scale}
     assert abs(np.mean(ends > 0) - 0.5) <= 3.0 * math.sqrt(0.25 / n)
@@ -305,12 +307,12 @@ def test_weak_order_by_step_refinement(name):
         op = grid_build(dom, cells)
         u = grid_apply(op, np.tanh(op.nodes[:, 0]), t, n_steps=5 * cells // 2)
         exact[cells] = float(np.interp(x0, op.nodes[:, 0], u))
-    starts = np.full((n, 1), x0)
     bias = {}
     for i, h in enumerate(hs):
-        runs = {"two_point": evolve_starts([dom], starts, t, h, seed=40 + i),
-                "gaussian": projected_euler([dom], starts, t, h, 50 + i, n,
-                                            two_point=False)}
+        runs = {"two_point": evolve_starts([dom], np.array([[x0]]), n, t, h,
+                                           40 + i),
+                "gaussian": projected_euler([dom], np.full((n, 1), x0), t, h,
+                                            50 + i, n, two_point=False)}
         for kind, (ends,) in runs.items():
             mean, se = mean_se(np.tanh(ends[:, 0]))
             bias[kind, h] = (mean - exact[800], se)
@@ -336,15 +338,15 @@ def test_weak_order_by_step_refinement(name):
 
 def test_reflected_path_single():
     dom = interval(-1.0, 1.0)
-    end = simulate_endpoints(dom, np.array([0.9]), 0.3, n_paths=1, h=1e-2,
-                             seed=5)[0]
+    end = evolve_starts([dom], np.array([[0.9]]), 1, 0.3, 1e-2, 5)[0][0]
     assert end.shape == (1,)
     assert dom.contains(end)
 
 
 def test_mc_constant_has_zero_error():
     one = from_profile(const(1.0), [[1.0]])
-    est = mc_apply(one, interval(-1.0, 1.0), 0.4, [0.0], n_paths=2000, seed=6)
+    est, = mc_apply_many([one], interval(-1.0, 1.0), 0.4, [0.0],
+                         n_paths=2000, seed=6)
     assert est.value == 1.0
     assert est.std_error == 0.0
 
@@ -352,8 +354,8 @@ def test_mc_constant_has_zero_error():
 def test_mc_matches_mehler_on_whole_space():
     f = coordinate(2, axis=0)
     t = 1.0
-    est = mc_apply(f, WholeSpace(2), t, [1.0, 0.0], n_paths=100_000,
-                   h=1e-3, seed=7)
+    est, = mc_apply_many([f], WholeSpace(2), t, [1.0, 0.0], n_paths=100_000,
+                         h=1e-3, seed=7)
     oracle = mehler_apply(f.lift(2) if f.dim != 2 else f, t, [1.0, 0.0]).value
     assert abs(oracle - math.exp(-1.0)) < 1e-12
     assert abs(est.value - oracle) <= 3 * est.std_error + 2e-3
@@ -361,8 +363,8 @@ def test_mc_matches_mehler_on_whole_space():
 
 def test_symmetric_invariant_mean_on_interval():
     f = coordinate(1)
-    est = mc_apply(f, interval(-1.0, 1.0), 6.0, [0.5], n_paths=50_000,
-                   h=5e-3, seed=8)
+    est, = mc_apply_many([f], interval(-1.0, 1.0), 6.0, [0.5],
+                         n_paths=50_000, h=5e-3, seed=8)
     # cross-check with the grid engine at the same horizon
     op = grid_build(interval(-1.0, 1.0), 200)
     u = grid_apply(op, op.sample(f), 6.0)
@@ -385,7 +387,8 @@ def test_mc_apply_many_shares_endpoints():
     fsq = from_profile(var(1) ** 2, [[1.0]])
     a, b = mc_apply_many([f, fsq], WholeSpace(1), 0.5, [1.0], 20_000,
                          h=2e-3, seed=12)
-    a_alone = mc_apply(f, WholeSpace(1), 0.5, [1.0], 20_000, h=2e-3, seed=12)
+    a_alone, = mc_apply_many([f], WholeSpace(1), 0.5, [1.0], 20_000,
+                             h=2e-3, seed=12)
     assert a.value == a_alone.value and a.std_error == a_alone.std_error
     assert b.method == "monte_carlo"
 
@@ -394,9 +397,9 @@ def test_coupled_runs_share_noise():
     small = interval(-0.5, 0.5)
     big = interval(-4.0, 4.0)
     starts = np.zeros((400, 1))
-    ends_small, ends_big = evolve_starts([small, big], starts, 0.3, 5e-3,
-                                         seed=13)
-    alone = evolve_starts([big], starts, 0.3, 5e-3, seed=13)[0]
+    ends_small, ends_big = evolve_starts([small, big], starts, 1, 0.3, 5e-3,
+                                         13)
+    alone = evolve_starts([big], starts, 1, 0.3, 5e-3, 13)[0]
     assert np.array_equal(ends_big, alone)
     assert small.contains(ends_small).all()
 
@@ -405,11 +408,32 @@ def test_coupled_runs_share_noise():
                                   (0.5, math.nan), (0.5, math.inf)])
 def test_bad_time_or_step_raises_value_error(t, h):
     with pytest.raises(ValueError, match="finite"):
-        evolve_starts([interval(-1.0, 1.0)], np.zeros((4, 1)), t, h, seed=0)
+        evolve_starts([interval(-1.0, 1.0)], np.zeros((4, 1)), 1, t, h, 0)
+
+
+@pytest.mark.parametrize("t, h", [(1e-16, 1e-3), (1e-16, 0.5), (1e-15, 0.5),
+                                  (0.3, 0.1), (1.0 + 5e-16, 0.5)])
+def test_schedule_sums_to_the_horizon(t, h):
+    # a last step of at most 1e-15 merges into the one before it
+    steps = _schedule(t, h)
+    assert math.isclose(math.fsum(steps), t, rel_tol=1e-12)
+    assert all(0.0 < dt <= h + 1e-15 for dt in steps)
+
+
+def test_tiny_horizon_barely_moves_the_paths():
+    # one step of t, not of t + h, which took 0.999 to -0.5005
+    t = 1e-16
+    assert _schedule(t, 0.5) == [t]
+    ends = evolve_starts([interval(-1.0, 1.0)], np.array([[0.999]]), 1000,
+                         t, 0.5, 0)[0]
+    assert np.abs(ends - 0.999).max() <= 2.0 * math.sqrt(2.0 * t)
 
 
 def test_start_validation():
+    one = from_profile(const(1.0), [[1.0]])
     with pytest.raises(ValueError):
-        simulate_endpoints(interval(-1, 1), np.array([2.0]), 0.5, 10, seed=0)
+        mc_apply_many([one], interval(-1, 1), 0.5, [2.0], 10, seed=0)
     with pytest.raises(ValueError):
-        simulate_endpoints(interval(-1, 1), np.array([0.0]), 0.5, 0, seed=0)
+        mc_apply_many([one], interval(-1, 1), 0.5, [0.0], 0, seed=0)
+    with pytest.raises(ValueError):
+        evolve_starts([interval(-1, 1)], np.zeros((4, 1)), 0, 0.5, 1e-2, 0)
