@@ -25,7 +25,7 @@ import numpy as np
 from .config import (BUDGET_FORMATS, CHECK_KINDS, ConfigError, RunConfig,
                      grid_operator, load_config, load_default_config)
 from .cylapprox import convergence_study
-from .domains import Ball
+from .domains import Ball, EmptyDomain
 from .engines.grid import grid_apply, grid_spectrum
 from .gauss import MassTooSmall
 from .inequalities import BelowFloor
@@ -57,9 +57,10 @@ def _run_one_check(cfg: RunConfig, index: int) -> list:
     b = cfg.budgets[index]
     try:
         return CHECK_KINDS[b.kind].run(b, *b.args)
-    except (BelowFloor, MassTooSmall) as err:
+    except (BelowFloor, MassTooSmall, EmptyDomain) as err:
         # the function does not suit the check's kind, or the domain has
-        # too little Gaussian mass (a sampler's first batch sees that)
+        # too little Gaussian mass (a sampler's first batch sees that) or
+        # none inside the box a 1D check integrates over
         raise ConfigError(f"check {index}: {err}") from None
 
 

@@ -34,16 +34,19 @@ allow it; a call that mixes kinds runs Euler for all of them.
 
 Determinism and coupling: paths are generated in fixed-size batches whose
 generators come from spawned children of the root seed, and every batch
-writes its own fixed rows of the endpoint array. The batches of a call run
-on a thread pool of its own, with one thread per CPU in the process's
-affinity mask. numpy releases the GIL while it fills noise and runs
-ufuncs, so batches of Gaussian steps run at the same time: on a 2-core
-machine, 65,536 paths x 100 steps in the unit disc took 0.18 s on two
-threads against 0.33 s on one. A one-column step is a handful of calls of
-a few microseconds each, and there a second thread gains nothing: the
+writes its own fixed rows of the endpoint array. Exact draws and marches
+in two or more columns run their batches on a thread pool of the call's
+own, with one thread per CPU in the process's affinity mask. numpy
+releases the GIL while it fills noise and runs ufuncs, so batches of
+Gaussian steps run at the same time: on a 2-core machine, 65,536 paths x
+100 steps in the unit disc took 0.18 s on two threads against 0.33 s on
+one. A one-column march (``"euler"`` in 1D, ``"split"`` on a 1D base)
+runs its batches in batch order on the calling thread: each of its steps
+is a handful of calls of a few microseconds each, so a second thread
+gains nothing and its hand-offs cost time. On a 2-core machine the
 bundled ``submultiplicative`` load (160,000 rows x 100 steps) took
-0.056-0.074 s on two threads against 0.043-0.051 s on one. Neither the
-pool size nor the order batches finish in can change a result: a batch's
+0.056-0.074 s on two threads against 0.043-0.051 s on one. Neither where
+batches run nor the order they finish in can change a result: a batch's
 noise depends only on its own generator, and its rows only on its noise
 and starts. There is deliberately no knob for the pool. Two calls with the
 same seed, path count, step size, horizon and transition consume identical
@@ -242,7 +245,11 @@ def evolve_starts(domains, panel: np.ndarray, repeats: int, t: float,
             for i in range(len(domains)):
                 outs[i][sl] = ends[i]
 
-    _run_batches(run, n_batches)
+    if k == 1:  # a one-column march
+        for b in range(n_batches):
+            run(b)
+    else:
+        _run_batches(run, n_batches)
     return outs
 
 

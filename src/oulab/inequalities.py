@@ -15,22 +15,32 @@ under that normalization, and the entropy inequality is stated in the
 normalized form, which is the version that is exact for constants on
 domains of any mass.
 
-The sampled checks (Poincare, log-Sobolev) stream their sample: f, its
-gradient and the integrands are evaluated on the blocks of at most
-``gauss.BLOCK_ROWS`` rows that ``gauss._sample_blocks`` yields, and each
-block is reduced at once into a ``gauss.Moments`` accumulator. No array
-of ``n_samples`` rows is built, and the rows are those of
-``restricted_sample``; only the order of summation differs from a
-reduction of one whole array.
+The Poincare and log-Sobolev checks integrate on a domain of dimension 1
+and sample on the others. In 1D every domain is an interval, and the
+conditional means are sums over a composite Gauss-Legendre rule
+(``QUAD_PANELS`` panels of ``QUAD_NODES`` nodes) on
+``truncation_box(domain, QUAD_TAIL)``, weighted by the Gaussian density
+and normalized; ``n_samples`` and ``seed`` are not read. The tolerance
+holds two measured terms besides roundoff: ``quadrature``, how far each
+side moves when every panel takes twice the nodes, and ``truncation``,
+how far each side moves when the box widens to tail mass ``WIDE_TAIL``.
+In more dimensions the checks stream their sample: f, its gradient and
+the integrands are evaluated on the blocks of at most ``gauss.BLOCK_ROWS``
+rows that ``gauss._sample_blocks`` yields, and each block is reduced at
+once into a ``gauss.Moments`` accumulator. No array of ``n_samples`` rows
+is built, and the rows are those of ``restricted_sample``; only the order
+of summation differs from a reduction of one whole array. Their tolerance
+holds the ``sampling`` term, ``Z`` standard errors.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import ConvexDomain
+from .domains import ConvexDomain, truncation_box
 from .gauss import (Moments, _sample_blocks, _sampler_details, mean_se,
                     restricted_sample)
 from .engines.grid import (grid_apply, fd_gradient, weighted_mean, l2_norm,
@@ -42,6 +52,13 @@ EPS_FLOOR = 1e-12
 GRID_EXACT_TOL = 1e-9
 MAXPRINCIPLE_TOL = 1e-10
 LOG_CLIP = 1e-12  # |f| is clipped here inside the log-Sobolev logarithm
+# the composite Gauss-Legendre rule of the 1D Poincare and log-Sobolev
+# checks, the Gaussian tail mass its box leaves out, and the tail mass of
+# the wider box that measures what that leaves out
+QUAD_PANELS = 8
+QUAD_NODES = 16
+QUAD_TAIL = 1e-12
+WIDE_TAIL = 1e-24
 ENTROPY_FLOOR = 1e-6  # the least f an entropy trace takes on its mesh
 # the roundoff an entropy trace may rise by between times and still count
 # as nonincreasing
@@ -111,9 +128,80 @@ def _cells(op: GridOperator):
     return cells[0] if len(set(cells)) == 1 else cells
 
 
+@functools.cache
+def _legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    from numpy.polynomial.legendre import leggauss
+    rule = leggauss(nodes)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+def _gauss_legendre(lo: float, hi: float, nodes: int):
+    """Nodes of the composite rule of ``QUAD_PANELS`` equal panels of
+    ``nodes`` nodes on [lo, hi], and their probability weights for the
+    Gaussian conditioned on it. The density is taken relative to its value
+    at the box point nearest 0, exp(-(x^2 - x0^2)/2), so a box far out in
+    the tail keeps weights of order one instead of underflowing to 0."""
+    x, w = _legendre(nodes)
+    edges = np.linspace(lo, hi, QUAD_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    pts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    x0 = min(max(0.0, lo), hi)
+    dens = (half * w).ravel() * np.exp(-0.5 * (pts * pts - x0 * x0))
+    return pts, dens / dens.sum()
+
+
+def _integrated(name, f, domain: ConvexDomain, sides) -> InequalityReport:
+    """The report of a 1D check by the composite Gauss-Legendre rule.
+
+    ``sides(values, grad_sq, p)`` returns (lhs, rhs, details) from f and
+    its squared derivative at the nodes, with ``p`` the nodes' probability
+    weights. It runs on three rules, whose nodes f sees in one call: the
+    reported one on ``truncation_box(domain, QUAD_TAIL)``, the one with
+    twice the nodes per panel on the same box (the ``quadrature`` term is
+    how far each side moves) and the reported one on the box of tail mass
+    ``WIDE_TAIL`` (the ``truncation`` term).
+    """
+    (lo,), (hi,) = truncation_box(domain, QUAD_TAIL)
+    (wide_lo,), (wide_hi,) = truncation_box(domain, WIDE_TAIL)
+    rules = [_gauss_legendre(lo, hi, QUAD_NODES),
+             _gauss_legendre(lo, hi, 2 * QUAD_NODES),
+             _gauss_legendre(wide_lo, wide_hi, QUAD_NODES)]
+    pts = np.concatenate([x for x, _ in rules])[:, None]
+    values = np.asarray(f.eval(pts), dtype=float)
+    grad = f.gradient(pts)[:, 0]
+    grad_sq = grad * grad
+    ends = np.cumsum([len(x) for x, _ in rules])[:-1]
+    (lhs, rhs, details), fine, wide = [
+        sides(v, g, p) for v, g, (_, p) in zip(
+            np.split(values, ends), np.split(grad_sq, ends), rules)]
+    return _report(
+        name, lhs, rhs,
+        [("quadrature", abs(fine[0] - lhs) + abs(fine[1] - rhs)),
+         ("truncation", abs(wide[0] - lhs) + abs(wide[1] - rhs)),
+         ("eps", _scale_floor(lhs, rhs))],
+        {**details, "sampler": "gauss_legendre",
+         "nodes": f"{QUAD_PANELS}x{QUAD_NODES}",
+         "box": (float(lo), float(hi))})
+
+
+def _poincare_sides(values, grad_sq, p):
+    # centred on a node value first, so a constant's variance is exactly 0
+    # although the weights sum to 1 only up to rounding
+    dev = values - values[0]
+    dev -= p @ dev
+    return float(p @ (dev * dev)), float(p @ grad_sq), {}
+
+
 def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
                    seed: int = 0) -> InequalityReport:
-    """Variance of f bounded by the mean squared gradient norm (constant one)."""
+    """Variance of f bounded by the mean squared gradient norm (constant
+    one); integrated in 1D and sampled in more dimensions (module
+    docstring)."""
+    if domain.dim == 1:
+        return _integrated("poincare", f, domain, _poincare_sides)
     values, grad_sq = Moments(fourth=True), Moments(fourth=False)
     for pts, accepted, proposed in _sample_blocks(domain, n_samples, seed):
         values.add(np.asarray(f.eval(pts), dtype=float))
@@ -128,6 +216,27 @@ def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
          "se_rhs": se_rhs, **_sampler_details(domain, accepted, proposed)})
 
 
+def _entropy_terms(values):
+    """f^2, the entropy integrand f^2 log|f| (0 where f = 0, |f| clipped
+    at ``LOG_CLIP`` in the logarithm) and how many values were clipped."""
+    absv = np.abs(values)
+    logs = np.log(np.maximum(absv, LOG_CLIP))
+    sq = values * values
+    return (sq, np.where(absv > 0.0, sq * logs, 0.0),
+            int(np.count_nonzero(absv < LOG_CLIP)))
+
+
+def _norm_term(nrm2: float) -> float:
+    return 0.5 * nrm2 * math.log(nrm2) if nrm2 > 0 else 0.0
+
+
+def _logsob_sides(values, grad_sq, p):
+    sq, ent, clipped = _entropy_terms(values)
+    energy, nrm2 = float(p @ grad_sq), float(p @ sq)
+    return (float(p @ ent), energy + _norm_term(nrm2),
+            {"clipped": clipped, "energy": energy, "l2_sq": nrm2})
+
+
 def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
                  seed: int = 0) -> InequalityReport:
     """Entropy of f^2 bounded by gradient energy plus the norm term.
@@ -135,26 +244,27 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
     Stated with log|f| on both sides; all integrals are conditional means,
     so the constant case is an exact equality on every domain. Values of
     |f| below ``LOG_CLIP`` are clipped inside the logarithm (0 log 0 = 0)
-    and the clip count is reported.
+    and the clip count (of samples, or of the reported rule's nodes) is
+    reported. Integrated in 1D and sampled in more dimensions (module
+    docstring).
     """
+    if domain.dim == 1:
+        return _integrated("log_sobolev", f, domain, _logsob_sides)
     entropy, grad_sq, square = (Moments(fourth=False) for _ in range(3))
     clipped = 0
     for pts, accepted, proposed in _sample_blocks(domain, n_samples, seed):
-        vals = np.asarray(f.eval(pts), dtype=float)
+        sq, ent, n_clipped = _entropy_terms(
+            np.asarray(f.eval(pts), dtype=float))
         grad = f.gradient(pts)
-        absv = np.abs(vals)
-        clipped += int(np.count_nonzero(absv < LOG_CLIP))
-        logs = np.log(np.maximum(absv, LOG_CLIP))
-        sq = vals * vals
-        entropy.add(np.where(absv > 0.0, sq * logs, 0.0))
+        clipped += n_clipped
+        entropy.add(ent)
         grad_sq.add(np.einsum("ij,ij->i", grad, grad))
         square.add(sq)
     lhs, se_lhs = entropy.mean_se()
     energy, se_energy = grad_sq.mean_se()
     nrm2, se_nrm2 = square.mean_se()
-    norm_term = 0.5 * nrm2 * math.log(nrm2) if nrm2 > 0 else 0.0
     se_norm = abs(0.5 * (math.log(nrm2) + 1.0)) * se_nrm2 if nrm2 > 0 else 0.0
-    rhs = energy + norm_term
+    rhs = energy + _norm_term(nrm2)
     return _report(
         "log_sobolev", lhs, rhs,
         [("sampling", Z * (se_lhs + se_energy + se_norm)),

@@ -155,14 +155,20 @@ def test_regular_polygon_domain_verifies_across_jobs(tmp_path):
 
 
 def test_verify_seed_override_changes_sampled_rows(tmp_path):
-    path = write_config(tmp_path)
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["checks"].append({"kind": "invariance", "function": "square",
+                          "domain": "interval", "engine": "monte_carlo"})
+    path = write_config(tmp_path, cfg)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     main(["verify", path, "--out", str(out1)])
     main(["verify", path, "--out", str(out2), "--seed", "99"])
     a = read_reports(out1)
     b = read_reports(out2)
-    assert a[0]["lhs"] != b[0]["lhs"]  # sampled check moved with the seed
-    assert a[1]["lhs"] == b[1]["lhs"]  # grid check is seed independent
+    # a 1D poincare integrates by quadrature and a grid check runs on its
+    # mesh: neither reads the seed; the Monte Carlo check moves with it
+    assert a[0]["engine"] == "quadrature" and a[0]["lhs"] == b[0]["lhs"]
+    assert a[1]["lhs"] == b[1]["lhs"]
+    assert a[-1]["engine"] == "monte_carlo" and a[-1]["lhs"] != b[-1]["lhs"]
 
 
 def test_verify_flags_deliberate_failure(tmp_path, monkeypatch):
@@ -486,23 +492,37 @@ def test_engine_grid_budgets_reach_the_checks(tmp_path):
 
 
 def test_empty_domain_monte_carlo_check_exits_2(tmp_path, capsys):
-    # a sample-based check never asks for axis bounds; its rejection
-    # sampler finds an empty domain, or one with too little Gaussian mass
-    # (here x >= 3.5, mass 2.3e-4), through its first-batch acceptance
-    far_tail = {"shape": "halfspaces", "normals": [[-1.0]],
-                "offsets": [-3.5]}
-    for domain in (EMPTY_HALFLINES, far_tail):
-        cfg = json.loads(json.dumps(SMALL_CONFIG))
-        cfg["domains"]["sparse"] = domain
-        cfg["checks"] = [{"kind": "poincare", "function": "linear",
-                          "domain": "sparse"}]
+    # a 1D check integrates over the domain's truncation box: on the far
+    # tail x >= 3.5 (mass 2.3e-4, below the rejection floor) it runs and
+    # passes, and on an empty domain the axis bounds raise, exit 2; a 2D
+    # check samples by rejection, whose first-batch acceptance finds the
+    # corner x, y >= 2.5 (mass 3.9e-5) too small, exit 2
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["domains"].update(
+        far_tail={"shape": "halfspaces", "normals": [[-1.0]],
+                  "offsets": [-3.5]},
+        nothing=EMPTY_HALFLINES,
+        corner={"shape": "halfspaces", "normals": [[-1.0, 0.0], [0.0, -1.0]],
+                "offsets": [-2.5, -2.5]})
+    cfg["functions"]["x1"] = {"dim": 2, "directions": [[1.0, 0.0]],
+                                "profile": "v1"}
+    for domain, function, code, message in (
+            ("far_tail", "linear", 0, None),
+            ("nothing", "linear", 2, "no interior"),
+            ("corner", "x1", 2, "acceptance")):
+        cfg["checks"] = [{"kind": "poincare", "function": function,
+                          "domain": domain}]
         path = write_config(tmp_path, cfg)
         for jobs in ("1", "2"):
+            out = tmp_path / f"{domain}{jobs}"
             assert main(["verify", path, "--jobs", jobs,
-                         "--out", str(tmp_path / "out")]) == 2
+                         "--out", str(out)]) == code, (domain, jobs)
             err = capsys.readouterr().err
-            assert "config error:" in err and "acceptance" in err, \
-                (domain, jobs)
+            if message is None:
+                assert read_reports(out)[0]["pass"] == "true"
+            else:
+                assert "config error:" in err and message in err, \
+                    (domain, jobs)
 
 
 def _fresh_python(code):
@@ -645,16 +665,16 @@ def test_converge_command(tmp_path):
 # check, name, engine, budget and seed of every bundled report: the
 # dispatch from check kind to runner, engine label and budget string
 BUNDLED_DISPATCH = [
-    ("0.0:poincare", "poincare", "sampled", "samples=200000", "20260809"),
-    ("1.0:poincare", "poincare", "sampled", "samples=200000", "20261809"),
-    ("2.0:poincare", "poincare", "sampled", "samples=200000", "20262809"),
-    ("3.0:poincare", "poincare", "sampled", "samples=200000", "20263809"),
+    ("0.0:poincare", "poincare", "quadrature", "nodes=8x16", "20260809"),
+    ("1.0:poincare", "poincare", "quadrature", "nodes=8x16", "20261809"),
+    ("2.0:poincare", "poincare", "quadrature", "nodes=8x16", "20262809"),
+    ("3.0:poincare", "poincare", "quadrature", "nodes=8x16", "20263809"),
     ("4.0:poincare", "poincare", "sampled", "samples=200000", "20264809"),
-    ("5.0:log_sobolev", "log_sobolev", "sampled", "samples=200000",
+    ("5.0:log_sobolev", "log_sobolev", "quadrature", "nodes=8x16",
      "20265809"),
-    ("6.0:log_sobolev", "log_sobolev", "sampled", "samples=200000",
+    ("6.0:log_sobolev", "log_sobolev", "quadrature", "nodes=8x16",
      "20266809"),
-    ("7.0:log_sobolev", "log_sobolev", "sampled", "samples=200000",
+    ("7.0:log_sobolev", "log_sobolev", "quadrature", "nodes=8x16",
      "20267809"),
     ("8.0:gradient_bound", "gradient_bound", "grid", "resolution=200",
      "20268809"),

@@ -25,6 +25,7 @@ SQ = from_profile(var(1) ** 2, [[1.0]])
 TANH = from_profile(tanh(var(1)), [[1.0]])
 ONE = from_profile(const(1.0), [[1.0]])
 IVAL = interval(-1.0, 1.0)
+DISC = Ball(center=[0.0, 0.0], radius=1.0)
 
 
 REPORT_NAMES = {"poincare", "log_sobolev", "gradient_bound",
@@ -109,14 +110,51 @@ def test_var_se_of_three_or_fewer_values_has_no_error(n):
 
 
 def test_sampled_reports_record_their_sampler():
-    for dom, sampler in [(WholeSpace(1), "whole_space"),
-                         (IVAL, "rejection")]:
-        for check in (check_poincare, check_logsob):
+    # in 1D the checks integrate and name the rule; in 2D they sample
+    tanh2 = from_profile(tanh(var(1)), [[1.0, 0.0]])
+    for check in (check_poincare, check_logsob):
+        for dom in (WholeSpace(1), IVAL):
             rep = check(TANH, dom, n_samples=3000, seed=6)
+            assert rep.details["sampler"] == "gauss_legendre"
+            assert rep.details["nodes"] == "8x16"
+        for dom, sampler in [(WholeSpace(2), "whole_space"),
+                             (DISC, "rejection")]:
+            rep = check(tanh2, dom, n_samples=3000, seed=6)
             sample = restricted_sample(dom, 3000, 6)
             assert rep.details["sampler"] == sampler == sample.sampler
             assert rep.details["acceptance_rate"] == sample.acceptance_rate
             assert rep.details["proposed"] == sample.proposed
+
+
+ONE_D_DOMAINS = [WholeSpace(1), half_line(), half_line(3.5), IVAL,
+                 interval(40.0, 41.0)]
+
+
+@pytest.mark.parametrize("check", [check_poincare, check_logsob])
+def test_one_dimensional_reports_carry_quadrature_and_truncation(check):
+    pos = from_profile(2 + tanh(var(1)), [[1.0]])
+    for dom in ONE_D_DOMAINS:
+        rep = check(pos, dom, n_samples=3000, seed=6)
+        assert rep.passed, (dom, rep)
+        assert rep.details["tolerance_rule"] == "quadrature+truncation+eps"
+        _assert_recorded_terms(rep)
+        # a domain the box does not cut has nothing left to truncate
+        lo, hi = dom.axis_bounds()
+        if np.isfinite(lo).all() and np.isfinite(hi).all():
+            assert rep.details["tolerance_terms"]["truncation"] == 0.0
+        # the rule reads no seed
+        assert check(pos, dom, n_samples=3000, seed=7) == rep
+
+
+def test_poincare_far_interval_weights_do_not_underflow():
+    # exp(-x^2 / 2) underflows to 0 on [40, 41]; relative to x0 = 40 the
+    # weights stay of order one. x is nearly exponential there with rate
+    # 40: its variance is about 1 / 40^2
+    rep = check_poincare(LIN, interval(40.0, 41.0), n_samples=3000, seed=1)
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.tolerance)
+    assert rep.passed
+    assert abs(rep.lhs - 1.0 / 1600.0) < 1e-4
+    assert rep.rhs == pytest.approx(1.0, abs=1e-12)
 
 
 # Poincare -------------------------------------------------------------------
@@ -132,6 +170,17 @@ def test_poincare_constant():
     rep = check_poincare(from_profile(const(4.0), [[1.0]]), IVAL,
                          n_samples=2000, seed=4)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
+
+
+def test_poincare_linear_oracles_by_quadrature():
+    # Var(Z) = 1 on the line and Var(|Z|) = 1 - 2/pi on the half-line; the
+    # squared derivative is 1 everywhere
+    for dom, variance in [(WholeSpace(1), 1.0),
+                          (half_line(), 1.0 - 2.0 / math.pi)]:
+        rep = check_poincare(LIN, dom)
+        assert abs(rep.lhs - variance) < 1e-10
+        assert abs(rep.rhs - 1.0) < 1e-10
+        assert rep.passed
 
 
 def test_poincare_half_line_against_half_normal_variance():
@@ -162,6 +211,20 @@ def test_logsob_exponential_sharp_case():
     target = math.exp(0.5) / 2.0
     assert abs(rep.lhs - target) < 0.02
     assert abs(rep.margin) <= 2.0 * rep.tolerance
+
+
+def test_logsob_exponential_oracle_by_quadrature():
+    # lhs = rhs = e^{1/2}/2 on the whole line. f^2 = e^x moves the mass
+    # the box at tail 1e-12 leaves out from 1e-12 to about 3e-9, so each
+    # side holds to 1e-10 beyond what the truncation term measured
+    f = from_profile(exp(0.5 * var(1)), [[1.0]])
+    rep = check_logsob(f, WholeSpace(1))
+    target = math.exp(0.5) / 2.0
+    truncation = rep.details["tolerance_terms"]["truncation"]
+    assert abs(rep.lhs - target) + abs(rep.rhs - target) \
+        < truncation + 1e-10
+    assert truncation < 1e-8
+    assert rep.passed
 
 
 def test_logsob_positive_tanh_on_halfplane():

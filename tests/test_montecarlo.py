@@ -264,6 +264,25 @@ def test_a_failing_batch_raises_its_own_error(engine_cpus, monkeypatch):
     assert dom.contains(ends).all()
 
 
+def test_only_exact_draws_and_wider_marches_use_the_pool(monkeypatch):
+    # a one-column march runs its batches on the calling thread
+    pooled = []
+    run_batches = montecarlo._run_batches
+    monkeypatch.setattr(montecarlo, "_run_batches",
+                        lambda run, n: pooled.append(n) or run_batches(run, n))
+    monkeypatch.setattr(montecarlo, "BATCH_SIZE", 64)
+    for domains, uses_pool in [
+            ([interval(-1.0, 1.0)], False),
+            ([Product(interval(-1.0, 1.0), 1)], False),
+            ([half_line()], True),
+            ([DISC], True)]:
+        pooled.clear()
+        starts = np.full((200, domains[0].dim), 0.5)
+        ends = evolve_starts(domains, starts, 1, 0.05, 1e-2, 22)[0]
+        assert domains[0].contains(ends).all()
+        assert bool(pooled) == uses_pool, domains
+
+
 def test_euler_fallback_is_unchanged(monkeypatch):
     monkeypatch.setattr(montecarlo, "BATCH_SIZE", 256)
     starts = 0.5 + np.abs(np.random.default_rng(14).standard_normal((700, 1)))
