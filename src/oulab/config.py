@@ -34,9 +34,9 @@ from .engines.grid import (DEFAULT_CN_STEPS, DEFAULT_TAIL_MASS, GridOperator,
                            grid_build)
 from .engines.types import ResolutionTooCoarse
 from .expr import CylFunction, function_from_config
-from .inequalities import (QUAD_NODES, QUAD_PANELS, check_decay,
-                           check_entropy, check_gradient_bound,
-                           check_invariance, check_logsob, check_poincare,
+from .inequalities import (_rule, check_decay, check_entropy,
+                           check_gradient_bound, check_invariance,
+                           check_logsob, check_poincare,
                            check_positivity_and_contraction,
                            submultiplicative_reports)
 
@@ -179,10 +179,11 @@ SECTIONS = {
 }
 
 # the budget column of reports.csv, by engine label; ``_check`` labels a
-# sampled kind on a 1D domain ``quadrature``, the rule it integrates by
+# sampled kind ``quadrature`` on a domain ``inequalities._rule`` integrates
+# on, with that rule's nodes
 BUDGET_FORMATS = {
     "sampled": "samples={samples}",
-    "quadrature": f"nodes={QUAD_PANELS}x{QUAD_NODES}",
+    "quadrature": "nodes={nodes}",
     "grid": "resolution={grid_resolution}",
     "monte_carlo": "paths={mc_paths};h={mc_step}",
     "monte_carlo+grid":
@@ -309,8 +310,9 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
     if kind.dim is not None and dom.dim != kind.dim:
         raise ConfigError(f"{where}{b.kind} needs a {kind.dim} dimensional "
                           f"{kind.domain_key!r}")
-    if b.engine == "sampled" and dom.dim == 1:
-        b.engine = "quadrature"
+    rule = _rule(dom)
+    if b.engine == "sampled" and rule is not None:
+        b.engine, b.nodes = "quadrature", rule["nodes"]
     b.args = (dom, *(cfg.function_on(getattr(b, key), dom,
                                      f"{where}{key!r}: ")
                      for key in kind.function_keys))

@@ -408,9 +408,14 @@ class CylFunction:
 
     def gradient(self, x):
         z, single = self._projections(x)
-        out = np.zeros((z.shape[0], self.dim))
+        out = np.zeros((z.shape[0], self.dim))  # kept when f has no variable
         for i, part in enumerate(self._partials):
-            out += evaluate(part, z)[:, None] * self.directions[i]
+            term = np.multiply.outer(evaluate(part, z), self.directions[i])
+            # the first term is the sum's own array: 0 + term is term
+            if i == 0:
+                out = term
+            else:
+                out += term
         return out[0] if single else out
 
     def gradient_norm(self, x):

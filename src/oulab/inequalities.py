@@ -16,16 +16,25 @@ normalized form, which is the version that is exact for constants on
 domains of any mass.
 
 The Poincare and log-Sobolev checks integrate on a domain of dimension 1
-and sample on the others. In 1D every domain is an interval, and the
-conditional means are sums over a composite Gauss-Legendre rule
-(``QUAD_PANELS`` panels of ``QUAD_NODES`` nodes) on
-``truncation_box(domain, QUAD_TAIL)``, weighted by the Gaussian density
-and normalized; ``n_samples`` and ``seed`` are not read. The tolerance
-holds two measured terms besides roundoff: ``quadrature``, how far each
-side moves when every panel takes twice the nodes, and ``truncation``,
-how far each side moves when the box widens to tail mass ``WIDE_TAIL``.
-In more dimensions the checks stream their sample: f, its gradient and
-the integrands are evaluated on the blocks of at most ``gauss.BLOCK_ROWS``
+and on a disc (a 2D ``Ball``), and sample on the others; ``_rule`` is the
+one predicate that decides, and ``config`` labels the ``engine`` column
+by it. The conditional means are sums over a quadrature rule weighted by
+the Gaussian density and normalized; ``n_samples`` and ``seed`` are not
+read. In 1D every domain is an interval, and the rule is the composite
+Gauss-Legendre rule (``QUAD_PANELS`` panels of ``QUAD_NODES`` nodes) on
+``truncation_box(domain, QUAD_TAIL)``. On a disc it is the polar product
+rule: the composite rule with half the nodes a panel in the radius on
+[0, r], and the periodic trapezoid rule at as many equally spaced angles
+as there are radii, each node weighted by its radius (8 x 8 radii times
+64 angles: its two axes multiply, and this rule already sits at roundoff
+on the bundled and acceptance discs). The tolerance holds two measured terms
+besides roundoff: ``quadrature``, how far each side moves when every axis
+of the rule takes twice the nodes, and ``truncation``, how far each side
+moves when the 1D box widens to tail mass ``WIDE_TAIL``; the polar rule
+covers the whole disc, so there it is exactly 0. On the other shapes
+(polygons, half-plane systems, the whole plane, products and more
+dimensions) the checks stream their sample: f, its gradient and the
+integrands are evaluated on the blocks of at most ``gauss.BLOCK_ROWS``
 rows that ``gauss._sample_blocks`` yields, and each block is reduced at
 once into a ``gauss.Moments`` accumulator. No array of ``n_samples`` rows
 is built, and the rows are those of ``restricted_sample``; only the order
@@ -40,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import ConvexDomain, truncation_box
+from .domains import Ball, ConvexDomain, truncation_box
 from .gauss import (Moments, _sample_blocks, _sampler_details, mean_se,
                     restricted_sample)
 from .engines.grid import (grid_apply, fd_gradient, weighted_mean, l2_norm,
@@ -52,9 +61,10 @@ EPS_FLOOR = 1e-12
 GRID_EXACT_TOL = 1e-9
 MAXPRINCIPLE_TOL = 1e-10
 LOG_CLIP = 1e-12  # |f| is clipped here inside the log-Sobolev logarithm
-# the composite Gauss-Legendre rule of the 1D Poincare and log-Sobolev
-# checks, the Gaussian tail mass its box leaves out, and the tail mass of
-# the wider box that measures what that leaves out
+# the composite Gauss-Legendre rule of the Poincare and log-Sobolev checks
+# (in 1D; a disc's radius takes half the nodes a panel), the Gaussian tail
+# mass its 1D box leaves out, and the tail mass of the wider box that
+# measures what that leaves out
 QUAD_PANELS = 8
 QUAD_NODES = 16
 QUAD_TAIL = 1e-12
@@ -138,69 +148,133 @@ def _legendre(nodes: int):
     return rule
 
 
-def _gauss_legendre(lo: float, hi: float, nodes: int):
-    """Nodes of the composite rule of ``QUAD_PANELS`` equal panels of
-    ``nodes`` nodes on [lo, hi], and their probability weights for the
-    Gaussian conditioned on it. The density is taken relative to its value
-    at the box point nearest 0, exp(-(x^2 - x0^2)/2), so a box far out in
-    the tail keeps weights of order one instead of underflowing to 0."""
+def _composite(lo: float, hi: float, nodes: int):
+    """Nodes and weights of the composite rule of ``QUAD_PANELS`` equal
+    panels of ``nodes`` Gauss-Legendre nodes on [lo, hi]."""
     x, w = _legendre(nodes)
     edges = np.linspace(lo, hi, QUAD_PANELS + 1)
     half = 0.5 * np.diff(edges)[:, None]
     pts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    return pts, (half * w).ravel()
+
+
+def _line_rule(lo: float, hi: float, nodes: int):
+    """Nodes, one column, and probability weights of the composite rule on
+    [lo, hi] for the Gaussian conditioned on it. The density is taken
+    relative to its value at the box point nearest 0,
+    exp(-(x^2 - x0^2)/2), so a box far out in the tail keeps weights of
+    order one instead of underflowing to 0."""
+    x, w = _composite(lo, hi, nodes)
     x0 = min(max(0.0, lo), hi)
-    dens = (half * w).ravel() * np.exp(-0.5 * (pts * pts - x0 * x0))
-    return pts, dens / dens.sum()
+    dens = w * np.exp(-0.5 * (x * x - x0 * x0))
+    return x[:, None], dens / dens.sum()
+
+
+def _disc_rule(disc: Ball, nodes: int):
+    """Nodes and probability weights of the polar product rule on a disc
+    of centre c: the composite rule with ``nodes`` nodes a panel in the
+    radius rho and the trapezoid rule at as many equally spaced angles as
+    there are radii, so x = c + rho u for unit vectors u. A node's weight is
+    rho times its radial weight times exp(-(|x|^2 - d0^2)/2), with
+    d0 = max(|c| - r, 0) the disc's distance from 0, which keeps a disc far
+    out in the tail at weights of order one as in 1D."""
+    rho, w = _composite(0.0, disc.radius, nodes)
+    angle = np.linspace(0.0, 2.0 * math.pi, QUAD_PANELS * nodes,
+                        endpoint=False)
+    unit = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    # one row of (cos, sin) pairs per radius, shifted by c a pair at a time
+    pts = np.multiply.outer(rho, unit.ravel())
+    pts += np.tile(disc.center, len(angle))
+    pts = pts.reshape(-1, 2)
+    c2 = float(disc.center @ disc.center)
+    d0 = max(math.sqrt(c2) - disc.radius, 0.0)
+    # (|x|^2 - d0^2)/2 = (rho^2 + |c|^2 - d0^2)/2 + rho u.c
+    exponent = (0.5 * (rho * rho + (c2 - d0 * d0)))[:, None] \
+        + np.multiply.outer(rho, unit @ disc.center)
+    dens = (rho * w)[:, None] * np.exp(-exponent)
+    return pts, (dens / dens.sum()).ravel()
+
+
+def _rule(domain: ConvexDomain):
+    """How the Poincare and log-Sobolev checks integrate on ``domain``, as
+    their reports name it: ``sampler`` and ``nodes`` of the quadrature
+    rule, or None on the shapes they sample. The checks and the ``engine``
+    and ``budget`` columns of ``reports.csv`` (``config._check``) read this
+    one predicate."""
+    if domain.dim == 1:
+        return {"sampler": "gauss_legendre",
+                "nodes": f"{QUAD_PANELS}x{QUAD_NODES}"}
+    if isinstance(domain, Ball) and domain.dim == 2:
+        return {"sampler": "polar_gauss_legendre",
+                "nodes": f"{QUAD_PANELS}x{QUAD_NODES // 2}"
+                         f"x{QUAD_PANELS * QUAD_NODES // 2}"}
+    return None
 
 
 def _integrated(name, f, domain: ConvexDomain, sides) -> InequalityReport:
-    """The report of a 1D check by the composite Gauss-Legendre rule.
+    """The report of a check by the quadrature rule of ``_rule(domain)``.
 
     ``sides(values, grad_sq, p)`` returns (lhs, rhs, details) from f and
-    its squared derivative at the nodes, with ``p`` the nodes' probability
-    weights. It runs on three rules, whose nodes f sees in one call: the
-    reported one on ``truncation_box(domain, QUAD_TAIL)``, the one with
-    twice the nodes per panel on the same box (the ``quadrature`` term is
-    how far each side moves) and the reported one on the box of tail mass
-    ``WIDE_TAIL`` (the ``truncation`` term).
+    its squared gradient norm at the nodes, with ``p`` the nodes'
+    probability weights. It runs on the reported rule and the one with
+    twice the nodes on every axis (the ``quadrature`` term is how far each
+    side moves), and in 1D on the reported one on the box of tail mass
+    ``WIDE_TAIL`` (the ``truncation`` term); a disc's rule covers the whole
+    disc, so its ``truncation`` term is 0. f sees every node in one call.
     """
-    (lo,), (hi,) = truncation_box(domain, QUAD_TAIL)
-    (wide_lo,), (wide_hi,) = truncation_box(domain, WIDE_TAIL)
-    rules = [_gauss_legendre(lo, hi, QUAD_NODES),
-             _gauss_legendre(lo, hi, 2 * QUAD_NODES),
-             _gauss_legendre(wide_lo, wide_hi, QUAD_NODES)]
-    pts = np.concatenate([x for x, _ in rules])[:, None]
+    if domain.dim == 1:
+        (lo,), (hi,) = truncation_box(domain, QUAD_TAIL)
+        (wide_lo,), (wide_hi,) = truncation_box(domain, WIDE_TAIL)
+        rules = [_line_rule(lo, hi, QUAD_NODES),
+                 _line_rule(lo, hi, 2 * QUAD_NODES),
+                 _line_rule(wide_lo, wide_hi, QUAD_NODES)]
+        box = {"box": (float(lo), float(hi))}
+    else:
+        rules = [_disc_rule(domain, QUAD_NODES // 2),
+                 _disc_rule(domain, QUAD_NODES)]
+        box = {}
+    pts = np.concatenate([x for x, _ in rules])
     values = np.asarray(f.eval(pts), dtype=float)
-    grad = f.gradient(pts)[:, 0]
-    grad_sq = grad * grad
+    grad = f.gradient(pts)
+    grad_sq = np.einsum("ij,ij->i", grad, grad)
     ends = np.cumsum([len(x) for x, _ in rules])[:-1]
-    (lhs, rhs, details), fine, wide = [
+    (lhs, rhs, details), fine, *wide = [
         sides(v, g, p) for v, g, (_, p) in zip(
             np.split(values, ends), np.split(grad_sq, ends), rules)]
+    # the wide box's rule in 1D; none on a disc
+    truncation = sum(abs(w[0] - lhs) + abs(w[1] - rhs) for w in wide)
     return _report(
         name, lhs, rhs,
         [("quadrature", abs(fine[0] - lhs) + abs(fine[1] - rhs)),
-         ("truncation", abs(wide[0] - lhs) + abs(wide[1] - rhs)),
+         ("truncation", float(truncation)),
          ("eps", _scale_floor(lhs, rhs))],
-        {**details, "sampler": "gauss_legendre",
-         "nodes": f"{QUAD_PANELS}x{QUAD_NODES}",
-         "box": (float(lo), float(hi))})
+        {**details, **_rule(domain), **box})
+
+
+def _mean(p, x) -> float:
+    """The mean of x under a rule's probability weights p: one BLAS dot on
+    a 1D rule, and numpy's pairwise sum of p x on the longer rules of a
+    disc, since BLAS may split a long dot's sum across threads and so make
+    its bits hang on the thread count."""
+    if len(p) <= 2 * QUAD_PANELS * QUAD_NODES:
+        return float(p @ x)
+    return float(np.sum(p * x))
 
 
 def _poincare_sides(values, grad_sq, p):
     # centred on a node value first, so a constant's variance is exactly 0
     # although the weights sum to 1 only up to rounding
     dev = values - values[0]
-    dev -= p @ dev
-    return float(p @ (dev * dev)), float(p @ grad_sq), {}
+    dev -= _mean(p, dev)
+    return _mean(p, dev * dev), _mean(p, grad_sq), {}
 
 
 def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
                    seed: int = 0) -> InequalityReport:
     """Variance of f bounded by the mean squared gradient norm (constant
-    one); integrated in 1D and sampled in more dimensions (module
-    docstring)."""
-    if domain.dim == 1:
+    one); integrated in 1D and on a disc, where ``n_samples`` and ``seed``
+    are not read, and sampled on the other domains (module docstring)."""
+    if _rule(domain) is not None:
         return _integrated("poincare", f, domain, _poincare_sides)
     values, grad_sq = Moments(fourth=True), Moments(fourth=False)
     for pts, accepted, proposed in _sample_blocks(domain, n_samples, seed):
@@ -232,8 +306,8 @@ def _norm_term(nrm2: float) -> float:
 
 def _logsob_sides(values, grad_sq, p):
     sq, ent, clipped = _entropy_terms(values)
-    energy, nrm2 = float(p @ grad_sq), float(p @ sq)
-    return (float(p @ ent), energy + _norm_term(nrm2),
+    energy, nrm2 = _mean(p, grad_sq), _mean(p, sq)
+    return (_mean(p, ent), energy + _norm_term(nrm2),
             {"clipped": clipped, "energy": energy, "l2_sq": nrm2})
 
 
@@ -245,10 +319,11 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
     so the constant case is an exact equality on every domain. Values of
     |f| below ``LOG_CLIP`` are clipped inside the logarithm (0 log 0 = 0)
     and the clip count (of samples, or of the reported rule's nodes) is
-    reported. Integrated in 1D and sampled in more dimensions (module
+    reported. Integrated in 1D and on a disc, where ``n_samples`` and
+    ``seed`` are not read, and sampled on the other domains (module
     docstring).
     """
-    if domain.dim == 1:
+    if _rule(domain) is not None:
         return _integrated("log_sobolev", f, domain, _logsob_sides)
     entropy, grad_sq, square = (Moments(fourth=False) for _ in range(3))
     clipped = 0

@@ -156,19 +156,62 @@ def test_regular_polygon_domain_verifies_across_jobs(tmp_path):
 
 def test_verify_seed_override_changes_sampled_rows(tmp_path):
     cfg = json.loads(json.dumps(SMALL_CONFIG))
-    cfg["checks"].append({"kind": "invariance", "function": "square",
-                          "domain": "interval", "engine": "monte_carlo"})
+    cfg["domains"]["disc"] = {"shape": "ball", "center": [0.0, 0.0],
+                              "radius": 1.0}
+    cfg["functions"]["x1"] = {"dim": 2, "directions": [[1.0, 0.0]],
+                              "profile": "v1"}
+    cfg["checks"] += [
+        {"kind": "poincare", "function": "x1", "domain": "disc"},
+        {"kind": "invariance", "function": "square", "domain": "interval",
+         "engine": "monte_carlo"}]
     path = write_config(tmp_path, cfg)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     main(["verify", path, "--out", str(out1)])
     main(["verify", path, "--out", str(out2), "--seed", "99"])
     a = read_reports(out1)
     b = read_reports(out2)
-    # a 1D poincare integrates by quadrature and a grid check runs on its
-    # mesh: neither reads the seed; the Monte Carlo check moves with it
+    # a poincare on a 1D domain or a disc integrates by quadrature and a
+    # grid check runs on its mesh: none reads the seed; the Monte Carlo
+    # check moves with it
     assert a[0]["engine"] == "quadrature" and a[0]["lhs"] == b[0]["lhs"]
     assert a[1]["lhs"] == b[1]["lhs"]
+    assert a[-2]["engine"] == "quadrature" and a[-2]["lhs"] == b[-2]["lhs"]
     assert a[-1]["engine"] == "monte_carlo" and a[-1]["lhs"] != b[-1]["lhs"]
+
+
+def test_engine_column_reads_quadrature_exactly_where_a_rule_ran():
+    # the engine and budget columns come from the same predicate the
+    # checks take their path by
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["domains"].update(
+        halfline={"shape": "halfspaces", "normals": [[-1.0]],
+                  "offsets": [0.0]},
+        disc={"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        gon64={"shape": "regular_polygon", "center": [0.0, 0.0],
+               "radius": 1.0, "sides": 64},
+        quadrant={"shape": "halfspaces", "normals": [[-1.0, 0.0], [0.0, -1.0]],
+                  "offsets": [0.0, 0.0]})
+    cfg["functions"]["diag"] = {"dim": 2, "directions": [[0.6, 0.8]],
+                                "profile": "(sum 2 (tanh v1))"}
+    cfg["engine"]["samples"] = 5000
+    cfg["checks"] = [
+        {"kind": kind, "function": function, "domain": domain}
+        for kind in ("poincare", "log_sobolev")
+        for domain, function in [
+            ("line", "linear"), ("halfline", "linear"),
+            ("interval", "linear"), ("disc", "diag"), ("gon64", "diag"),
+            ("quadrant", "diag")]]
+    parsed = parse_config(json.dumps(cfg))
+    rules = {"gauss_legendre", "polar_gauss_legendre"}
+    for i, b in enumerate(parsed.budgets):
+        (rep,) = cli._run_one_check(parsed, i)
+        integrated = rep.details["sampler"] in rules
+        assert (b.engine == "quadrature") == integrated, (i, b.engine)
+        budget = cli.BUDGET_FORMATS[b.engine].format(**vars(b))
+        assert budget == (f"nodes={rep.details['nodes']}" if integrated
+                          else "samples=5000")
+    assert [b.engine for b in parsed.budgets] == \
+        2 * (4 * ["quadrature"] + 2 * ["sampled"])
 
 
 def test_verify_flags_deliberate_failure(tmp_path, monkeypatch):
@@ -669,7 +712,7 @@ BUNDLED_DISPATCH = [
     ("1.0:poincare", "poincare", "quadrature", "nodes=8x16", "20261809"),
     ("2.0:poincare", "poincare", "quadrature", "nodes=8x16", "20262809"),
     ("3.0:poincare", "poincare", "quadrature", "nodes=8x16", "20263809"),
-    ("4.0:poincare", "poincare", "sampled", "samples=200000", "20264809"),
+    ("4.0:poincare", "poincare", "quadrature", "nodes=8x8x64", "20264809"),
     ("5.0:log_sobolev", "log_sobolev", "quadrature", "nodes=8x16",
      "20265809"),
     ("6.0:log_sobolev", "log_sobolev", "quadrature", "nodes=8x16",

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from oulab.domains import (Ball, HalfspaceIntersection, WholeSpace,
-                           half_line, interval)
+                           half_line, interval, polygon_approximation)
 from oulab.expr import exp, from_profile, tanh, var
 from oulab.gauss import (_DRAW_BATCH, BLOCK_ROWS, PROBE_BATCH, MassTooSmall,
                          Moments, _sample_blocks, gauss_hermite, mean_se,
@@ -302,8 +302,8 @@ def test_a_large_offset_survives_streaming():
     (from_profile(2 + tanh(var(1)), [[1.0]]), interval(-1.0, 1.0)),
     (from_profile(2 + tanh(var(1)) * exp(0.3 * var(2)),
                   [[0.6, 0.8], [1.0, -1.0]]),
-     Ball(center=[0.0, 0.0], radius=1.0)),
-], ids=["line", "interval", "disc"])
+     polygon_approximation(Ball(center=[0.0, 0.0], radius=1.0), 64)),
+], ids=["line", "interval", "gon64"])
 def test_sampled_check_memory_does_not_grow_with_the_sample(check, f, domain):
     # a whole-array check holds some 64 bytes per sample row (22 MB more at
     # 400,000 rows than at 50,000); a streamed one holds blocks. The run at

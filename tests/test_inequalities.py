@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from oulab.cli import run_checks
 from oulab.config import load_default_config
 from oulab.cylapprox import factorization_check
 from oulab.domains import (Ball, HalfspaceIntersection, Product, WholeSpace,
-                           half_line, interval)
+                           half_line, interval, polygon_approximation)
 from oulab.engines.grid import grid_apply, grid_build
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.montecarlo import mc_apply_many
@@ -17,7 +20,7 @@ from oulab.inequalities import (BelowFloor, InequalityReport, check_decay,
                                 check_poincare,
                                 check_positivity_and_contraction,
                                 entropy_trace, submultiplicative_reports)
-from oulab.gauss import Moments, restricted_sample
+from oulab.gauss import Moments, mean_se, restricted_sample
 from oulab.expr import const, coordinate, exp, from_profile, sin, tanh, var
 
 LIN = coordinate(1)
@@ -26,6 +29,8 @@ TANH = from_profile(tanh(var(1)), [[1.0]])
 ONE = from_profile(const(1.0), [[1.0]])
 IVAL = interval(-1.0, 1.0)
 DISC = Ball(center=[0.0, 0.0], radius=1.0)
+OFF_DISC = Ball(center=[0.5, -0.3], radius=0.8)
+X1_2D = coordinate(2, axis=0)
 
 
 REPORT_NAMES = {"poincare", "log_sobolev", "gradient_bound",
@@ -110,15 +115,19 @@ def test_var_se_of_three_or_fewer_values_has_no_error(n):
 
 
 def test_sampled_reports_record_their_sampler():
-    # in 1D the checks integrate and name the rule; in 2D they sample
+    # in 1D and on a disc the checks integrate and name the rule; on the
+    # other 2D shapes they sample
     tanh2 = from_profile(tanh(var(1)), [[1.0, 0.0]])
     for check in (check_poincare, check_logsob):
         for dom in (WholeSpace(1), IVAL):
             rep = check(TANH, dom, n_samples=3000, seed=6)
             assert rep.details["sampler"] == "gauss_legendre"
             assert rep.details["nodes"] == "8x16"
+        rep = check(tanh2, DISC, n_samples=3000, seed=6)
+        assert rep.details["sampler"] == "polar_gauss_legendre"
+        assert rep.details["nodes"] == "8x8x64"
         for dom, sampler in [(WholeSpace(2), "whole_space"),
-                             (DISC, "rejection")]:
+                             (polygon_approximation(DISC, 64), "rejection")]:
             rep = check(tanh2, dom, n_samples=3000, seed=6)
             sample = restricted_sample(dom, 3000, 6)
             assert rep.details["sampler"] == sampler == sample.sampler
@@ -155,6 +164,91 @@ def test_poincare_far_interval_weights_do_not_underflow():
     assert rep.passed
     assert abs(rep.lhs - 1.0 / 1600.0) < 1e-4
     assert rep.rhs == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_polar(rep):
+    assert rep.details["sampler"] == "polar_gauss_legendre"
+    assert rep.details["tolerance_rule"] == "quadrature+truncation+eps"
+    assert rep.details["tolerance_terms"]["truncation"] == 0.0
+    _assert_recorded_terms(rep)
+
+
+def test_poincare_disc_linear_oracle_by_quadrature():
+    # x1^2 averages to half of rho^2, whose law on the unit disc has a
+    # density proportional to rho exp(-rho^2/2) on [0, 1]; x1 has mean 0
+    rep = check_poincare(X1_2D, DISC)
+    _assert_polar(rep)
+    e = math.exp(-0.5)
+    variance = (1.0 - 1.5 * e) / (1.0 - e)
+    assert variance == pytest.approx(0.229252958731601, abs=1e-15)
+    assert abs(rep.lhs - variance) < 1e-12
+    assert abs(rep.rhs - 1.0) < 1e-12
+    assert rep.details["tolerance_terms"]["quadrature"] <= 1e-12
+    # the rule reads no seed
+    assert check_poincare(X1_2D, DISC, n_samples=10, seed=3) == rep
+
+
+@pytest.mark.parametrize("disc", [DISC, OFF_DISC], ids=["unit", "offcentre"])
+def test_disc_constants_are_exact(disc):
+    c = from_profile(const(2.5), [[1.0, 0.0]])
+    rep = check_poincare(c, disc)
+    _assert_polar(rep)
+    assert rep.lhs == 0.0 and rep.rhs == 0.0
+    rep = check_logsob(c, disc)
+    _assert_polar(rep)
+    assert abs(rep.margin) < 1e-9 and rep.passed
+
+
+@pytest.mark.parametrize("check", [check_poincare, check_logsob])
+def test_far_disc_weights_do_not_underflow(check):
+    # exp(-|x|^2 / 2) underflows to 0 on this disc, which rejection cannot
+    # sample; relative to its distance from 0 the weights stay of order one
+    far = Ball(center=[40.0, 0.0], radius=0.5)
+    for f in (X1_2D, from_profile(2 + tanh(var(1)), [[0.6, 0.8]])):
+        rep = check(f, far)
+        _assert_polar(rep)
+        assert all(map(math.isfinite, (rep.lhs, rep.rhs, rep.tolerance)))
+        assert rep.passed
+        assert rep.details["tolerance_terms"]["quadrature"] \
+            <= 1e-12 * max(1.0, abs(rep.lhs), abs(rep.rhs))
+
+
+def test_offcentre_disc_agrees_with_a_rejection_sample():
+    f = from_profile(2 + tanh(var(1)) * exp(0.3 * var(2)),
+                     [[0.6, 0.8], [1.0, -1.0]])
+    pts = restricted_sample(OFF_DISC, 10 ** 6, 21).points
+    values = f.eval(pts)
+    grad = f.gradient(pts)
+    grad_sq = np.einsum("ij,ij->i", grad, grad)
+    sq = values * values
+    poincare, logsob = check_poincare(f, OFF_DISC), check_logsob(f, OFF_DISC)
+    estimates = [(poincare.lhs, _var_se(values)),
+                 (poincare.rhs, mean_se(grad_sq)),
+                 (logsob.lhs, mean_se(sq * np.log(np.abs(values)))),
+                 (logsob.details["l2_sq"], mean_se(sq))]
+    for exact, (estimate, se) in estimates:
+        assert abs(exact - estimate) <= 3.0 * se, (exact, estimate, se)
+
+
+def test_disc_reports_do_not_hang_on_the_blas_thread_count():
+    # a BLAS dot over the 16,384 nodes of the disc's doubled rule may split
+    # its sum across threads; the reports must read the same bits on one
+    # thread or two
+    code = ("from oulab.domains import Ball\n"
+            "from oulab.expr import from_profile, tanh, var\n"
+            "from oulab.inequalities import check_logsob, check_poincare\n"
+            "f = from_profile(2 + tanh(var(1)), [[0.6, 0.8]])\n"
+            "disc = Ball(center=[0.5, -0.3], radius=0.8)\n"
+            "for check in (check_poincare, check_logsob):\n"
+            "    rep = check(f, disc)\n"
+            "    print(repr(rep.lhs), repr(rep.rhs), repr(rep.tolerance))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src,
+                             OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+    ).stdout for n in ("1", "2")}
+    assert len(outs) == 1, outs
 
 
 # Poincare -------------------------------------------------------------------
