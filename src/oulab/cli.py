@@ -39,7 +39,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write(out_dir: str, name: str, text: str) -> None:
+    """Write ``out_dir/name`` whole: a temporary file, then a rename."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         fh.write(text)
@@ -64,7 +67,7 @@ def _run_one_check(cfg: RunConfig, index: int) -> list:
         raise ConfigError(f"check {index}: {err}") from None
 
 
-def run_checks(cfg: RunConfig, jobs: int = 1):
+def run_checks(cfg: RunConfig, jobs: int):
     """Execute all configured checks; returns rows for reports.csv."""
     indices = range(len(cfg.budgets))
     if jobs > 1:
@@ -90,17 +93,15 @@ REPORT_HEADER = ("check", "name", "lhs", "rhs", "margin", "tolerance",
                  "pass", "engine", "budget", "seed")
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
-    rows, reports = run_checks(cfg, jobs=jobs)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "reports.csv"),
-                  _csv(rows, REPORT_HEADER))
+def cmd_verify(cfg: RunConfig, out_dir: str, jobs: int) -> int:
+    rows, reports = run_checks(cfg, jobs)
+    _write(out_dir, "reports.csv", _csv(rows, REPORT_HEADER))
     all_pass = all(rep.passed for _, rep in reports)
     lines = [f"{label}  {rep}" for label, rep in reports]
     lines.append(f"total: {len(reports)} checks, "
                  f"{sum(1 for _, r in reports if r.passed)} passed")
     lines.append("RESULT: PASS" if all_pass else "RESULT: FAIL")
-    _write_atomic(os.path.join(out_dir, "summary.txt"), "\n".join(lines) + "\n")
+    _write(out_dir, "summary.txt", "\n".join(lines) + "\n")
     return 0 if all_pass else 1
 
 
@@ -118,10 +119,9 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str) -> int:
         for i, lam in enumerate(result.eigenvalues):
             rows.append((name, i, float(lam), result.gap, "grid",
                          f"resolution={res}", cfg.seed))
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "eigenvalues.csv"),
-                  _csv(rows, ("domain", "index", "eigenvalue", "gap",
-                              "engine", "budget", "seed")))
+    _write(out_dir, "eigenvalues.csv",
+           _csv(rows, ("domain", "index", "eigenvalue", "gap", "engine",
+                       "budget", "seed")))
     return 0
 
 
@@ -141,10 +141,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
             rows.append((spec["domain"], spec["function"], t, i,
                          float(op.nodes[i, 0]), x2, float(u_t[i]), "grid",
                          f"resolution={res}", cfg.seed))
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "evolution.csv"),
-                  _csv(rows, ("domain", "function", "t", "node", "x1", "x2",
-                              "value", "engine", "budget", "seed")))
+    _write(out_dir, "evolution.csv",
+           _csv(rows, ("domain", "function", "t", "node", "x1", "x2",
+                       "value", "engine", "budget", "seed")))
     return 0
 
 
@@ -164,10 +163,9 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
              f"paths_per_point={study.details['paths_per_point']};"
              f"h={study.details['h']}", cfg.seed)
             for (s, e, se, m) in study.csv_rows()]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "convergence.csv"),
-                  _csv(rows, ("sides", "error", "std_error", "excess_mass",
-                              "engine", "budget", "seed")))
+    _write(out_dir, "convergence.csv",
+           _csv(rows, ("sides", "error", "std_error", "excess_mass",
+                       "engine", "budget", "seed")))
     return 0
 
 
@@ -214,7 +212,7 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else cfg.output_dir
     try:
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, jobs=args.jobs)
+            return cmd_verify(cfg, out_dir, args.jobs)
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -3,15 +3,16 @@ budgets, and the list of checks and studies to execute.
 
 A key stands in one of four places, each with a table of its keys and
 defaults: the top level (``TOP_LEVEL``), the ``engine`` section
-(``ENGINE_DEFAULTS``), a check (the engine settings, ``t``, ``seed``, the
-keys naming its domain and functions, and its kind's ``options`` in
-``CHECK_KINDS``) and a command section (``SECTIONS``). ``_SETTINGS``
-declares once, for every place, how each numeric setting is converted and
-what it accepts; integer settings refuse fractional values. One reader,
-``_read``, serves every place: it rejects keys its table does not name,
-fills in the defaults, and converts and checks each number. The top level,
-``engine`` and each check are read when the config is parsed; a command
-section is read when its command runs (``RunConfig.section``).
+(``ENGINE_DEFAULTS``), a check and a command section (``SECTIONS``). A
+check takes ``kind``, ``engine``, the keys naming its domain and
+functions, its kind's ``options`` and only the settings its engine reads,
+which ``CHECK_KINDS`` lists and the ``engine`` section defaults.
+``_SETTINGS`` declares once, for every place, how each numeric setting is
+converted and what it accepts; integer settings refuse fractional values.
+One reader, ``_read``, serves every place: it rejects keys its table does
+not name, fills in the defaults, and converts and checks each number. The
+top level, ``engine`` and each check are read when the config is parsed; a
+command section is read when its command runs (``RunConfig.section``).
 
 Domain and function descriptions round-trip exactly through their
 ``to_config`` dictionaries. Parse failures raise ``ConfigError`` carrying
@@ -111,51 +112,59 @@ CheckKind = namedtuple(
     "fewest_times", defaults=({}, None, 0))
 
 # One row per check kind: the key naming its domain, the keys naming its
-# functions, its engine labels (the first is the default), its runner, the
-# check keys only this kind reads with their defaults, the domain dimension
-# it needs (None for any) and the fewest distinct times. A runner takes the
-# check's settings b (read by ``_check`` at parse time), the domain d and
-# the functions, and returns a list of reports; b.grid(d) is d's grid.
-# Decay and factorization keep DEFAULT_CN_STEPS: their tolerances have no
-# dt term.
+# functions, its engine labels (the first is the default), each with the
+# settings its runner reads there and so the only ones a check takes, its
+# runner, the check keys only this kind reads with their defaults, the
+# domain dimension it needs (None for any) and the fewest distinct times.
+# A runner takes the check's settings b (read by ``_check`` at parse time),
+# the domain d and the functions, and returns a list of reports; b.grid(d)
+# is d's grid at b.grid_resolution. Decay and factorization keep
+# DEFAULT_CN_STEPS: their tolerances have no dt term.
 CHECK_KINDS = {
     "poincare": CheckKind(
-        "domain", ("function",), ("sampled",),
+        "domain", ("function",), {"sampled": ("samples", "seed")},
         lambda b, d, f: [check_poincare(f, d, b.samples, b.seed)]),
     "log_sobolev": CheckKind(
-        "domain", ("function",), ("sampled",),
+        "domain", ("function",), {"sampled": ("samples", "seed")},
         lambda b, d, f: [check_logsob(f, d, b.samples, b.seed)]),
     "gradient_bound": CheckKind(
-        "domain", ("function",), ("grid",),
+        "domain", ("function",),
+        {"grid": ("t", "cn_steps", "grid_resolution")},
         lambda b, d, f: [check_gradient_bound(
             f, d, b.t, n_steps=b.cn_steps, op=b.grid(d))]),
     "submultiplicative": CheckKind(
-        "domain", ("function", "function2"), ("monte_carlo",),
+        "domain", ("function", "function2"),
+        {"monte_carlo": ("t", "mc_paths", "mc_step", "seed")},
         lambda b, d, f, g: submultiplicative_reports(
             [(f, g)], d, b.t, n_panel=b.panel, n_paths=b.mc_paths,
             h=b.mc_step, seed=b.seed),
         options={"panel": 10}),
     "invariance": CheckKind(
-        "domain", ("function",), ("monte_carlo", "grid"),
+        "domain", ("function",),
+        {"monte_carlo": ("t", "mc_paths", "mc_step", "seed"),
+         "grid": ("t", "cn_steps", "grid_resolution")},
         lambda b, d, f: [check_invariance(
-            f, d, b.t, engine=b.engine, n_paths=b.mc_paths, h=b.mc_step,
-            n_steps=b.cn_steps, seed=b.seed,
-            op=b.grid(d) if b.engine == "grid" else None)]),
+            f, d, b.t, "grid", n_steps=b.cn_steps, op=b.grid(d))
+            if b.engine == "grid" else check_invariance(
+                f, d, b.t, "monte_carlo", n_paths=b.mc_paths, h=b.mc_step,
+                seed=b.seed)]),
     "decay": CheckKind(
-        "domain", ("function",), ("grid",),
+        "domain", ("function",), {"grid": ("grid_resolution",)},
         lambda b, d, f: check_decay(f, d, b.times, op=b.grid(d)),
         options={"times": [0.5, 1.0]}),
     "positivity_contraction": CheckKind(
-        "domain", ("function",), ("grid",),
+        "domain", ("function",), {"grid": ("t", "grid_resolution")},
         lambda b, d, f: [check_positivity_and_contraction(
             f, d, b.t, op=b.grid(d))]),
     # the production is a difference quotient between times
     "entropy": CheckKind(
-        "domain", ("function",), ("grid",),
+        "domain", ("function",), {"grid": ("grid_resolution",)},
         lambda b, d, f: check_entropy(f, d, b.times, op=b.grid(d)),
         options={"times": np.linspace(0, 4, 21).tolist()}, fewest_times=2),
     "factorization": CheckKind(
-        "base", ("function",), ("monte_carlo+grid",),
+        "base", ("function",),
+        {"monte_carlo+grid": ("t", "mc_paths", "mc_step", "seed",
+                              "grid_resolution")},
         lambda b, d, f: [factorization_check(
             f, d, b.free_dims, b.t, op=b.grid(d), n_points=b.points,
             n_paths=b.mc_paths, h=b.mc_step, seed=b.seed)],
@@ -286,22 +295,24 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
 
 
 def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
-    """Check ``i`` read once, at parse: its settings, with the engine's as
-    defaults (but ``tail_mass``, one truncation for every grid), and the
-    domain and functions it names (``args``); the namespace its runner
-    reads."""
+    """Check ``i`` read once, at parse: the settings its engine reads, with
+    the engine section's as defaults, its ``seed`` (the ``seed`` column of
+    its rows, read or not) and the domain and functions it names
+    (``args``); the namespace its runner reads. A sampled kind takes no
+    ``samples`` or ``seed`` on a domain ``inequalities._rule`` integrates."""
     where = f"check {i}: "
     if not isinstance(check, dict):
         raise ConfigError(f"{where}must be a JSON object")
     kind = _lookup(CHECK_KINDS, check.get("kind"), "kind", where)
-    engine = {k: v for k, v in cfg.engine.items() if k != "tail_mass"}
-    b = SimpleNamespace(**_read(check, {
-        **engine, "kind": None, "engine": kind.engines[0],
-        "seed": cfg.seed + 1000 * i, "t": 0.5,
+    label = check.get("engine", next(iter(kind.engines)))
+    settings = _lookup(kind.engines, label, "engine", where)
+    seed = cfg.seed + 1000 * i
+    defaults = {**cfg.engine, "seed": seed, "t": 0.5}
+    b = SimpleNamespace(**{"seed": seed, **_read(check, {
+        "kind": None, "engine": label,
+        **{key: defaults[key] for key in settings},
         **dict.fromkeys((kind.domain_key, *kind.function_keys)),
-        **kind.options}, where))
-    if b.engine not in kind.engines:
-        raise ConfigError(f"{where}unknown engine {b.engine!r}")
+        **kind.options}, f"{where}{check['kind']} on engine {label!r}: ")})
     if len(set(getattr(b, "times", ()))) < kind.fewest_times:
         raise ConfigError(f"{where}'times' needs {kind.fewest_times} or "
                           f"more distinct values")
@@ -311,7 +322,12 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
         raise ConfigError(f"{where}{b.kind} needs a {kind.dim} dimensional "
                           f"{kind.domain_key!r}")
     rule = _rule(dom)
-    if b.engine == "sampled" and rule is not None:
+    if label == "sampled" and rule is not None:
+        unread = sorted(check.keys() & {"samples", "seed"})
+        if unread:
+            raise ConfigError(f"{where}{b.kind} integrates by "
+                              f"{rule['sampler']} on this domain and "
+                              f"reads no {unread}")
         b.engine, b.nodes = "quadrature", rule["nodes"]
     b.args = (dom, *(cfg.function_on(getattr(b, key), dom,
                                      f"{where}{key!r}: ")

@@ -25,9 +25,8 @@ from .inequalities import (BIAS_CONST, FACTOR_DISC, Z, InequalityReport,
 
 
 def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
-                        op: GridOperator, n_points: int = 20,
-                        n_paths: int = 20_000, h: float = 5e-3,
-                        seed: int = 0) -> InequalityReport:
+                        op: GridOperator, n_points: int, n_paths: int,
+                        h: float, seed: int) -> InequalityReport:
     """Monte Carlo on the product domain versus the grid on the base.
 
     The panel is drawn from the stationary law of the product; side A
@@ -94,9 +93,8 @@ class ConvergenceStudy:
             yield (r.sides, r.error, r.std_error, r.excess_mass)
 
 
-def convergence_study(ball: Ball, f, t: float, n_list,
-                      n_points: int = 20, paths_per_point: int = 5000,
-                      h: float = 2e-3, seed: int = 0,
+def convergence_study(ball: Ball, f, t: float, n_list, n_points: int,
+                      paths_per_point: int, h: float, seed: int,
                       mass_samples: int = 200_000) -> ConvergenceStudy:
     """Measure the polygon-to-ball semigroup distance for each side count.
 

@@ -213,8 +213,7 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
     return _uniformized(op, u, t)
 
 
-def propagator_details(op: GridOperator, t: float,
-                       scheme: str = "crank_nicolson") -> dict:
+def propagator_details(op: GridOperator, t: float, scheme: str) -> dict:
     """Which solver ``grid_apply(op, u, t, scheme)`` runs: ``propagator`` is
     ``crank_nicolson``, ``eigh`` or ``uniformized``. For uniformization
     the dict also holds ``poisson_terms`` and the ``truncation_bound`` and

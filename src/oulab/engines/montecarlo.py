@@ -254,7 +254,7 @@ def evolve_starts(domains, panel: np.ndarray, repeats: int, t: float,
 
 
 def mc_apply_many(fs, domain: ConvexDomain, t: float, x, n_paths: int,
-                  h: float = DEFAULT_STEP, seed: int = 0) -> list:
+                  h: float, seed: int) -> list:
     """Monte Carlo semigroup values of several integrands at ``x``: the
     sample means of each over one shared set of ``n_paths`` endpoints."""
     x = np.asarray(x, dtype=float)

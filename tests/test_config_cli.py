@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oulab import cli
+from oulab import cli, config
 from oulab.cli import main, run_checks
 from oulab.config import (CHECK_KINDS, ConfigError, default_config_text,
                           load_default_config, parse_config)
@@ -69,10 +70,11 @@ def test_parse_round_trip_preserves_objects():
 
 def test_check_budgets_are_converted_at_parse():
     cfg = json.loads(json.dumps(SMALL_CONFIG))
-    cfg["checks"][0].update(t="0.25")
+    cfg["checks"][1].update(t="0.25")
     parsed = parse_config(json.dumps(cfg), seed=5)
-    first, _, decay = parsed.budgets
-    assert (first.t, first.seed, first.samples) == (0.25, 5, 20000)
+    first, invariance, decay = parsed.budgets
+    assert (first.seed, first.samples) == (5, 20000)
+    assert (invariance.t, invariance.seed) == (0.25, 1005)
     assert not hasattr(first, "panel")
     assert (decay.seed, decay.times) == (2005, [0.5])
     # "panel" is a submultiplicative option, which a poincare check reads not
@@ -449,6 +451,97 @@ def test_bad_check_budgets_exit_2(tmp_path, capsys):
     assert "--jobs: must be an integer >= 1" in capsys.readouterr().err
 
 
+# every setting a check might take, each with a value that suits it: the
+# engine budgets, t, seed and every kind's options
+SETTING_VALUES = {"samples": 1000, "seed": 3, "t": 0.25, "mc_paths": 100,
+                  "mc_step": 0.01, "cn_steps": 10, "grid_resolution": 60,
+                  "panel": 2, "times": [0.5, 1.0], "free_dims": 1,
+                  "points": 2}
+
+
+def test_each_engine_accepts_exactly_the_settings_its_runner_reads(
+        monkeypatch):
+    # the runners call stubs, and the settings namespace records every
+    # attribute read, b.grid's read of grid_resolution included
+    reads = set()
+
+    class Recording(SimpleNamespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(config, "SimpleNamespace", Recording)
+    for name in ("check_poincare", "check_logsob", "check_gradient_bound",
+                 "submultiplicative_reports", "check_invariance",
+                 "check_decay", "check_positivity_and_contraction",
+                 "check_entropy", "factorization_check", "grid_operator"):
+        monkeypatch.setattr(config, name, lambda *args, **kwargs: [])
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    # a domain the Poincare and log-Sobolev checks sample
+    cfg["domains"]["quadrant"] = {"shape": "halfspaces",
+                                  "normals": [[-1.0, 0.0], [0.0, -1.0]],
+                                  "offsets": [0.0, 0.0]}
+    cfg["functions"]["diag"] = {"dim": 2, "directions": [[0.6, 0.8]],
+                                "profile": "(tanh v1)"}
+    pairs = 0
+    for kind_name, kind in CHECK_KINDS.items():
+        for engine in kind.engines:
+            sampled = engine == "sampled"
+            check = {"kind": kind_name, "engine": engine,
+                     kind.domain_key: "quadrant" if sampled else "interval",
+                     **dict.fromkeys(kind.function_keys,
+                                     "diag" if sampled else "square")}
+            accepted = set()
+            for key, value in SETTING_VALUES.items():
+                cfg["checks"] = [{**check, key: value}]
+                try:
+                    parse_config(json.dumps(cfg))
+                except ConfigError as err:
+                    assert repr(key) in str(err) and repr(engine) in str(err)
+                else:
+                    accepted.add(key)
+            cfg["checks"] = [check]
+            b, = parse_config(json.dumps(cfg)).budgets
+            reads.clear()
+            kind.run(b, *b.args)
+            assert reads & SETTING_VALUES.keys() == accepted, \
+                (kind_name, engine)
+            pairs += 1
+    assert pairs == 10
+
+
+# settings a bundled check's engine does not read: (check, key, value,
+# what the message names besides the key)
+UNREAD_SETTINGS = [
+    (12, "cn_steps", 50, "'grid'"),  # decay
+    (0, "t", 1.0, "'sampled'"),  # poincare on the line
+    (0, "samples", 1000, "gauss_legendre"),
+    (10, "mc_paths", 5000, "'grid'"),  # grid invariance
+    (13, "seed", 7, "'grid'"),  # positivity_contraction
+]
+
+
+def test_bundled_checks_reject_settings_their_engine_does_not_read(
+        tmp_path, capsys):
+    for i, key, value, named in UNREAD_SETTINGS:
+        cfg = json.loads(default_config_text())
+        cfg["checks"][i][key] = value
+        path = write_config(tmp_path, cfg, name=f"unread_{key}.json")
+        assert main(["verify", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: check {i}: ") \
+            and repr(key) in err and named in err, err
+
+
+def test_seed_override_moves_the_seed_column_of_every_row(tmp_path):
+    # grid and quadrature checks read no seed, and still record the
+    # derived one
+    out = tmp_path / "out"
+    assert main(["verify", write_config(tmp_path), "--seed", "99",
+                 "--out", str(out)]) == 0
+    assert [r["seed"] for r in read_reports(out)] == ["99", "1099", "2099"]
+
+
 def test_csv_rows_keep_the_header_width(tmp_path):
     # a per-axis resolution and a domain name with a comma are quoted
     cfg = _with_2d_ball(json.loads(json.dumps(SMALL_CONFIG)))
@@ -528,7 +621,7 @@ def test_engine_grid_budgets_reach_the_checks(tmp_path):
     assert rows[0][:2] == rows[1][:2]
     assert rows[0][2]["lhs"] != rows[1][2]["lhs"]
     cfg["engine"]["cn_steps"] = 20
-    _, reports = run_checks(parse_config(json.dumps(cfg)))
+    _, reports = run_checks(parse_config(json.dumps(cfg)), 1)
     invariance = reports[1][1]
     assert invariance.details["n_steps"] == 20
     assert invariance.details["resolution"] == 100

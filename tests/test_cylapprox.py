@@ -46,7 +46,8 @@ def test_factorization_requires_1d_base():
     disc = Ball(center=[0.0, 0.0], radius=1.0)
     disc_grid = grid_build(disc, 40)
     with pytest.raises(ValueError):
-        factorization_check(coordinate(2), disc, 1, 0.5, op=disc_grid)
+        factorization_check(coordinate(2), disc, 1, 0.5, op=disc_grid,
+                            n_points=20, n_paths=20_000, h=5e-3, seed=0)
 
 
 def test_convergence_study_constant_function():

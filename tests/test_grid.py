@@ -392,7 +392,8 @@ def test_uniformized_semigroup_and_constants():
 def test_propagator_details_name_the_branch():
     line = grid_build(WholeSpace(1), 800)
     ival = grid_build(interval(-1.0, 1.0), 200)
-    assert propagator_details(ival, 0.5) == {"propagator": "crank_nicolson"}
+    assert propagator_details(ival, 0.5, "crank_nicolson") == \
+        {"propagator": "crank_nicolson"}
     assert propagator_details(ival, 0.5, "expm") == {"propagator": "eigh"}
     info = propagator_details(line, 0.5, "expm")
     assert info["propagator"] == "uniformized"

@@ -61,7 +61,8 @@ def test_reports_are_pure_data():
         *submultiplicative_reports([(LIN, TANH)], IVAL, 0.5, n_panel=3,
                                    n_paths=2000, h=5e-3, seed=3),
         check_invariance(SQ, IVAL, 0.5, engine="grid", op=op),
-        check_invariance(SQ, IVAL, 0.5, n_paths=2000, h=5e-3, seed=4),
+        check_invariance(SQ, IVAL, 0.5, engine="monte_carlo", n_paths=2000,
+                         h=5e-3, seed=4),
         *check_decay(SQ, IVAL, [0.5], op=op),
         check_positivity_and_contraction(SQ, IVAL, 0.5, op=op),
         *check_entropy(pos, IVAL, [0.0, 0.5, 1.0], op=op),
@@ -77,7 +78,7 @@ def test_reports_are_pure_data():
 
 
 def test_bundled_reports_record_their_tolerance_terms():
-    _, reports = run_checks(load_default_config())
+    _, reports = run_checks(load_default_config(), 1)
     assert {rep.name for _, rep in reports} == REPORT_NAMES
     for _, rep in reports:
         _assert_recorded_terms(rep)

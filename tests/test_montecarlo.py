@@ -365,7 +365,7 @@ def test_reflected_path_single():
 def test_mc_constant_has_zero_error():
     one = from_profile(const(1.0), [[1.0]])
     est, = mc_apply_many([one], interval(-1.0, 1.0), 0.4, [0.0],
-                         n_paths=2000, seed=6)
+                         n_paths=2000, h=1e-3, seed=6)
     assert est.value == 1.0
     assert est.std_error == 0.0
 
@@ -451,8 +451,10 @@ def test_tiny_horizon_barely_moves_the_paths():
 def test_start_validation():
     one = from_profile(const(1.0), [[1.0]])
     with pytest.raises(ValueError):
-        mc_apply_many([one], interval(-1, 1), 0.5, [2.0], 10, seed=0)
+        mc_apply_many([one], interval(-1, 1), 0.5, [2.0], 10, h=1e-3,
+                      seed=0)
     with pytest.raises(ValueError):
-        mc_apply_many([one], interval(-1, 1), 0.5, [0.0], 0, seed=0)
+        mc_apply_many([one], interval(-1, 1), 0.5, [0.0], 0, h=1e-3,
+                      seed=0)
     with pytest.raises(ValueError):
         evolve_starts([interval(-1, 1)], np.zeros((4, 1)), 0, 0.5, 1e-2, 0)
