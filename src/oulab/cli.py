@@ -9,7 +9,10 @@ setting out of its range (see ``config``), and ``--jobs`` below 1.
 
 Output is deterministic: the same config and seed produce byte-identical
 files regardless of ``--jobs``, and every CSV row carries the engine,
-budget, and seed needed to reproduce it in isolation.
+budget, and seed needed to reproduce it in isolation. A ``reports.csv``
+row's budget is the one ``config._check`` builds from the engine settings
+its check reads (see ``config``). A check whose function or gradient is
+not finite on its points exits 2, naming the check.
 """
 from __future__ import annotations
 
@@ -22,11 +25,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import (BUDGET_FORMATS, CHECK_KINDS, ConfigError, RunConfig,
-                     grid_operator, load_config, load_default_config)
+from .config import (CHECK_KINDS, ConfigError, RunConfig, grid_operator,
+                     load_config, load_default_config)
 from .cylapprox import convergence_study
 from .domains import Ball, EmptyDomain
-from .engines.grid import grid_apply, grid_spectrum
+from .engines.grid import NotFinite, grid_apply, grid_spectrum
 from .gauss import MassTooSmall
 from .inequalities import BelowFloor
 
@@ -60,10 +63,11 @@ def _run_one_check(cfg: RunConfig, index: int) -> list:
     b = cfg.budgets[index]
     try:
         return CHECK_KINDS[b.kind].run(b, *b.args)
-    except (BelowFloor, MassTooSmall, EmptyDomain) as err:
-        # the function does not suit the check's kind, or the domain has
-        # too little Gaussian mass (a sampler's first batch sees that) or
-        # none inside the box a 1D check integrates over
+    except (BelowFloor, NotFinite, MassTooSmall, EmptyDomain) as err:
+        # the function does not suit the check's kind or is not finite on
+        # its points, or the domain has too little Gaussian mass (a
+        # sampler's first batch sees that) or none inside the box a 1D
+        # check integrates over
         raise ConfigError(f"check {index}: {err}") from None
 
 
@@ -80,11 +84,11 @@ def run_checks(cfg: RunConfig, jobs: int):
     rows = []
     reports_flat = []
     for index, (b, reports) in enumerate(zip(cfg.budgets, results)):
-        budget = BUDGET_FORMATS[b.engine].format(**vars(b))
         for j, rep in enumerate(reports):
             label = f"{index}.{j}:{b.kind}"
             rows.append((label, rep.name, rep.lhs, rep.rhs, rep.margin,
-                         rep.tolerance, rep.passed, b.engine, budget, b.seed))
+                         rep.tolerance, rep.passed, b.engine, b.budget,
+                         b.seed))
             reports_flat.append((label, rep))
     return rows, reports_flat
 

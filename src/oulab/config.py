@@ -14,6 +14,13 @@ not name, fills in the defaults, and converts and checks each number. The
 top level, ``engine`` and each check are read when the config is parsed; a
 command section is read when its command runs (``RunConfig.section``).
 
+A check's ``budget`` (the column of ``reports.csv``) is its values of the
+``ENGINE_DEFAULTS`` keys its engine reads, in ``CHECK_KINDS`` order, as
+``name=value`` joined by ``;``, with ``mc_paths``, ``mc_step`` and
+``grid_resolution`` shortened to ``paths``, ``h`` and ``resolution``
+(e.g. ``cn_steps=200;resolution=200``). A check integrated by a
+quadrature rule reads none of them; its budget is the rule's nodes.
+
 Domain and function descriptions round-trip exactly through their
 ``to_config`` dictionaries. Parse failures raise ``ConfigError`` carrying
 a line/column diagnostic when one is available.
@@ -187,17 +194,9 @@ SECTIONS = {
         "mass_samples": 200_000},
 }
 
-# the budget column of reports.csv, by engine label; ``_check`` labels a
-# sampled kind ``quadrature`` on a domain ``inequalities._rule`` integrates
-# on, with that rule's nodes
-BUDGET_FORMATS = {
-    "sampled": "samples={samples}",
-    "quadrature": "nodes={nodes}",
-    "grid": "resolution={grid_resolution}",
-    "monte_carlo": "paths={mc_paths};h={mc_step}",
-    "monte_carlo+grid":
-        "paths={mc_paths};h={mc_step};resolution={grid_resolution}",
-}
+# the short names of engine settings in the budget column (``_check``)
+_BUDGET_NAMES = {"mc_paths": "paths", "mc_step": "h",
+                 "grid_resolution": "resolution"}
 
 
 class ConfigError(ValueError):
@@ -297,9 +296,11 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
 def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
     """Check ``i`` read once, at parse: the settings its engine reads, with
     the engine section's as defaults, its ``seed`` (the ``seed`` column of
-    its rows, read or not) and the domain and functions it names
-    (``args``); the namespace its runner reads. A sampled kind takes no
-    ``samples`` or ``seed`` on a domain ``inequalities._rule`` integrates."""
+    its rows, read or not), its ``budget`` string and the domain and
+    functions it names (``args``); the namespace its runner reads. A
+    sampled kind takes no ``samples`` or ``seed`` on a domain
+    ``inequalities._rule`` integrates, and its engine and budget name that
+    rule (``quadrature``, ``nodes=...``)."""
     where = f"check {i}: "
     if not isinstance(check, dict):
         raise ConfigError(f"{where}must be a JSON object")
@@ -308,11 +309,14 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
     settings = _lookup(kind.engines, label, "engine", where)
     seed = cfg.seed + 1000 * i
     defaults = {**cfg.engine, "seed": seed, "t": 0.5}
-    b = SimpleNamespace(**{"seed": seed, **_read(check, {
+    values = _read(check, {
         "kind": None, "engine": label,
         **{key: defaults[key] for key in settings},
         **dict.fromkeys((kind.domain_key, *kind.function_keys)),
-        **kind.options}, f"{where}{check['kind']} on engine {label!r}: ")})
+        **kind.options}, f"{where}{check['kind']} on engine {label!r}: ")
+    budget = ";".join(f"{_BUDGET_NAMES.get(key, key)}={values[key]}"
+                      for key in settings if key in ENGINE_DEFAULTS)
+    b = SimpleNamespace(**{"seed": seed, **values, "budget": budget})
     if len(set(getattr(b, "times", ()))) < kind.fewest_times:
         raise ConfigError(f"{where}'times' needs {kind.fewest_times} or "
                           f"more distinct values")
@@ -328,7 +332,7 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
             raise ConfigError(f"{where}{b.kind} integrates by "
                               f"{rule['sampler']} on this domain and "
                               f"reads no {unread}")
-        b.engine, b.nodes = "quadrature", rule["nodes"]
+        b.engine, b.budget = "quadrature", f"nodes={rule['nodes']}"
     b.args = (dom, *(cfg.function_on(getattr(b, key), dom,
                                      f"{where}{key!r}: ")
                      for key in kind.function_keys))

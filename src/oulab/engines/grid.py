@@ -55,6 +55,12 @@ def _phi(x):
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
+class NotFinite(ValueError):
+    """A function or its gradient is not finite at a point a check
+    evaluates it at: a grid node (``GridOperator.check_values``), or a
+    quadrature node or sample of ``inequalities``."""
+
+
 @dataclass
 class GridOperator:
     """Mesh, Gaussian weights, and sparse generator of one domain."""
@@ -91,7 +97,7 @@ class GridOperator:
             raise ValueError(
                 f"grid function must have {self.n_nodes} values, got {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid function has non-finite entries")
+            raise NotFinite("grid function is not finite at some nodes")
         return values
 
 

@@ -1,13 +1,20 @@
 """Cylindrical test functions with exact symbolic gradients.
 
 A function is ``f(x) = phi(l_1 . x, ..., l_k . x)``: a profile expression
-over k formal variables composed with k linear projections. The node set
-{constant, variable, sum, product, integer power, neg, exp, tanh, sin} is
-closed under differentiation (the sine derivative is a quarter-period
-shift) and contains no division.
+over k formal variables composed with k linear projections.
 
-Expressions serialize to prefix text, e.g. ``(exp (neg (pow v1 2)))``;
-parsing and formatting round-trip exactly.
+A profile is a tree of ``Expr`` nodes, each an immutable ``head`` and its
+``args``, equal (and hash equal) to every tree of its shape. By head:
+
+- ``const``: one finite float; ``var``: one 0-based index (0 prints v1);
+- ``sum``, ``prod``: one or more nodes; ``pow``: a node, an integer >= 0;
+- ``neg``, ``exp``, ``tanh``, ``sin``: one node. ``_UNARY`` holds the
+  numpy function of each, ``_OUTER`` the outer derivative of each but the
+  linear ``neg``; a new one-argument head is an entry in both.
+
+``Expr`` checks each node. The set is closed under differentiation (the
+sine derivative is a quarter-period shift) and has no division. The prefix
+text form, e.g. ``(exp (neg (pow v1 2)))``, round-trips exactly.
 """
 from __future__ import annotations
 
@@ -28,32 +35,82 @@ class DslError(ValueError):
         self.pos = pos
 
 
+# the one-argument heads and the numpy functions that evaluate them
+_UNARY = {"neg": np.negative, "exp": np.exp, "tanh": np.tanh, "sin": np.sin}
+# how many args each head takes; None is one or more
+_ARITY = {"const": 1, "var": 1, "sum": None, "prod": None, "pow": 2,
+          **dict.fromkeys(_UNARY, 1)}
+_OPERATORS = {"sum", "prod", "pow", *_UNARY}  # written (head arg ...)
+
+
 class Expr:
-    __slots__ = ()
+    """One profile node: a ``head`` and its ``args`` (module docstring)."""
+
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: str, *args):
+        if head not in _ARITY:
+            raise ValueError(f"unknown head {head!r}")
+        arity = _ARITY[head]
+        if len(args) != arity if arity else not args:
+            raise ValueError(f"{head} takes {arity or 'one or more'} "
+                             f"argument{'' if arity == 1 else 's'}")
+        *nodes, last = args
+        if head == "const":
+            args = (float(last),)
+            if not math.isfinite(args[0]):
+                raise ValueError(f"constants must be finite, got {args[0]!r}")
+        elif head in ("var", "pow"):
+            if not isinstance(last, int) or last < 0:
+                raise ValueError(f"{head} takes a nonnegative integer "
+                                 f"{'index' if head == 'var' else 'exponent'}")
+        else:
+            nodes.append(last)
+        if not all(isinstance(a, Expr) for a in nodes):
+            raise TypeError(f"{head} takes expression nodes")
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "args", args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("expression nodes are immutable")
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return Expr, (self.head, *self.args)
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self.head == other.head and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.head, self.args))
+
+    def __repr__(self):
+        return f"Expr({', '.join(map(repr, (self.head, *self.args)))})"
 
     def __add__(self, other):
-        return Sum((self, _coerce(other)))
+        return Expr("sum", self, _coerce(other))
 
     def __radd__(self, other):
-        return Sum((_coerce(other), self))
+        return Expr("sum", _coerce(other), self)
 
     def __sub__(self, other):
-        return Sum((self, Neg(_coerce(other))))
+        return Expr("sum", self, Expr("neg", _coerce(other)))
 
     def __rsub__(self, other):
-        return Sum((_coerce(other), Neg(self)))
+        return Expr("sum", _coerce(other), Expr("neg", self))
 
     def __mul__(self, other):
-        return Prod((self, _coerce(other)))
+        return Expr("prod", self, _coerce(other))
 
     def __rmul__(self, other):
-        return Prod((_coerce(other), self))
+        return Expr("prod", _coerce(other), self)
 
     def __neg__(self):
-        return Neg(self)
+        return Expr("neg", self)
 
     def __pow__(self, exponent):
-        return Pow(self, exponent)
+        return Expr("pow", self, exponent)
 
     def __str__(self):
         return format_expr(self)
@@ -63,234 +120,127 @@ def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, float)):
-        return Const(float(value))
+        return Expr("const", value)
     raise TypeError(f"cannot use {value!r} in an expression")
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    index: int  # zero-based; prints as v{index+1}
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("variable index must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Sum(Expr):
-    terms: tuple
-
-    def __post_init__(self):
-        if len(self.terms) < 1:
-            raise ValueError("sum needs at least one term")
-
-
-@dataclass(frozen=True)
-class Prod(Expr):
-    factors: tuple
-
-    def __post_init__(self):
-        if len(self.factors) < 1:
-            raise ValueError("product needs at least one factor")
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Tanh(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
-
-
-def var(i: int) -> Var:
+def var(i: int) -> Expr:
     """Formal variable, 1-based to match the text form (var(1) prints as v1)."""
     if i < 1:
         raise ValueError("variables are numbered from 1")
-    return Var(i - 1)
+    return Expr("var", i - 1)
 
 
-def const(c) -> Const:
-    return Const(float(c))
+def const(c) -> Expr:
+    return Expr("const", c)
 
 
-def exp(e) -> Exp:
-    return Exp(_coerce(e))
+def exp(e) -> Expr:
+    return Expr("exp", _coerce(e))
 
 
-def tanh(e) -> Tanh:
-    return Tanh(_coerce(e))
+def tanh(e) -> Expr:
+    return Expr("tanh", _coerce(e))
 
 
-def sin(e) -> Sin:
-    return Sin(_coerce(e))
+def sin(e) -> Expr:
+    return Expr("sin", _coerce(e))
 
 
 def evaluate(expr: Expr, z: np.ndarray) -> np.ndarray:
     """Evaluate a profile on rows of ``z`` (shape ``(n, k)``)."""
-    if isinstance(expr, Const):
-        return np.full(z.shape[0], expr.value)
-    if isinstance(expr, Var):
-        return z[:, expr.index].copy()
-    if isinstance(expr, Sum):
-        out = evaluate(expr.terms[0], z)
-        for t in expr.terms[1:]:
+    head, args = expr.head, expr.args
+    if head == "const":
+        return np.full(z.shape[0], args[0])
+    if head == "var":
+        return z[:, args[0]].copy()
+    if head == "pow":
+        return evaluate(args[0], z) ** args[1]
+    out = evaluate(args[0], z)
+    if head == "sum":
+        for t in args[1:]:
             out += evaluate(t, z)
-        return out
-    if isinstance(expr, Prod):
-        out = evaluate(expr.factors[0], z)
-        for f in expr.factors[1:]:
+    elif head == "prod":
+        for f in args[1:]:
             out *= evaluate(f, z)
-        return out
-    if isinstance(expr, Pow):
-        return evaluate(expr.base, z) ** expr.exponent
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, z)
-    if isinstance(expr, Exp):
-        return np.exp(evaluate(expr.arg, z))
-    if isinstance(expr, Tanh):
-        return np.tanh(evaluate(expr.arg, z))
-    if isinstance(expr, Sin):
-        return np.sin(evaluate(expr.arg, z))
-    raise TypeError(f"not an expression node: {expr!r}")
+    else:
+        out = _UNARY[head](out)
+    return out
 
 
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
+_ZERO = Expr("const", 0.0)
+_ONE = Expr("const", 1.0)
+# the outer derivative f'(a) of each one-argument head f but the linear
+# neg, as a tree inside the node set, from the node f(a)
+_OUTER = {
+    "exp": lambda e: e,
+    # sech^2 = 1 - tanh^2
+    "tanh": lambda e: Expr("sum", _ONE, Expr("neg", Expr("pow", e, 2))),
+    # cos(a) = sin(a + pi/2): a quarter-period shift
+    "sin": lambda e: Expr("sin", Expr("sum", e.args[0],
+                                      Expr("const", math.pi / 2))),
+}
 
 
 def differentiate(expr: Expr, index: int) -> Expr:
     """Exact partial derivative with respect to variable ``index`` (0-based)."""
-    if isinstance(expr, Const):
+    head, args = expr.head, expr.args
+    if head == "const":
         return _ZERO
-    if isinstance(expr, Var):
-        return _ONE if expr.index == index else _ZERO
-    if isinstance(expr, Sum):
-        return Sum(tuple(differentiate(t, index) for t in expr.terms))
-    if isinstance(expr, Prod):
-        terms = []
-        for i, f in enumerate(expr.factors):
-            df = differentiate(f, index)
-            rest = expr.factors[:i] + expr.factors[i + 1:]
-            terms.append(Prod((df,) + rest) if rest else df)
-        return Sum(tuple(terms))
-    if isinstance(expr, Pow):
-        if expr.exponent == 0:
+    if head == "var":
+        return _ONE if args[0] == index else _ZERO
+    if head == "pow":
+        base, exponent = args
+        if exponent == 0:
             return _ZERO
-        db = differentiate(expr.base, index)
-        if expr.exponent == 1:
+        db = differentiate(base, index)
+        if exponent == 1:
             return db
-        return Prod((Const(float(expr.exponent)),
-                     Pow(expr.base, expr.exponent - 1), db))
-    if isinstance(expr, Neg):
-        return Neg(differentiate(expr.arg, index))
-    if isinstance(expr, Exp):
-        return Prod((expr, differentiate(expr.arg, index)))
-    if isinstance(expr, Tanh):
-        # sech^2 = 1 - tanh^2 keeps the derivative inside the node set
-        sech2 = Sum((_ONE, Neg(Pow(Tanh(expr.arg), 2))))
-        return Prod((sech2, differentiate(expr.arg, index)))
-    if isinstance(expr, Sin):
-        # cos(a) = sin(a + pi/2): a quarter-period shift stays in the set
-        cos = Sin(Sum((expr.arg, Const(math.pi / 2))))
-        return Prod((cos, differentiate(expr.arg, index)))
-    raise TypeError(f"not an expression node: {expr!r}")
+        return Expr("prod", Expr("const", exponent),
+                    Expr("pow", base, exponent - 1), db)
+    if head == "sum":
+        return Expr("sum", *(differentiate(t, index) for t in args))
+    if head == "prod":
+        terms = []
+        for i, f in enumerate(args):
+            df = differentiate(f, index)
+            rest = args[:i] + args[i + 1:]
+            terms.append(Expr("prod", df, *rest) if rest else df)
+        return Expr("sum", *terms)
+    da = differentiate(args[0], index)
+    if head == "neg":
+        return Expr("neg", da)
+    return Expr("prod", _OUTER[head](expr), da)
 
 
 def max_var_index(expr: Expr) -> int:
     """Largest 0-based variable index used, or -1 for constant expressions."""
-    if isinstance(expr, Var):
-        return expr.index
-    if isinstance(expr, (Const,)):
-        return -1
-    if isinstance(expr, Sum):
-        return max(max_var_index(t) for t in expr.terms)
-    if isinstance(expr, Prod):
-        return max(max_var_index(f) for f in expr.factors)
-    if isinstance(expr, Pow):
-        return max_var_index(expr.base)
-    if isinstance(expr, (Neg, Exp, Tanh, Sin)):
-        return max_var_index(expr.arg)
-    raise TypeError(f"not an expression node: {expr!r}")
+    if expr.head == "var":
+        return expr.args[0]
+    return max((max_var_index(a) for a in expr.args if isinstance(a, Expr)),
+               default=-1)
 
 
 # ---------------------------------------------------------------------------
 # prefix text form
 
-_HEADS = {"sum", "prod", "pow", "neg", "exp", "tanh", "sin"}
-
-
 def format_expr(expr: Expr) -> str:
-    if isinstance(expr, Const):
-        v = expr.value
-        if v.is_integer() and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
-    if isinstance(expr, Var):
-        return f"v{expr.index + 1}"
-    if isinstance(expr, Sum):
-        return "(sum " + " ".join(format_expr(t) for t in expr.terms) + ")"
-    if isinstance(expr, Prod):
-        return "(prod " + " ".join(format_expr(f) for f in expr.factors) + ")"
-    if isinstance(expr, Pow):
-        return f"(pow {format_expr(expr.base)} {expr.exponent})"
-    if isinstance(expr, Neg):
-        return f"(neg {format_expr(expr.arg)})"
-    if isinstance(expr, Exp):
-        return f"(exp {format_expr(expr.arg)})"
-    if isinstance(expr, Tanh):
-        return f"(tanh {format_expr(expr.arg)})"
-    if isinstance(expr, Sin):
-        return f"(sin {format_expr(expr.arg)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+    head, args = expr.head, expr.args
+    if head == "const":
+        v = args[0]
+        return str(int(v)) if v.is_integer() and abs(v) < 1e15 else repr(v)
+    if head == "var":
+        return f"v{args[0] + 1}"
+    return f"({head} " + " ".join(
+        format_expr(a) if isinstance(a, Expr) else str(a) for a in args) + ")"
 
 
 def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i + 1))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i + 1))
-            i = j
-    return tokens
+    """(token, 1-based position) of each parenthesis and run of other
+    non-space characters."""
+    import re
+    return [(m.group(), m.start() + 1)
+            for m in re.finditer(r"[()]|[^\s()]+", text)]
 
 
 def parse_expr(text: str) -> Expr:
@@ -304,16 +254,25 @@ def parse_expr(text: str) -> Expr:
     return expr
 
 
+def _node(pos: int, head: str, *args) -> Expr:
+    """``Expr(head, *args)``, its errors a ``DslError`` at ``pos``."""
+    try:
+        return Expr(head, *args)
+    except (ValueError, TypeError) as err:
+        raise DslError(str(err), pos) from None
+
+
 def _atom(token: str, pos: int) -> Expr:
     if len(token) > 1 and token[0] == "v" and token[1:].isdigit():
         idx = int(token[1:])
         if idx < 1:
             raise DslError("variables are numbered from 1", pos)
-        return Var(idx - 1)
+        return Expr("var", idx - 1)
     try:
-        return Const(float(token))
+        value = float(token)
     except ValueError:
         raise DslError(f"unknown atom {token!r}", pos) from None
+    return _node(pos, "const", value)
 
 
 def _parse(tokens):
@@ -325,7 +284,7 @@ def _parse(tokens):
     if len(tokens) < 2:
         raise DslError("unterminated '('", pos)
     head, head_pos = tokens[1]
-    if head not in _HEADS:
+    if head not in _OPERATORS:
         raise DslError(f"unknown operator {head!r}", head_pos)
     rest = tokens[2:]
     args = []
@@ -338,31 +297,15 @@ def _parse(tokens):
         if head == "pow" and len(args) == 1:
             token, tpos = rest[0]
             try:
-                exponent = int(token)
+                args.append(int(token))
             except ValueError:
                 raise DslError("pow exponent must be an integer", tpos) from None
-            args.append(exponent)
             rest = rest[1:]
             continue
         node, rest = _parse(rest)
         args.append(node)
-    try:
-        if head == "sum":
-            return Sum(tuple(args)), rest
-        if head == "prod":
-            return Prod(tuple(args)), rest
-        if head == "pow":
-            if len(args) != 2:
-                raise ValueError("pow takes a base and an integer exponent")
-            return Pow(args[0], args[1]), rest
-        if len(args) != 1:
-            raise ValueError(f"{head} takes exactly one argument")
-        return {"neg": Neg, "exp": Exp, "tanh": Tanh, "sin": Sin}[head](args[0]), rest
-    except (ValueError, TypeError) as err:
-        raise DslError(str(err), head_pos) from None
+    return _node(head_pos, head, *args), rest
 
-
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class CylFunction:
@@ -448,7 +391,7 @@ def coordinate(dim: int, axis: int = 0) -> CylFunction:
     """The linear function x -> x[axis] as a cylindrical function."""
     e = np.zeros(dim)
     e[axis] = 1.0
-    return CylFunction(dim=dim, directions=e[None, :], profile=Var(0))
+    return CylFunction(dim=dim, directions=e[None, :], profile=Expr("var", 0))
 
 
 def from_profile(profile: Expr, directions) -> CylFunction:

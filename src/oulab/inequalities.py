@@ -53,7 +53,8 @@ from .domains import Ball, ConvexDomain, truncation_box
 from .gauss import (Moments, _sample_blocks, _sampler_details, mean_se,
                     restricted_sample)
 from .engines.grid import (grid_apply, fd_gradient, weighted_mean, l2_norm,
-                           propagator_details, GridOperator, DEFAULT_CN_STEPS)
+                           propagator_details, GridOperator, DEFAULT_CN_STEPS,
+                           NotFinite)
 from .engines.montecarlo import evolve_starts, path_details, DEFAULT_STEP
 
 Z = 3.0  # standard errors a sampled estimate may stray by as noise
@@ -211,6 +212,18 @@ def _rule(domain: ConvexDomain):
     return None
 
 
+def _evaluated(f, pts):
+    """f and its squared gradient norm at ``pts``, or ``NotFinite`` when
+    one of them is not finite somewhere."""
+    values = np.asarray(f.eval(pts), dtype=float)
+    grad = f.gradient(pts)
+    grad_sq = np.einsum("ij,ij->i", grad, grad)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grad_sq))):
+        raise NotFinite("the function or its gradient is not finite at "
+                        "some of the check's points")
+    return values, grad_sq
+
+
 def _integrated(name, f, domain: ConvexDomain, sides) -> InequalityReport:
     """The report of a check by the quadrature rule of ``_rule(domain)``.
 
@@ -234,9 +247,7 @@ def _integrated(name, f, domain: ConvexDomain, sides) -> InequalityReport:
                  _disc_rule(domain, QUAD_NODES)]
         box = {}
     pts = np.concatenate([x for x, _ in rules])
-    values = np.asarray(f.eval(pts), dtype=float)
-    grad = f.gradient(pts)
-    grad_sq = np.einsum("ij,ij->i", grad, grad)
+    values, grad_sq = _evaluated(f, pts)
     ends = np.cumsum([len(x) for x, _ in rules])[:-1]
     (lhs, rhs, details), fine, *wide = [
         sides(v, g, p) for v, g, (_, p) in zip(
@@ -278,9 +289,9 @@ def check_poincare(f, domain: ConvexDomain, n_samples: int = 100_000,
         return _integrated("poincare", f, domain, _poincare_sides)
     values, grad_sq = Moments(fourth=True), Moments(fourth=False)
     for pts, accepted, proposed in _sample_blocks(domain, n_samples, seed):
-        values.add(np.asarray(f.eval(pts), dtype=float))
-        grad = f.gradient(pts)
-        grad_sq.add(np.einsum("ij,ij->i", grad, grad))
+        block, block_sq = _evaluated(f, pts)
+        values.add(block)
+        grad_sq.add(block_sq)
     lhs, se_lhs = values.var_se()
     rhs, se_rhs = grad_sq.mean_se()
     return _report(
@@ -328,12 +339,11 @@ def check_logsob(f, domain: ConvexDomain, n_samples: int = 100_000,
     entropy, grad_sq, square = (Moments(fourth=False) for _ in range(3))
     clipped = 0
     for pts, accepted, proposed in _sample_blocks(domain, n_samples, seed):
-        sq, ent, n_clipped = _entropy_terms(
-            np.asarray(f.eval(pts), dtype=float))
-        grad = f.gradient(pts)
+        block, block_sq = _evaluated(f, pts)
+        sq, ent, n_clipped = _entropy_terms(block)
         clipped += n_clipped
         entropy.add(ent)
-        grad_sq.add(np.einsum("ij,ij->i", grad, grad))
+        grad_sq.add(block_sq)
         square.add(sq)
     lhs, se_lhs = entropy.mean_se()
     energy, se_energy = grad_sq.mean_se()

@@ -209,9 +209,8 @@ def test_engine_column_reads_quadrature_exactly_where_a_rule_ran():
         (rep,) = cli._run_one_check(parsed, i)
         integrated = rep.details["sampler"] in rules
         assert (b.engine == "quadrature") == integrated, (i, b.engine)
-        budget = cli.BUDGET_FORMATS[b.engine].format(**vars(b))
-        assert budget == (f"nodes={rep.details['nodes']}" if integrated
-                          else "samples=5000")
+        assert b.budget == (f"nodes={rep.details['nodes']}" if integrated
+                            else "samples=5000")
     assert [b.engine for b in parsed.budgets] == \
         2 * (4 * ["quadrature"] + 2 * ["sampled"])
 
@@ -243,10 +242,14 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_malformed_dsl_exits_2(tmp_path, capsys):
-    cfg = json.loads(json.dumps(SMALL_CONFIG))
-    cfg["functions"]["linear"]["profile"] = "(exp v1"
-    assert main(["verify", write_config(tmp_path, cfg)]) == 2
-    assert "position" in capsys.readouterr().err
+    # a non-finite constant is refused at its token, as a syntax error is
+    for profile, pos in (("(exp v1", 1), ("(sum nan v1)", 6), ("1e999", 1)):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["functions"]["linear"]["profile"] = profile
+        assert main(["verify", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: function 'linear': ")
+        assert f"(at position {pos})" in err
 
 
 def _check_of(cfg, kind):
@@ -303,6 +306,20 @@ def test_signed_positivity_function_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "nonnegative" in err
+    # a function that overflows on a check's points, on a grid check and
+    # on a quadrature check: exp(800 x) is inf for x >= 0.89
+    cfg["functions"]["steep"] = {"dim": 1, "directions": [[1.0]],
+                                 "profile": "(exp (prod 800 v1))"}
+    for check in ({"kind": "decay", "function": "steep",
+                   "domain": "interval", "times": [0.5]},
+                  {"kind": "poincare", "function": "steep", "domain": "line"}):
+        cfg["checks"] = [{"kind": "poincare", "function": "linear",
+                          "domain": "line"}, check]
+        assert main(["verify", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: check 1: ")
+        assert "not finite" in err
 
 
 def _with_2d_ball(cfg):
@@ -812,12 +829,12 @@ BUNDLED_DISPATCH = [
      "20266809"),
     ("7.0:log_sobolev", "log_sobolev", "quadrature", "nodes=8x16",
      "20267809"),
-    ("8.0:gradient_bound", "gradient_bound", "grid", "resolution=200",
-     "20268809"),
+    ("8.0:gradient_bound", "gradient_bound", "grid",
+     "cn_steps=200;resolution=200", "20268809"),
     ("9.0:submultiplicative", "submultiplicative", "monte_carlo",
      "paths=20000;h=0.005", "20269809"),
-    ("10.0:invariance", "invariance_grid", "grid", "resolution=200",
-     "20270809"),
+    ("10.0:invariance", "invariance_grid", "grid",
+     "cn_steps=200;resolution=200", "20270809"),
     ("11.0:invariance", "invariance_mc", "monte_carlo", "paths=50000;h=0.002",
      "20271809"),
     ("12.0:decay", "decay", "grid", "resolution=300", "20272809"),

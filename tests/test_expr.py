@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oulab.domains import DimensionMismatch
-from oulab.expr import (Const, CylFunction, DslError, Exp, Neg, Pow, Prod,
-                        Sin, Sum, Tanh, Var, coordinate, differentiate,
-                        evaluate, exp, format_expr, from_profile,
-                        function_from_config, parse_expr, sin,
+from oulab.expr import (CylFunction, DslError, Expr, const, coordinate,
+                        differentiate, evaluate, exp, format_expr,
+                        from_profile, function_from_config, parse_expr, sin,
                         tanh, var)
 
 SQRT2 = math.sqrt(2.0)
@@ -102,27 +101,47 @@ def test_lift_commutes_with_projection():
                           f.gradient_norm(pts[:, :2]))
 
 
-NODE_TYPES = (Const, Var, Sum, Prod, Pow, Neg, Exp, Tanh, Sin)
+HEADS = {"const", "var", "sum", "prod", "pow", "neg", "exp", "tanh", "sin"}
 
 
 def _walk(e):
     yield e
-    for attr in ("terms", "factors"):
-        for child in getattr(e, attr, ()):
-            yield from _walk(child)
-    for attr in ("base", "arg"):
-        child = getattr(e, attr, None)
-        if child is not None:
+    for child in e.args:
+        if isinstance(child, Expr):
             yield from _walk(child)
 
 
+def _trees(depth=4):
+    """Profiles of depth <= ``depth`` over all nine heads: finite
+    constants, exponents 0-3 and up to 3 variables."""
+    leaves = st.one_of(st.floats(allow_nan=False, allow_infinity=False)
+                       .map(const), st.integers(1, 3).map(var))
+    if depth == 0:
+        return leaves
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda head, args: Expr(head, *args),
+                  st.sampled_from(["sum", "prod"]),
+                  st.lists(sub, min_size=1, max_size=3)),
+        st.builds(lambda base, k: base ** k, sub, st.integers(0, 3)),
+        st.builds(Expr, st.sampled_from(["neg", "exp", "tanh", "sin"]), sub))
+
+
+@settings(max_examples=20, deadline=None)
+@given(tree=_trees())
 @pytest.mark.parametrize("profile", PROFILE_PANEL, ids=str)
-def test_differentiation_stays_inside_the_node_set(profile):
-    d = differentiate(profile, 0)
-    assert all(isinstance(node, NODE_TYPES) for node in _walk(d))
+def test_differentiation_stays_inside_the_node_set(profile, tree):
+    for e in (profile, tree):
+        for index in range(3):
+            d = differentiate(e, index)
+            assert all(isinstance(node, Expr) and node.head in HEADS
+                       for node in _walk(d))
 
 
-def test_parse_format_round_trip():
+@settings(max_examples=200, deadline=None)
+@given(tree=_trees())
+def test_parse_format_round_trip(tree):
     texts = [
         "(exp (neg (pow v1 2)))",
         "v1",
@@ -135,6 +154,7 @@ def test_parse_format_round_trip():
     for text in texts:
         e = parse_expr(text)
         assert parse_expr(format_expr(e)) == e
+    assert parse_expr(format_expr(tree)) == tree
     # formatting normalizes whitespace but preserves structure
     assert format_expr(parse_expr("( sum  1   v1 )")) == "(sum 1 v1)"
 
@@ -147,6 +167,8 @@ def test_parse_format_round_trip():
     ("", 1),
     ("(exp v1 v2)", 2),
     ("v0", 1),
+    ("(sum nan v1)", 6),
+    ("1e999", 1),
 ])
 def test_parse_errors_carry_positions(bad, pos):
     with pytest.raises(DslError) as err:
@@ -160,7 +182,9 @@ def test_validation_errors():
     with pytest.raises(DimensionMismatch):
         CylFunction(dim=3, directions=[[1.0, 0.0]], profile=var(1))
     with pytest.raises(ValueError):
-        Pow(Var(0), -1)
+        Expr("pow", Expr("var", 0), -1)
+    with pytest.raises(ValueError):
+        const(math.inf)
     with pytest.raises(DimensionMismatch):
         coordinate(2).eval([1.0, 2.0, 3.0])
 
