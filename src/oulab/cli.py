@@ -11,8 +11,9 @@ Output is deterministic: the same config and seed produce byte-identical
 files regardless of ``--jobs``, and every CSV row carries the engine,
 budget, and seed needed to reproduce it in isolation. A ``reports.csv``
 row's budget is the one ``config._check`` builds from the engine settings
-its check reads (see ``config``). A check whose function or gradient is
-not finite on its points exits 2, naming the check.
+its check reads (see ``config``); ``evolution.csv`` rows read
+``cn_steps=...;resolution=...``. A check whose function or gradient is
+not finite on its points exits 2 with one line naming the check.
 """
 from __future__ import annotations
 
@@ -62,7 +63,10 @@ def _csv(rows, header) -> str:
 def _run_one_check(cfg: RunConfig, index: int) -> list:
     b = cfg.budgets[index]
     try:
-        return CHECK_KINDS[b.kind].run(b, *b.args)
+        # NotFinite stands in for numpy's overflow warnings; errstate is
+        # per thread, so each --jobs thread enters it for itself
+        with np.errstate(over="ignore", invalid="ignore"):
+            return CHECK_KINDS[b.kind].run(b, *b.args)
     except (BelowFloor, NotFinite, MassTooSmall, EmptyDomain) as err:
         # the function does not suit the check's kind or is not finite on
         # its points, or the domain has too little Gaussian mass (a
@@ -137,14 +141,15 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     op = grid_operator(dom, res, cfg.engine["tail_mass"],
                        f"evolve: domain {spec['domain']!r}: ")
     u0 = op.sample(fn)
+    n_steps = cfg.engine["cn_steps"]
     rows = []
     for t in spec["times"]:
-        u_t = grid_apply(op, u0, t, n_steps=cfg.engine["cn_steps"])
+        u_t = grid_apply(op, u0, t, n_steps=n_steps)
         for i in range(op.n_nodes):
             x2 = float(op.nodes[i, 1]) if op.dim == 2 else ""
             rows.append((spec["domain"], spec["function"], t, i,
                          float(op.nodes[i, 0]), x2, float(u_t[i]), "grid",
-                         f"resolution={res}", cfg.seed))
+                         f"cn_steps={n_steps};resolution={res}", cfg.seed))
     _write(out_dir, "evolution.csv",
            _csv(rows, ("domain", "function", "t", "node", "x1", "x2",
                        "value", "engine", "budget", "seed")))

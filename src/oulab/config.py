@@ -4,9 +4,10 @@ budgets, and the list of checks and studies to execute.
 A key stands in one of four places, each with a table of its keys and
 defaults: the top level (``TOP_LEVEL``), the ``engine`` section
 (``ENGINE_DEFAULTS``), a check and a command section (``SECTIONS``). A
-check takes ``kind``, ``engine``, the keys naming its domain and
-functions, its kind's ``options`` and only the settings its engine reads,
-which ``CHECK_KINDS`` lists and the ``engine`` section defaults.
+check takes ``kind``, ``engine``, the key naming its domain, the one
+``function`` it checks, its kind's ``options`` and only the settings its
+engine reads, which ``CHECK_KINDS`` lists and the ``engine`` section
+defaults.
 ``_SETTINGS`` declares once, for every place, how each numeric setting is
 converted and what it accepts; integer settings refuse fractional values.
 One reader, ``_read``, serves every place: it rejects keys its table does
@@ -45,8 +46,7 @@ from .expr import CylFunction, function_from_config
 from .inequalities import (_rule, check_decay, check_entropy,
                            check_gradient_bound, check_invariance,
                            check_logsob, check_poincare,
-                           check_positivity_and_contraction,
-                           submultiplicative_reports)
+                           check_positivity_and_contraction)
 
 # the top level of a config: its keys and their defaults
 TOP_LEVEL = {"seed": 0, "output_dir": "out", "domains": {}, "functions": {},
@@ -78,7 +78,7 @@ def _listed(convert):
 # every numeric setting, wherever it stands: key -> (conversion, what it
 # accepts of a value or of each list entry, how the error says that)
 _SETTINGS = {
-    **dict.fromkeys(("cn_steps", "panel", "points", "count", "mass_samples",
+    **dict.fromkeys(("cn_steps", "points", "count", "mass_samples",
                      "free_dims"),
                     (_integer, lambda v: v > 0, "a positive integer")),
     # a standard error needs two values; a variance's needs four
@@ -115,63 +115,53 @@ def grid_operator(domain: ConvexDomain, resolution, tail_mass: float,
 
 
 CheckKind = namedtuple(
-    "CheckKind", "domain_key function_keys engines run options dim "
-    "fewest_times", defaults=({}, None, 0))
+    "CheckKind", "domain_key engines run options dim fewest_times",
+    defaults=({}, None, 0))
 
-# One row per check kind: the key naming its domain, the keys naming its
-# functions, its engine labels (the first is the default), each with the
-# settings its runner reads there and so the only ones a check takes, its
-# runner, the check keys only this kind reads with their defaults, the
-# domain dimension it needs (None for any) and the fewest distinct times.
-# A runner takes the check's settings b (read by ``_check`` at parse time),
-# the domain d and the functions, and returns a list of reports; b.grid(d)
-# is d's grid at b.grid_resolution. Decay and factorization keep
-# DEFAULT_CN_STEPS: their tolerances have no dt term.
+# One row per check kind: the key naming its domain, its engine labels (the
+# first is the default), each with the settings its runner reads there and
+# so the only ones a check takes, its runner, the check keys only this kind
+# reads with their defaults, the domain dimension it needs (None for any)
+# and the fewest distinct times. Every check names one function, under
+# ``function``. A runner takes the check's settings b (read by ``_check``
+# at parse time), the domain d and the function f, and returns a list of
+# reports; b.grid(d) is d's grid at b.grid_resolution. Decay and
+# factorization keep DEFAULT_CN_STEPS: their tolerances have no dt term.
 CHECK_KINDS = {
     "poincare": CheckKind(
-        "domain", ("function",), {"sampled": ("samples", "seed")},
+        "domain", {"sampled": ("samples", "seed")},
         lambda b, d, f: [check_poincare(f, d, b.samples, b.seed)]),
     "log_sobolev": CheckKind(
-        "domain", ("function",), {"sampled": ("samples", "seed")},
+        "domain", {"sampled": ("samples", "seed")},
         lambda b, d, f: [check_logsob(f, d, b.samples, b.seed)]),
     "gradient_bound": CheckKind(
-        "domain", ("function",),
-        {"grid": ("t", "cn_steps", "grid_resolution")},
+        "domain", {"grid": ("t", "cn_steps", "grid_resolution")},
         lambda b, d, f: [check_gradient_bound(
             f, d, b.t, n_steps=b.cn_steps, op=b.grid(d))]),
-    "submultiplicative": CheckKind(
-        "domain", ("function", "function2"),
-        {"monte_carlo": ("t", "mc_paths", "mc_step", "seed")},
-        lambda b, d, f, g: submultiplicative_reports(
-            [(f, g)], d, b.t, n_panel=b.panel, n_paths=b.mc_paths,
-            h=b.mc_step, seed=b.seed),
-        options={"panel": 10}),
     "invariance": CheckKind(
-        "domain", ("function",),
-        {"monte_carlo": ("t", "mc_paths", "mc_step", "seed"),
-         "grid": ("t", "cn_steps", "grid_resolution")},
+        "domain", {"monte_carlo": ("t", "mc_paths", "mc_step", "seed"),
+                   "grid": ("t", "cn_steps", "grid_resolution")},
         lambda b, d, f: [check_invariance(
             f, d, b.t, "grid", n_steps=b.cn_steps, op=b.grid(d))
             if b.engine == "grid" else check_invariance(
                 f, d, b.t, "monte_carlo", n_paths=b.mc_paths, h=b.mc_step,
                 seed=b.seed)]),
     "decay": CheckKind(
-        "domain", ("function",), {"grid": ("grid_resolution",)},
+        "domain", {"grid": ("grid_resolution",)},
         lambda b, d, f: check_decay(f, d, b.times, op=b.grid(d)),
         options={"times": [0.5, 1.0]}),
     "positivity_contraction": CheckKind(
-        "domain", ("function",), {"grid": ("t", "grid_resolution")},
+        "domain", {"grid": ("t", "grid_resolution")},
         lambda b, d, f: [check_positivity_and_contraction(
             f, d, b.t, op=b.grid(d))]),
     # the production is a difference quotient between times
     "entropy": CheckKind(
-        "domain", ("function",), {"grid": ("grid_resolution",)},
+        "domain", {"grid": ("grid_resolution",)},
         lambda b, d, f: check_entropy(f, d, b.times, op=b.grid(d)),
         options={"times": np.linspace(0, 4, 21).tolist()}, fewest_times=2),
     "factorization": CheckKind(
-        "base", ("function",),
-        {"monte_carlo+grid": ("t", "mc_paths", "mc_step", "seed",
-                              "grid_resolution")},
+        "base", {"monte_carlo+grid": ("t", "mc_paths", "mc_step", "seed",
+                                      "grid_resolution")},
         lambda b, d, f: [factorization_check(
             f, d, b.free_dims, b.t, op=b.grid(d), n_points=b.points,
             n_paths=b.mc_paths, h=b.mc_step, seed=b.seed)],
@@ -297,7 +287,7 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
     """Check ``i`` read once, at parse: the settings its engine reads, with
     the engine section's as defaults, its ``seed`` (the ``seed`` column of
     its rows, read or not), its ``budget`` string and the domain and
-    functions it names (``args``); the namespace its runner reads. A
+    function it names (``args``); the namespace its runner reads. A
     sampled kind takes no ``samples`` or ``seed`` on a domain
     ``inequalities._rule`` integrates, and its engine and budget name that
     rule (``quadrature``, ``nodes=...``)."""
@@ -312,7 +302,7 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
     values = _read(check, {
         "kind": None, "engine": label,
         **{key: defaults[key] for key in settings},
-        **dict.fromkeys((kind.domain_key, *kind.function_keys)),
+        **dict.fromkeys((kind.domain_key, "function")),
         **kind.options}, f"{where}{check['kind']} on engine {label!r}: ")
     budget = ";".join(f"{_BUDGET_NAMES.get(key, key)}={values[key]}"
                       for key in settings if key in ENGINE_DEFAULTS)
@@ -333,9 +323,7 @@ def _check(cfg: RunConfig, i: int, check) -> SimpleNamespace:
                               f"{rule['sampler']} on this domain and "
                               f"reads no {unread}")
         b.engine, b.budget = "quadrature", f"nodes={rule['nodes']}"
-    b.args = (dom, *(cfg.function_on(getattr(b, key), dom,
-                                     f"{where}{key!r}: ")
-                     for key in kind.function_keys))
+    b.args = (dom, cfg.function_on(b.function, dom, f"{where}'function': "))
     b.grid = lambda d: grid_operator(d, b.grid_resolution,
                                      cfg.engine["tail_mass"], where)
     return b

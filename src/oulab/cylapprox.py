@@ -21,7 +21,7 @@ from .gauss import _sample_blocks, mean_se, restricted_sample
 from .engines.grid import GridOperator, grid_apply
 from .engines.montecarlo import evolve_starts, path_details
 from .inequalities import (BIAS_CONST, FACTOR_DISC, Z, InequalityReport,
-                           _cells, _terms)
+                           _cells, _finite, _report)
 
 
 def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
@@ -33,8 +33,9 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
     evolves the lifted function by reflected paths, side B interpolates the
     evolution of ``v`` on ``op``, the base's grid, at the projected panel
     points. The report's lhs is the worst excess of |A - B| over ``Z``
-    standard errors; the rhs is the recorded sum of the explicit step-bias
-    and grid allowances, and the tolerance is 0.
+    standard errors and its rhs is 0; the tolerance is the recorded sum of
+    the explicit step-bias and grid allowances. Raises ``NotFinite`` when
+    the lift is not finite at an endpoint, or ``v`` at a grid node.
     """
     if base.dim != 1:
         raise ValueError("the grid reference needs a one dimensional base")
@@ -46,25 +47,22 @@ def factorization_check(v, base: ConvexDomain, free_dims: int, t: float,
     xs = op.nodes[:, 0]
 
     ends = evolve_starts([product], panel, n_paths, t, h, seed)[0]
-    vals = np.asarray(lifted.eval(ends), dtype=float).reshape(n_points, n_paths)
+    vals = _finite(lifted.eval(ends)).reshape(n_points, n_paths)
     values = [(*mean_se(vals[i]), float(np.interp(x[0], xs, u_t)))
               for i, x in enumerate(panel)]
     excess = [abs(a - b) - Z * se for a, se, b in values]
     worst = int(np.argmax(excess))
     h_grid = float(op.spacing.max())
-    allowance, terms = _terms(
-        ("step_bias", BIAS_CONST * math.sqrt(h)),
-        ("discretization", FACTOR_DISC * h_grid * h_grid))
     a, se, b = values[worst]
-    return InequalityReport(
-        name="factorization", lhs=max(max(excess), 0.0), rhs=allowance,
-        tolerance=0.0,
-        details={"t": t, "free_dims": free_dims, "n_points": n_points,
-                 "n_paths": n_paths, "h": h, "resolution": _cells(op),
-                 "seed": seed, **path_details([product]),
-                 "worst_point": worst, "mc_value": a,
-                 "grid_value": b, "mc_se": se, "bias_const": BIAS_CONST,
-                 "disc_const": FACTOR_DISC, **terms})
+    return _report(
+        "factorization", max(max(excess), 0.0), 0.0,
+        [("step_bias", BIAS_CONST * math.sqrt(h)),
+         ("discretization", FACTOR_DISC * h_grid * h_grid)],
+        {"t": t, "free_dims": free_dims, "n_points": n_points,
+         "n_paths": n_paths, "h": h, "resolution": _cells(op), "seed": seed,
+         **path_details([product]), "worst_point": worst, "mc_value": a,
+         "grid_value": b, "mc_se": se, "bias_const": BIAS_CONST,
+         "disc_const": FACTOR_DISC})
 
 
 @dataclass(frozen=True)

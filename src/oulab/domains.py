@@ -70,10 +70,10 @@ class ConvexDomain:
 
     dim: int
 
-    def contains(self, x, tol: float = CONTAINS_TOL):
-        """Closed-set membership test within ``tol``."""
+    def contains(self, x):
+        """Closed-set membership test within ``CONTAINS_TOL``."""
         pts, single = _as_batch(x, self.dim)
-        out = self._contains(pts, tol)
+        out = self._contains(pts, CONTAINS_TOL)
         return bool(out[0]) if single else out
 
     def project(self, x):

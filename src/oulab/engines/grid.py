@@ -57,8 +57,8 @@ def _phi(x):
 
 class NotFinite(ValueError):
     """A function or its gradient is not finite at a point a check
-    evaluates it at: a grid node (``GridOperator.check_values``), or a
-    quadrature node or sample of ``inequalities``."""
+    evaluates it at (a grid node, quadrature node, sample or path end), or
+    a report's side or tolerance overflowed."""
 
 
 @dataclass

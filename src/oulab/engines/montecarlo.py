@@ -43,15 +43,15 @@ Gaussian steps run at the same time: on a 2-core machine, 65,536 paths x
 one. A one-column march (``"euler"`` in 1D, ``"split"`` on a 1D base)
 runs its batches in batch order on the calling thread: each of its steps
 is a handful of calls of a few microseconds each, so a second thread
-gains nothing and its hand-offs cost time. On a 2-core machine the
-bundled ``submultiplicative`` load (160,000 rows x 100 steps) took
-0.056-0.074 s on two threads against 0.043-0.051 s on one. Neither where
-batches run nor the order they finish in can change a result: a batch's
-noise depends only on its own generator, and its rows only on its noise
-and starts. There is deliberately no knob for the pool. Two calls with the
-same seed, path count, step size, horizon and transition consume identical
-noise, which is what the common-random-number comparisons across domains
-and integrands rely on.
+gains nothing and its hand-offs cost time. On a 2-core machine a
+one-column march of 160,000 rows x 100 steps took 0.056-0.074 s on two
+threads against 0.043-0.051 s on one. Neither where batches run nor the
+order they finish in can change a result: a batch's noise depends only
+on its own generator, and its rows only on its noise and starts. There
+is deliberately no knob for the pool. Two calls with the same seed, path
+count, step size, horizon and transition consume identical noise, which
+is what the common-random-number comparisons across domains and
+integrands rely on.
 """
 from __future__ import annotations
 

@@ -127,8 +127,11 @@ def _terms(*terms):
 
 
 def _report(name, lhs, rhs, terms, details) -> InequalityReport:
-    """A report whose tolerance is the recorded sum of ``terms``."""
+    """A report whose tolerance is the recorded sum of ``terms``, or
+    ``NotFinite`` when a side or the tolerance overflowed."""
     tolerance, recorded = _terms(*terms)
+    if not all(map(math.isfinite, (lhs, rhs, tolerance))):
+        raise NotFinite(f"{name}: a side or the tolerance is not finite")
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, tolerance=tolerance,
                             details={**details, **recorded})
 
@@ -212,16 +215,20 @@ def _rule(domain: ConvexDomain):
     return None
 
 
+def _finite(values) -> np.ndarray:
+    """``values`` as floats, or ``NotFinite`` if one is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NotFinite("the function or its gradient is not finite at "
+                        "some of the check's points")
+    return values
+
+
 def _evaluated(f, pts):
     """f and its squared gradient norm at ``pts``, or ``NotFinite`` when
     one of them is not finite somewhere."""
-    values = np.asarray(f.eval(pts), dtype=float)
     grad = f.gradient(pts)
-    grad_sq = np.einsum("ij,ij->i", grad, grad)
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grad_sq))):
-        raise NotFinite("the function or its gradient is not finite at "
-                        "some of the check's points")
-    return values, grad_sq
+    return _finite(f.eval(pts)), _finite(np.einsum("ij,ij->i", grad, grad))
 
 
 def _integrated(name, f, domain: ConvexDomain, sides) -> InequalityReport:
@@ -398,7 +405,8 @@ def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
     The lhs a^2 and rhs b c are means of fg, f^2 and g^2 over one cloud, so
     a^2 <= b c holds by construction (Cauchy-Schwarz on the empirical
     measure, recorded as ``by_construction``) and the tolerance is the
-    ``eps`` floor alone: a report fails only if the means are wrong.
+    ``eps`` floor alone: a report fails only if the means are wrong. It
+    raises ``NotFinite`` when f or g is not finite at an endpoint.
     """
     x_panel = restricted_sample(domain, n_panel, seed + 1).points
     ends = evolve_starts([domain], x_panel, n_paths, t, h, seed)[0]
@@ -407,8 +415,8 @@ def submultiplicative_reports(pairs, domain: ConvexDomain, t: float,
                "by_construction": "cauchy_schwarz"}
     reports = []
     for f, g in pairs:
-        fv = np.asarray(f.eval(ends), dtype=float).reshape(n_panel, n_paths)
-        gv = np.asarray(g.eval(ends), dtype=float).reshape(n_panel, n_paths)
+        fv = _finite(f.eval(ends)).reshape(n_panel, n_paths)
+        gv = _finite(g.eval(ends)).reshape(n_panel, n_paths)
         rows = []
         for i in range(n_panel):
             a, b, c = np.stack([fv[i] * gv[i], fv[i] * fv[i],
@@ -431,8 +439,9 @@ def check_invariance(f, domain: ConvexDomain, t: float, engine: str,
 
     The Monte Carlo form starts one path from each stationary sample and
     compares the per-path difference of f at the two ends (the differences
-    share noise, so the tolerance is tight). The grid form needs the grid
-    ``op`` and holds to solver roundoff by the operator's weighted symmetry.
+    share noise, so the tolerance is tight) and raises ``NotFinite`` when f
+    is not finite at a path's ends. The grid form needs the grid ``op`` and
+    holds to solver roundoff by the operator's weighted symmetry.
     """
     if engine == "grid":
         if op is None:
@@ -450,14 +459,13 @@ def check_invariance(f, domain: ConvexDomain, t: float, engine: str,
         raise ValueError("engine must be 'grid' or 'monte_carlo'")
     starts = restricted_sample(domain, n_paths, seed + 1).points
     ends = evolve_starts([domain], starts, 1, t, h, seed)[0]
-    diffs = (np.asarray(f.eval(ends), dtype=float)
-             - np.asarray(f.eval(starts), dtype=float))
+    diffs = _finite(f.eval(ends)) - _finite(f.eval(starts))
     mean_d, se_d = mean_se(diffs)
     # the step_bias term: projected Euler, two-point in 1D and Gaussian in
     # 2D, is weak order 1/2 where paths press on the boundary, so the
     # stationary mean drifts by O(sqrt(h)) times the gradient scale; the
     # term is kept (and loose) on exact transitions, which take no step
-    scale = max(1.0, float(np.max(f.gradient_norm(starts))))
+    scale = max(1.0, float(np.max(_finite(f.gradient_norm(starts)))))
     return _report(
         "invariance_mc", abs(mean_d), 0.0,
         [("sampling", Z * se_d),

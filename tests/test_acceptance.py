@@ -236,7 +236,7 @@ def test_criterion_09_factorization():
     conclude(9, "factorization", ok,
              f"bases {{line, interval}} x free dims {{1, 2}}, 20-point "
              f"panels, worst excess {max(r.lhs for r in reports):.2e} vs "
-             f"allowance {reports[0].rhs:.2e}, {elapsed:.0f}s")
+             f"allowance {reports[0].tolerance:.2e}, {elapsed:.0f}s")
 
 
 def test_criterion_10_convergence_study():

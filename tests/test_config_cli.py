@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,11 +76,11 @@ def test_check_budgets_are_converted_at_parse():
     first, invariance, decay = parsed.budgets
     assert (first.seed, first.samples) == (5, 20000)
     assert (invariance.t, invariance.seed) == (0.25, 1005)
-    assert not hasattr(first, "panel")
+    assert not hasattr(first, "points")
     assert (decay.seed, decay.times) == (2005, [0.5])
-    # "panel" is a submultiplicative option, which a poincare check reads not
-    cfg["checks"][0].update(panel=3)
-    with pytest.raises(ConfigError, match="panel"):
+    # "points" is a factorization option, which a poincare check reads not
+    cfg["checks"][0].update(points=3)
+    with pytest.raises(ConfigError, match="points"):
         parse_config(json.dumps(cfg))
 
 
@@ -89,8 +90,7 @@ def test_default_config_is_consistent():
     for check in cfg.checks:
         kind = CHECK_KINDS[check["kind"]]
         assert check[kind.domain_key] in cfg.domains
-        for key in kind.function_keys:
-            assert check[key] in cfg.functions
+        assert check["function"] in cfg.functions
 
 
 def test_verify_small_config(tmp_path):
@@ -260,7 +260,6 @@ MALFORMED = [
     lambda cfg: cfg["checks"][0].update(domain="nowhere"),
     lambda cfg: cfg["checks"][0].update(kind="teleport"),
     lambda cfg: cfg["checks"].__setitem__(0, "poincare"),
-    lambda cfg: _check_of(cfg, "submultiplicative").pop("function2"),
     lambda cfg: _check_of(cfg, "poincare").pop("function"),
     lambda cfg: _check_of(cfg, "factorization").pop("function"),
     lambda cfg: _check_of(cfg, "invariance").update(engine="gird"),
@@ -306,20 +305,49 @@ def test_signed_positivity_function_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "nonnegative" in err
-    # a function that overflows on a check's points, on a grid check and
-    # on a quadrature check: exp(800 x) is inf for x >= 0.89
-    cfg["functions"]["steep"] = {"dim": 1, "directions": [[1.0]],
-                                 "profile": "(exp (prod 800 v1))"}
+    # a function that overflows on a check's points, on a grid check, a
+    # quadrature check and a Monte Carlo check's path ends, prints only the
+    # exit-2 line: exp(800 x) is inf for x >= 0.89, and any numpy warning
+    # would be raised here as an error and escape main; exp(360 x) is
+    # finite on the mesh, and its square overflows in the decay's L2 norm
+    cfg["functions"].update(steep={"dim": 1, "directions": [[1.0]],
+                                   "profile": "(exp (prod 800 v1))"},
+                            wide={"dim": 1, "directions": [[1.0]],
+                                  "profile": "(exp (prod 360 v1))"})
     for check in ({"kind": "decay", "function": "steep",
                    "domain": "interval", "times": [0.5]},
-                  {"kind": "poincare", "function": "steep", "domain": "line"}):
+                  {"kind": "decay", "function": "wide",
+                   "domain": "interval", "times": [0.5]},
+                  {"kind": "poincare", "function": "steep", "domain": "line"},
+                  {"kind": "invariance", "function": "steep",
+                   "domain": "line", "engine": "monte_carlo"}):
         cfg["checks"] = [{"kind": "poincare", "function": "linear",
                           "domain": "line"}, check]
+        path = write_config(tmp_path, cfg)
+        for jobs in ("1", "2"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["verify", path, "--jobs", jobs,
+                             "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: check 1: ") \
+                and "not finite" in err and err.count("\n") == 1, err
+
+
+def test_removed_two_function_kind_and_key_exit_2(tmp_path, capsys):
+    # every check names one function: the submultiplicative kind is gone,
+    # and a second function is an unknown key like any other
+    for corrupt, what in (
+            (lambda c: c.update(kind="submultiplicative"),
+             "unknown kind 'submultiplicative'"),
+            (lambda c: c.update(function2="square"),
+             "unknown keys ['function2']")):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        corrupt(cfg["checks"][0])
         assert main(["verify", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: check 1: ")
-        assert "not finite" in err
+        assert err.startswith("config error: check 0: ") and what in err, err
 
 
 def _with_2d_ball(cfg):
@@ -422,23 +450,16 @@ BAD_BUDGETS = [
     lambda c: c["checks"][0].update(samples=1000.7),
     lambda c: c["checks"][1].update(engine="monte_carlo", mc_paths=2000.5),
     lambda c: c["engine"].update(cn_steps=2.5),
-    lambda c: c["checks"].__setitem__(2, {
-        "kind": "submultiplicative", "function": "linear",
-        "function2": "square", "domain": "interval", "panel": 2.5}),
     lambda c: c["checks"].__setitem__(2, _factorization(points=2.5)),
     lambda c: c["checks"].__setitem__(2, _factorization(free_dims=1.5)),
     lambda c: c["checks"].__setitem__(2, _factorization(free_dims=0)),
     lambda c: c["checks"].__setitem__(2, _factorization(free_dims=-1)),
     lambda c: c["engine"].update(sampels=3),
-    # too few values for a standard error: two for a mean, four for a
-    # variance (one path made a submultiplicative tolerance nan)
+    # too few values for a standard error: two for a mean, four for a variance
     lambda c: c["checks"][0].update(samples=3),
     lambda c: c["engine"].update(samples=3),
     lambda c: c["checks"][1].update(engine="monte_carlo", mc_paths=1),
     lambda c: c["engine"].update(mc_paths=1),
-    lambda c: c["checks"].__setitem__(2, {
-        "kind": "submultiplicative", "function": "linear",
-        "function2": "square", "domain": "interval", "mc_paths": 1}),
     lambda c: c["checks"].__setitem__(2, _factorization(mc_paths=1)),
     # the entropy floor is a constant of the check, not a setting
     lambda c: c["checks"][2].update(kind="entropy", function="linear",
@@ -472,8 +493,7 @@ def test_bad_check_budgets_exit_2(tmp_path, capsys):
 # engine budgets, t, seed and every kind's options
 SETTING_VALUES = {"samples": 1000, "seed": 3, "t": 0.25, "mc_paths": 100,
                   "mc_step": 0.01, "cn_steps": 10, "grid_resolution": 60,
-                  "panel": 2, "times": [0.5, 1.0], "free_dims": 1,
-                  "points": 2}
+                  "times": [0.5, 1.0], "free_dims": 1, "points": 2}
 
 
 def test_each_engine_accepts_exactly_the_settings_its_runner_reads(
@@ -489,9 +509,9 @@ def test_each_engine_accepts_exactly_the_settings_its_runner_reads(
 
     monkeypatch.setattr(config, "SimpleNamespace", Recording)
     for name in ("check_poincare", "check_logsob", "check_gradient_bound",
-                 "submultiplicative_reports", "check_invariance",
-                 "check_decay", "check_positivity_and_contraction",
-                 "check_entropy", "factorization_check", "grid_operator"):
+                 "check_invariance", "check_decay",
+                 "check_positivity_and_contraction", "check_entropy",
+                 "factorization_check", "grid_operator"):
         monkeypatch.setattr(config, name, lambda *args, **kwargs: [])
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     # a domain the Poincare and log-Sobolev checks sample
@@ -506,8 +526,7 @@ def test_each_engine_accepts_exactly_the_settings_its_runner_reads(
             sampled = engine == "sampled"
             check = {"kind": kind_name, "engine": engine,
                      kind.domain_key: "quadrant" if sampled else "interval",
-                     **dict.fromkeys(kind.function_keys,
-                                     "diag" if sampled else "square")}
+                     "function": "diag" if sampled else "square"}
             accepted = set()
             for key, value in SETTING_VALUES.items():
                 cfg["checks"] = [{**check, key: value}]
@@ -524,17 +543,17 @@ def test_each_engine_accepts_exactly_the_settings_its_runner_reads(
             assert reads & SETTING_VALUES.keys() == accepted, \
                 (kind_name, engine)
             pairs += 1
-    assert pairs == 10
+    assert pairs == 9
 
 
 # settings a bundled check's engine does not read: (check, key, value,
 # what the message names besides the key)
 UNREAD_SETTINGS = [
-    (12, "cn_steps", 50, "'grid'"),  # decay
+    (11, "cn_steps", 50, "'grid'"),  # decay
     (0, "t", 1.0, "'sampled'"),  # poincare on the line
     (0, "samples", 1000, "gauss_legendre"),
-    (10, "mc_paths", 5000, "'grid'"),  # grid invariance
-    (13, "seed", 7, "'grid'"),  # positivity_contraction
+    (9, "mc_paths", 5000, "'grid'"),  # grid invariance
+    (12, "seed", 7, "'grid'"),  # positivity_contraction
 ]
 
 
@@ -736,6 +755,8 @@ def test_evolve_command(tmp_path):
     assert main(["evolve", path, "--out", str(out)]) == 0
     with open(out / "evolution.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
+    # the budget names both settings the evolution reads
+    assert {r["budget"] for r in rows} == {"cn_steps=100;resolution=120"}
     start = [r for r in rows if r["t"] == "0.0"]
     assert all(float(r["value"]) == float(r["x1"]) for r in start)
     later = [r for r in rows if r["t"] == "0.5"]
@@ -831,22 +852,20 @@ BUNDLED_DISPATCH = [
      "20267809"),
     ("8.0:gradient_bound", "gradient_bound", "grid",
      "cn_steps=200;resolution=200", "20268809"),
-    ("9.0:submultiplicative", "submultiplicative", "monte_carlo",
-     "paths=20000;h=0.005", "20269809"),
-    ("10.0:invariance", "invariance_grid", "grid",
-     "cn_steps=200;resolution=200", "20270809"),
-    ("11.0:invariance", "invariance_mc", "monte_carlo", "paths=50000;h=0.002",
-     "20271809"),
-    ("12.0:decay", "decay", "grid", "resolution=300", "20272809"),
-    ("12.1:decay", "decay", "grid", "resolution=300", "20272809"),
-    ("13.0:positivity_contraction", "positivity_contraction", "grid",
-     "resolution=200", "20273809"),
-    ("14.0:entropy", "entropy_production", "grid", "resolution=200",
-     "20274809"),
-    ("14.1:entropy", "entropy_terminal", "grid", "resolution=200",
-     "20274809"),
-    ("15.0:factorization", "factorization", "monte_carlo+grid",
-     "paths=10000;h=0.005;resolution=300", "20275809"),
+    ("9.0:invariance", "invariance_grid", "grid",
+     "cn_steps=200;resolution=200", "20269809"),
+    ("10.0:invariance", "invariance_mc", "monte_carlo", "paths=50000;h=0.002",
+     "20270809"),
+    ("11.0:decay", "decay", "grid", "resolution=300", "20271809"),
+    ("11.1:decay", "decay", "grid", "resolution=300", "20271809"),
+    ("12.0:positivity_contraction", "positivity_contraction", "grid",
+     "resolution=200", "20272809"),
+    ("13.0:entropy", "entropy_production", "grid", "resolution=200",
+     "20273809"),
+    ("13.1:entropy", "entropy_terminal", "grid", "resolution=200",
+     "20273809"),
+    ("14.0:factorization", "factorization", "monte_carlo+grid",
+     "paths=10000;h=0.005;resolution=300", "20274809"),
 ]
 
 

@@ -30,7 +30,7 @@ def test_factorization_whole_line_base_matches_oracle():
     oracle = mehler_apply(lin, 0.5, [rep.details["grid_value"]])  # smoke
     assert oracle.method == "mehler"
     assert abs(rep.details["mc_value"] - rep.details["grid_value"]) \
-        < 3 * rep.details["mc_se"] + rep.rhs
+        < 3 * rep.details["mc_se"] + rep.tolerance
 
 
 def test_factorization_interval_base():

@@ -93,7 +93,7 @@ def test_projection_invariants(dom):
 def test_ball_projection_properties(x, y, r, cx):
     dom = Ball(center=[cx, 0.0], radius=r)
     p = dom.project([x, y])
-    assert dom.contains(p, tol=1e-9)
+    assert dom.contains(p)
     assert np.allclose(dom.project(p), p, atol=1e-10)
 
 
@@ -183,9 +183,9 @@ def test_one_d_projection_is_one_clip(name):
     if isinstance(dom, Slab):
         # a slab's membership reads the same interval, so its feet are in
         # even at tol = 0 with a direction 5e-13 off -1
-        assert dom.contains(feet, tol=0.0).all()
+        assert dom._contains(feet, 0.0).all()
         past = np.nextafter([lo, hi], [-np.inf, np.inf])[:, None]
-        assert not dom.contains(past, tol=0.0).any()
+        assert not dom._contains(past, 0.0).any()
 
 
 def test_product_projection_splits_exactly():
@@ -307,13 +307,13 @@ def _face_path_gap(gon, pts):
 
 
 def _assert_contains_within_rounding(gon, pts, tols):
-    """``contains(pts, tol)`` is "every violation <= tol" except within
+    """``_contains(pts, tol)`` is "every violation <= tol" except within
     8 eps S of tol, where the closed form's u and the face violations may
     round to either side; at tol < -r nothing is contained."""
     worst = gon._violations(pts).max(axis=1)
     band = 8.0 * EPS * _scale(gon, pts)
     for tol in tols:
-        got = gon.contains(pts, tol)
+        got = gon._contains(pts, tol)
         if gon.radius + tol < 0.0:
             assert not got.any()
         sure = np.abs(worst - tol) > band
@@ -476,7 +476,7 @@ def test_polygon_coupled_paths_follow_the_face_path():
                                                       ends_rebuilt])).max()
     assert np.abs(ends_gon - ends_rebuilt).max() <= gap
     # some paths end on the boundary, so the sector step did run
-    assert not gon.contains(ends_gon, tol=-1e-9).all()
+    assert not gon._contains(ends_gon, -1e-9).all()
     _assert_contains_within_rounding(gon, ends_gon, [-1e-9])
 
 
@@ -577,7 +577,7 @@ def test_sector_step_skips_rows_inside_the_disc(monkeypatch):
     outside, inside = np.sum(counts, axis=0)
     assert outside > 50_000
     assert inside == 0
-    assert gon.contains(ends, tol=8.0 * EPS * _scale(gon, ends).max()).all()
+    assert gon._contains(ends, 8.0 * EPS * _scale(gon, ends).max()).all()
 
 
 def test_tiny_polygon_projects_feasibly():
@@ -953,7 +953,8 @@ def test_regular_polygon_round_trips_bit_for_bit(radius, n):
     assert np.array_equal(back.vertices, gon.vertices)
     assert np.array_equal(back.project(pts), gon.project(pts))
     for tol in (0.0, DYKSTRA_TOL, CONTAINS_TOL):
-        assert np.array_equal(back.contains(pts, tol), gon.contains(pts, tol))
+        assert np.array_equal(back._contains(pts, tol),
+                              gon._contains(pts, tol))
 
 
 def test_config_errors():

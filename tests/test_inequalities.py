@@ -11,7 +11,7 @@ from oulab.config import load_default_config
 from oulab.cylapprox import factorization_check
 from oulab.domains import (Ball, HalfspaceIntersection, Product, WholeSpace,
                            half_line, interval, polygon_approximation)
-from oulab.engines.grid import grid_apply, grid_build
+from oulab.engines.grid import NotFinite, grid_apply, grid_build
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.montecarlo import mc_apply_many
 from oulab.inequalities import (BelowFloor, InequalityReport, check_decay,
@@ -40,14 +40,13 @@ REPORT_NAMES = {"poincare", "log_sobolev", "gradient_bound",
 
 
 def _assert_recorded_terms(rep):
-    # the terms, added left to right from 0.0, are the tolerance (the rhs
-    # of factorization, whose tolerance is 0), and the rule names them
+    # the terms, added left to right from 0.0, are the tolerance, and the
+    # rule names them
     terms = rep.details["tolerance_terms"]
     total = 0.0
     for value in terms.values():
         total += value
-    assert np.array_equal(
-        total, rep.rhs if rep.name == "factorization" else rep.tolerance)
+    assert np.array_equal(total, rep.tolerance)
     assert rep.details["tolerance_rule"] == "+".join(terms)
 
 
@@ -78,8 +77,10 @@ def test_reports_are_pure_data():
 
 
 def test_bundled_reports_record_their_tolerance_terms():
+    # every report kind but submultiplicative, which no config check runs
     _, reports = run_checks(load_default_config(), 1)
-    assert {rep.name for _, rep in reports} == REPORT_NAMES
+    assert {rep.name for _, rep in reports} == \
+        REPORT_NAMES - {"submultiplicative"}
     for _, rep in reports:
         _assert_recorded_terms(rep)
 
@@ -388,6 +389,19 @@ def test_submultiplicative_reports_share_endpoints():
     assert all(rep.details["transition"] == "euler"
                and rep.details["increments"] == "two_point"
                for rep in reports)
+
+
+def test_monte_carlo_checks_refuse_non_finite_values():
+    # exp(800 x) is inf for x >= 0.89, which paths on [-1, 1] reach: a
+    # typed error, not a report of nan or inf
+    steep = from_profile(exp(800 * var(1)), [[1.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NotFinite):
+            submultiplicative_reports([(LIN, steep)], IVAL, 0.5, n_panel=3,
+                                      n_paths=2000, h=5e-3, seed=15)
+        with pytest.raises(NotFinite):
+            check_invariance(steep, IVAL, 0.5, engine="monte_carlo",
+                             n_paths=2000, h=5e-3, seed=16)
 
 
 # invariance ---------------------------------------------------------------------
