@@ -13,16 +13,21 @@ Neumann condition.
 The solvers use that structure. With ``A = -W^-1 K``, ``K`` symmetric
 positive semidefinite and ``W`` the diagonal of cell masses:
 
-- Crank-Nicolson solves the symmetric positive definite form
-  ``(W + dt/2 K) y = (W - dt/2 K) x``, factored once per step size with a
-  symmetric minimum-degree ordering and no pivoting;
+- a Crank-Nicolson step is ``y = 2 M^-1 (W x) - x`` with the symmetric
+  positive definite ``M = W + dt/2 K``, the same step as
+  ``M^-1 (W - dt/2 K) x`` since ``W - dt/2 K = 2 W - M``, so it takes one
+  solve and no product with a forward matrix. ``M`` is factored once per
+  step size: on a 1D mesh it is tridiagonal and LAPACK's ``pttrf`` factors
+  it (``pttrs`` solves); on a 2D mesh SuperLU factors it with a symmetric
+  minimum-degree ordering and no pivoting;
 - spectra use the symmetrized matrix ``S = -W^-1/2 K W^-1/2``: on a 1D
   mesh it is tridiagonal (``eigh_tridiagonal``); on a 2D mesh it is dense
   ``eigh`` up to ``DENSE_EIG_CAP`` nodes and shift-invert ``eigsh`` beyond,
   on the same symmetric factorization of ``S - 1/2 I``;
 - the ``expm`` scheme is the exact propagator through the eigenvectors of
-  ``S`` while the cell masses stay within ``SPECTRAL_WEIGHT_RATIO_CAP`` of
-  each other, and Jensen's uniformization of the generator beyond (long
+  ``S`` (``eigh_tridiagonal`` on a 1D mesh, dense ``eigh`` on a 2D one)
+  while the cell masses stay within ``SPECTRAL_WEIGHT_RATIO_CAP`` of each
+  other, and Jensen's uniformization of the generator beyond (long
   truncated tails), where every term is nonnegative, so positivity holds
   exactly in floating point.
 
@@ -73,8 +78,9 @@ class GridOperator:
     matrix: sp.csr_matrix     # generator A with A @ 1 = 0
     stiffness: sp.csr_matrix  # K = -W A, symmetric positive semidefinite
     neighbors: np.ndarray     # (n, dim, 2) node ids of (lower, upper) or -1
-    _cn_cache: dict = field(default_factory=dict, repr=False)
-    _spectral_cache: tuple | None = field(default=None, repr=False)
+    _cn_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _spectral_cache: tuple | None = field(default=None, init=False,
+                                          repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -171,15 +177,17 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
 
     Crank-Nicolson (default) is unconditionally stable and takes
     ``n_steps`` (default ``DEFAULT_CN_STEPS``) equal steps of size
-    ``t / n_steps``, each one solve with the factored ``W + dt/2 K``. The
-    ``expm`` scheme evaluates the matrix-exponential action directly and is
-    reserved for operators up to ``EXPM_NODE_CAP`` nodes: through the
-    eigenvectors of the symmetrized operator while the weight ratio stays
-    below ``SPECTRAL_WEIGHT_RATIO_CAP``, by uniformization beyond it.
-    ``propagator_details`` names the solver that runs and, for
-    uniformization, its term count and error bounds.
+    ``dt = t / n_steps``, each ``y = 2 M^-1 (W x) - x`` with ``M = W + dt/2
+    K`` factored once per ``dt``: by ``pttrf`` on a 1D mesh, where ``M`` is
+    tridiagonal, and by SuperLU on a 2D one. A factorization that finds
+    ``M`` not positive definite raises ``SolverError``. The ``expm`` scheme
+    evaluates the matrix-exponential action directly and is reserved for
+    operators up to ``EXPM_NODE_CAP`` nodes: through the eigenvectors of
+    the symmetrized operator (``eigh_tridiagonal`` in 1D, dense ``eigh`` in
+    2D) while the weight ratio stays below ``SPECTRAL_WEIGHT_RATIO_CAP``,
+    by uniformization beyond it. ``propagator_details`` names the solver
+    that runs and, for uniformization, its term count and error bounds.
     """
-    import scipy.sparse as sp
     u = op.check_values(values)
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
@@ -192,31 +200,44 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
         return u.copy()
     propagator = _propagator(op, scheme)
     if propagator == "crank_nicolson":
-        dt = t / steps
-        key = float(dt)
-        if key not in op._cn_cache:
-            # W (I - dt/2 A) = W + dt/2 K: the Crank-Nicolson step in its
-            # symmetric positive definite form
-            w = sp.diags(op.weights)
-            half = 0.5 * dt * op.stiffness
-            op._cn_cache[key] = (_factor_symmetric(w + half),
-                                 (w - half).tocsr())
-        lu, forward = op._cn_cache[key]
+        dt = float(t / steps)
+        if dt not in op._cn_cache:
+            op._cn_cache[dt] = _cn_solver(op, dt)
+        solve = op._cn_cache[dt]
         out = u.copy()
         for _ in range(steps):
-            out = lu.solve(forward @ out)
+            out = 2.0 * solve(op.weights * out) - out
         return out
     if propagator == "eigh":
         # exact propagator through the symmetric eigendecomposition;
         # safe only while the similarity scaling stays well conditioned
         if op._spectral_cache is None:
-            sqrt_w = np.sqrt(op.weights)
-            sym = -(op.stiffness.toarray() / sqrt_w[:, None]) / sqrt_w
-            lam, q = np.linalg.eigh(0.5 * (sym + sym.T))
-            op._spectral_cache = (lam, q, sqrt_w)
+            sym = _symmetrized(op)
+            if op.dim == 1:
+                from scipy.linalg import eigh_tridiagonal
+                lam, q = eigh_tridiagonal(sym.diagonal(), sym.diagonal(1))
+            else:
+                lam, q = np.linalg.eigh(sym.toarray())
+            op._spectral_cache = (lam, q, np.sqrt(op.weights))
         lam, q, sqrt_w = op._spectral_cache
         return (q @ (np.exp(t * lam) * (q.T @ (sqrt_w * u)))) / sqrt_w
     return _uniformized(op, u, t)
+
+
+def _cn_solver(op: GridOperator, dt: float):
+    """``b -> M^-1 b`` for the Crank-Nicolson matrix ``M = W + dt/2 K``."""
+    half = 0.5 * dt * op.stiffness
+    if op.dim == 1:
+        # one run of consecutive cells: M is tridiagonal
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        diag, off, info = dpttrf(op.weights + half.diagonal(),
+                                 half.diagonal(1))
+        if info != 0:
+            raise SolverError(f"Crank-Nicolson matrix is not positive "
+                              f"definite (LAPACK pttrf info {info})")
+        return lambda b: dpttrs(diag, off, b)[0]
+    import scipy.sparse as sp
+    return _factor_symmetric(sp.diags(op.weights) + half).solve
 
 
 def propagator_details(op: GridOperator, t: float, scheme: str) -> dict:
@@ -323,6 +344,14 @@ def _factor_symmetric(matrix: sp.spmatrix):
         raise SolverError(f"sparse factorization failed: {err}") from None
 
 
+def _symmetrized(op: GridOperator) -> sp.csr_matrix:
+    """``S = -W^-1/2 K W^-1/2``, sparse and exactly symmetric."""
+    import scipy.sparse as sp
+    inv_sqrt = sp.diags(1.0 / np.sqrt(op.weights))
+    sym = -inv_sqrt @ op.stiffness @ inv_sqrt
+    return 0.5 * (sym + sym.T)
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """Leading eigenvalues (descending) of the generator and the gap."""
@@ -350,9 +379,7 @@ def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
     n = op.n_nodes
     if n < k + 2:
         raise ValueError("need at least k + 2 nodes")
-    inv_sqrt = 1.0 / np.sqrt(op.weights)
-    sym = -sp.diags(inv_sqrt) @ op.stiffness @ sp.diags(inv_sqrt)
-    sym = 0.5 * (sym + sym.T)
+    sym = _symmetrized(op)
     if op.dim == 1:
         lam, vec = eigh_tridiagonal(sym.diagonal(), sym.diagonal(1),
                                     select="i", select_range=(n - k, n - 1))
@@ -370,7 +397,7 @@ def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
             raise SolverError(f"sparse eigensolver failed: {err}")
         order = np.argsort(lam)[::-1]
         lam, vec = lam[order], vec[:, order]
-    vec = vec * inv_sqrt[:, None]
+    vec = vec * (1.0 / np.sqrt(op.weights))[:, None]
     for j in range(vec.shape[1]):
         lead = np.argmax(np.abs(vec[:, j]))
         if vec[lead, j] < 0:
@@ -383,13 +410,13 @@ def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
 def weighted_mean(op: GridOperator, values) -> float:
     """Mean against the Gaussian measure conditioned on the meshed region."""
     u = op.check_values(values)
-    return float(op.weights @ u / op.weights.sum())
+    return float(np.sum(op.weights * u) / op.weights.sum())
 
 
 def l2_norm(op: GridOperator, values) -> float:
     """Unnormalized L2(gamma) norm over the meshed region."""
     u = op.check_values(values)
-    return float(np.sqrt(op.weights @ (u * u)))
+    return float(np.sqrt(np.sum(op.weights * (u * u))))
 
 
 def fd_gradient(op: GridOperator, values):

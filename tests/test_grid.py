@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -467,3 +468,27 @@ def test_symmetric_crank_nicolson_matches_the_unsymmetric_loop(dom, res):
             new = grid_apply(op, u, t)
             old = unsymmetric_crank_nicolson(op, u, t)
             assert np.abs(new - old).max() < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_tridiagonal_eigh_propagator_matches_dense_expm(t):
+    op = grid_build(interval(-1.0, 1.0), 200)
+    assert propagator_details(op, t, "expm") == {"propagator": "eigh"}
+    reference = expm(op.matrix.toarray() * t)
+    # both are backward stable and e^{t lam} <= 1: within eps ||S|| max |u|
+    scale = np.finfo(float).eps * np.abs(symmetrized(op)).sum(axis=1).max()
+    for u in (np.tanh(op.nodes[:, 0]), np.exp(-op.nodes[:, 0] ** 2),
+              np.sign(np.sin(40.0 * op.nodes[:, 0]))):
+        u_t = grid_apply(op, u, t, scheme="expm")
+        assert np.abs(u_t - reference @ u).max() <= scale * np.abs(u).max()
+
+
+def test_crank_nicolson_refuses_a_matrix_that_is_not_positive_definite():
+    op = grid_build(interval(-1.0, 1.0), 200)
+    ones = np.ones(op.n_nodes)
+    assert np.abs(grid_apply(op, ones, 0.5) - 1.0).max() < 1e-12
+    # a copy starts with empty caches, so it factors its own M for the step
+    # the operator has already factored
+    bad = dataclasses.replace(op, weights=-op.weights)
+    with pytest.raises(SolverError, match="not positive definite"):
+        grid_apply(bad, ones, 0.5)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from oulab import inequalities
 from oulab.cli import run_checks
 from oulab.config import load_default_config
 from oulab.cylapprox import factorization_check
@@ -412,6 +413,24 @@ def test_invariance_grid_exact():
     assert rep.passed and rep.lhs < 1e-9
     with pytest.raises(ValueError, match="needs the grid"):
         check_invariance(SQ, IVAL, 1.0, engine="grid")
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6, 1e9])
+def test_invariance_grid_roundoff_scales_with_the_function(c, monkeypatch):
+    # the evolution is linear, so its mean drifts by roundoff times max |f|
+    op = grid_build(IVAL, 200)
+    f = from_profile(c * var(1) ** 2, [[1.0]])
+    rep = check_invariance(f, IVAL, 1.0, engine="grid", op=op)
+    scale = float(np.abs(op.sample(f)).max())
+    assert rep.details["scale"] == scale
+    assert rep.tolerance == inequalities.GRID_EXACT_TOL * scale
+    assert rep.passed
+    # a mean shifted by ten times the allowance still fails
+    shift = 10.0 * rep.tolerance
+    monkeypatch.setattr(inequalities, "grid_apply",
+                        lambda *args, **kwargs:
+                        grid_apply(*args, **kwargs) + shift)
+    assert not check_invariance(f, IVAL, 1.0, engine="grid", op=op).passed
 
 
 def test_invariance_mc_constant_is_exact():
