@@ -18,12 +18,19 @@ positive semidefinite and ``W`` the diagonal of cell masses:
   ``M^-1 (W - dt/2 K) x`` since ``W - dt/2 K = 2 W - M``, so it takes one
   solve and no product with a forward matrix. ``M`` is factored once per
   step size: on a 1D mesh it is tridiagonal and LAPACK's ``pttrf`` factors
-  it (``pttrs`` solves); on a 2D mesh SuperLU factors it with a symmetric
-  minimum-degree ordering and no pivoting;
+  it (``pttrs`` solves); on a 2D mesh it is solved by red-black
+  elimination (below);
 - spectra use the symmetrized matrix ``S = -W^-1/2 K W^-1/2``: on a 1D
   mesh it is tridiagonal (``eigh_tridiagonal``); on a 2D mesh it is dense
   ``eigh`` up to ``DENSE_EIG_CAP`` nodes and shift-invert ``eigsh`` beyond,
-  on the same symmetric factorization of ``S - 1/2 I``;
+  with ``S - 1/2 I`` solved by the same red-black elimination;
+- red-black elimination: a face joins two cells whose index sums
+  ``i + j`` differ in parity, so in ``M`` and in ``S - 1/2 I`` the block
+  of the red cells (``i + j`` even) is diagonal. The red unknowns are
+  eliminated through that diagonal, and SuperLU factors only the black
+  Schur complement, half the nodes, with a symmetric minimum-degree
+  ordering and no pivoting (George & Liu 1981, *Computer Solution of Large
+  Sparse Positive Definite Systems*);
 - the ``expm`` scheme is the exact propagator through the eigenvectors of
   ``S`` (``eigh_tridiagonal`` on a 1D mesh, dense ``eigh`` on a 2D one)
   while the cell masses stay within ``SPECTRAL_WEIGHT_RATIO_CAP`` of each
@@ -78,6 +85,7 @@ class GridOperator:
     matrix: sp.csr_matrix     # generator A with A @ 1 = 0
     stiffness: sp.csr_matrix  # K = -W A, symmetric positive semidefinite
     neighbors: np.ndarray     # (n, dim, 2) node ids of (lower, upper) or -1
+    red: np.ndarray           # cells whose index sum i + j is even
     _cn_cache: dict = field(default_factory=dict, init=False, repr=False)
     _spectral_cache: tuple | None = field(default=None, init=False,
                                           repr=False)
@@ -137,6 +145,7 @@ def grid_build(domain: ConvexDomain, resolution,
     ids[mask] = np.arange(n)
     nodes = pts[mask.ravel()]
     weights = functools.reduce(np.multiply.outer, axis_mass)[mask]
+    red = (np.indices(mask.shape).sum(axis=0) % 2 == 0)[mask]
 
     rows, cols, vals = [], [], []
     neighbors = -np.ones((n, domain.dim, 2), dtype=int)
@@ -168,7 +177,7 @@ def grid_build(domain: ConvexDomain, resolution,
     matrix = sp.diags(-1.0 / weights) @ stiff
     return GridOperator(domain=domain, axes=tuple(centers), spacing=spacing,
                         nodes=nodes, weights=weights, matrix=matrix.tocsr(),
-                        stiffness=stiff, neighbors=neighbors)
+                        stiffness=stiff, neighbors=neighbors, red=red)
 
 
 def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson",
@@ -179,14 +188,17 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
     ``n_steps`` (default ``DEFAULT_CN_STEPS``) equal steps of size
     ``dt = t / n_steps``, each ``y = 2 M^-1 (W x) - x`` with ``M = W + dt/2
     K`` factored once per ``dt``: by ``pttrf`` on a 1D mesh, where ``M`` is
-    tridiagonal, and by SuperLU on a 2D one. A factorization that finds
-    ``M`` not positive definite raises ``SolverError``. The ``expm`` scheme
-    evaluates the matrix-exponential action directly and is reserved for
-    operators up to ``EXPM_NODE_CAP`` nodes: through the eigenvectors of
-    the symmetrized operator (``eigh_tridiagonal`` in 1D, dense ``eigh`` in
-    2D) while the weight ratio stays below ``SPECTRAL_WEIGHT_RATIO_CAP``,
-    by uniformization beyond it. ``propagator_details`` names the solver
-    that runs and, for uniformization, its term count and error bounds.
+    tridiagonal, and on a 2D one by red-black elimination and SuperLU on
+    the black Schur complement. ``M`` that is not positive definite raises
+    ``SolverError``: in 1D when ``pttrf`` finds it, in 2D before factoring,
+    when a cell mass is not positive or a face coefficient is negative.
+    The ``expm`` scheme evaluates the matrix-exponential action directly
+    and is reserved for operators up to ``EXPM_NODE_CAP`` nodes: through
+    the eigenvectors of the symmetrized operator (``eigh_tridiagonal`` in
+    1D, dense ``eigh`` in 2D) while the weight ratio stays below
+    ``SPECTRAL_WEIGHT_RATIO_CAP``, by uniformization beyond it.
+    ``propagator_details`` names the solver that runs and, for
+    uniformization, its term count and error bounds.
     """
     u = op.check_values(values)
     if not math.isfinite(t) or t < 0:
@@ -236,8 +248,15 @@ def _cn_solver(op: GridOperator, dt: float):
             raise SolverError(f"Crank-Nicolson matrix is not positive "
                               f"definite (LAPACK pttrf info {info})")
         return lambda b: dpttrs(diag, off, b)[0]
+    # with positive masses and a graph-Laplacian K (rows summing to zero,
+    # off-diagonal entries <= 0), M is positive definite
+    k = op.stiffness.tocoo()
+    if not (np.all(op.weights > 0) and np.all(k.data[k.row != k.col] <= 0)):
+        raise SolverError("Crank-Nicolson matrix is not positive definite: "
+                          "a cell mass is not positive or a face "
+                          "coefficient is negative")
     import scipy.sparse as sp
-    return _factor_symmetric(sp.diags(op.weights) + half).solve
+    return _factor_symmetric(sp.diags(op.weights) + half, op.red)
 
 
 def propagator_details(op: GridOperator, t: float, scheme: str) -> dict:
@@ -332,16 +351,46 @@ def _poisson_weights(lam: float, last: int) -> np.ndarray:
     return weights / math.fsum(weights)
 
 
-def _factor_symmetric(matrix: sp.spmatrix):
-    """Sparse LU of a symmetric definite matrix: minimum-degree ordering of
-    ``A^T + A`` and pivots on the diagonal, so the factors keep the fill of
-    a symmetric factorization (definite matrices need no pivoting)."""
+def _factor_symmetric(matrix: sp.spmatrix, red: np.ndarray):
+    """``b -> A^-1 b`` for a symmetric definite 2D mesh matrix ``A`` whose
+    red-red block ``D = A_rr`` is diagonal, by red-black elimination.
+
+    SuperLU factors only the black Schur complement
+    ``C = A_bb - A_br D^-1 A_rb``: minimum-degree ordering of ``C^T + C``
+    and pivots on the diagonal, so the factors keep the fill of a
+    symmetric factorization (definite matrices need no pivoting). A solve
+    is a diagonal scale, one solve with ``C`` and two sparse products:
+    ``x_b = C^-1 (b_b - A_br D^-1 b_r)``, ``x_r = D^-1 (b_r - A_rb x_b)``.
+    A red block that is not an invertible diagonal raises ``SolverError``.
+    """
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
+    r, b = np.flatnonzero(red), np.flatnonzero(~red)
+    matrix = matrix.tocsr()
+    rows_r, rows_b = matrix[r], matrix[b]
+    a_rr = rows_r[:, r]
+    d = a_rr.diagonal()
+    if not np.all(d) or a_rr.count_nonzero() != len(d):
+        raise SolverError("red-black elimination needs a red-red block that "
+                          "is an invertible diagonal")
+    inv_d = 1.0 / d
+    a_rb, a_br = rows_r[:, b], rows_b[:, r]
+    schur = rows_b[:, b] - a_br @ (sp.diags(inv_d) @ a_rb)
     try:
-        return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as err:
         raise SolverError(f"sparse factorization failed: {err}") from None
+
+    def solve(rhs):
+        rhs = np.ravel(rhs)
+        scaled = inv_d * rhs[r]
+        x_b = lu.solve(rhs[b] - a_br @ scaled)
+        x = np.empty_like(rhs)
+        x[b] = x_b
+        x[r] = scaled - inv_d * (a_rb @ x_b)
+        return x
+    return solve
 
 
 def _symmetrized(op: GridOperator) -> sp.csr_matrix:
@@ -371,7 +420,8 @@ def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
     1D meshes are one run of consecutive cells, so the matrix is
     tridiagonal and ``eigh_tridiagonal`` picks the top ``k`` at any size.
     2D meshes take dense ``eigh`` up to ``DENSE_EIG_CAP`` nodes and
-    shift-invert ``eigsh`` about 1/2 beyond, on a symmetric factorization.
+    shift-invert ``eigsh`` about 1/2 beyond, which solves ``S - 1/2 I`` by
+    red-black elimination and SuperLU on the black Schur complement.
     """
     import scipy.sparse as sp
     from scipy.linalg import eigh_tridiagonal
@@ -388,10 +438,10 @@ def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
         lam, vec = np.linalg.eigh(sym.toarray())
         lam, vec = lam[::-1][:k], vec[:, ::-1][:, :k]
     else:
-        lu = _factor_symmetric(sym - 0.5 * sp.identity(n))
+        solve = _factor_symmetric(sym - 0.5 * sp.identity(n), op.red)
         try:
             lam, vec = eigsh(sym, k=k, sigma=0.5, which="LM",
-                             OPinv=LinearOperator((n, n), matvec=lu.solve,
+                             OPinv=LinearOperator((n, n), matvec=solve,
                                                   dtype=float))
         except Exception as err:
             raise SolverError(f"sparse eigensolver failed: {err}")

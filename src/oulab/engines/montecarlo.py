@@ -38,9 +38,11 @@ writes its own fixed rows of the endpoint array. Exact draws and marches
 in two or more columns run their batches on a thread pool of the call's
 own, with one thread per CPU in the process's affinity mask. numpy
 releases the GIL while it fills noise and runs ufuncs, so batches of
-Gaussian steps run at the same time: on a 2-core machine, 65,536 paths x
-100 steps in the unit disc took 0.18 s on two threads against 0.33 s on
-one. A one-column march (``"euler"`` in 1D, ``"split"`` on a 1D base)
+Gaussian steps run at the same time: on a 2-core shared machine, 65,536
+paths x 100 steps in the unit disc took a median 0.22 s on two threads
+against 0.40 s on one (12 alternating runs). The gain depends on the
+host: where other work keeps the second core busy there is none. A
+one-column march (``"euler"`` in 1D, ``"split"`` on a 1D base)
 runs its batches in batch order on the calling thread: each of its steps
 is a handful of calls of a few microseconds each, so a second thread
 gains nothing and its hand-offs cost time. On a 2-core machine a

@@ -11,11 +11,12 @@ from scipy.special import ndtr
 
 from oulab.domains import (Ball, HalfspaceIntersection, Product, Slab,
                            UnsupportedDimension, WholeSpace, half_line,
-                           interval, truncation_box)
+                           interval, polygon_approximation, truncation_box)
 from oulab.engines.grid import (CLUSTER_TOL, DEFAULT_TAIL_MASS, DENSE_EIG_CAP,
-                                _poisson_weights, fd_gradient, grid_apply,
-                                grid_build, grid_spectrum, l2_norm,
-                                propagator_details, weighted_mean)
+                                _factor_symmetric, _poisson_weights,
+                                fd_gradient, grid_apply, grid_build,
+                                grid_spectrum, l2_norm, propagator_details,
+                                weighted_mean)
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.types import ResolutionTooCoarse, SolverError
 from oulab.expr import coordinate, exp, from_profile, var
@@ -460,7 +461,10 @@ def test_shift_invert_spectrum_on_a_large_2d_mesh():
                                       (interval(-1.0, 1.0), 300),
                                       (Ball(center=[0.0, 0.0], radius=1.0),
                                        40),
-                                      (quadrant_2d(), 40)])
+                                      (quadrant_2d(), 40),
+                                      # more than DENSE_EIG_CAP nodes
+                                      (Ball(center=[0.0, 0.0], radius=1.0),
+                                       60)])
 def test_symmetric_crank_nicolson_matches_the_unsymmetric_loop(dom, res):
     op = grid_build(dom, res)
     for u in (np.tanh(op.nodes[:, 0]), np.exp(-op.nodes[:, -1] ** 2)):
@@ -492,3 +496,64 @@ def test_crank_nicolson_refuses_a_matrix_that_is_not_positive_definite():
     bad = dataclasses.replace(op, weights=-op.weights)
     with pytest.raises(SolverError, match="not positive definite"):
         grid_apply(bad, ones, 0.5)
+
+
+def test_crank_nicolson_refuses_a_2d_matrix_that_is_not_positive_definite():
+    op = grid_build(Ball(center=[0.0, 0.0], radius=1.0), 40)
+    ones = np.ones(op.n_nodes)
+    assert np.abs(grid_apply(op, ones, 0.5) - 1.0).max() < 1e-12
+    # refused before any arithmetic, so no overflow and no NaN result
+    for bad in (dataclasses.replace(op, weights=-op.weights),
+                dataclasses.replace(op, stiffness=-op.stiffness)):
+        with np.errstate(all="raise"), \
+                pytest.raises(SolverError, match="not positive definite"):
+            grid_apply(bad, ones, 0.5)
+
+
+RED_BLACK = [
+    ("ball", Ball(center=[0.0, 0.0], radius=1.0)),
+    ("ball_offcentre", Ball(center=[0.7, -0.4], radius=1.3)),
+    ("quadrant", quadrant_2d()),
+    ("gon16", polygon_approximation(Ball(center=[0.0, 0.0], radius=1.0), 16)),
+]
+
+
+def test_red_black_cases_start_on_both_colours():
+    firsts = {bool(grid_build(dom, 40).red[0]) for _, dom in RED_BLACK}
+    assert firsts == {False, True}
+
+
+@pytest.mark.parametrize("name, dom", RED_BLACK,
+                         ids=[g[0] for g in RED_BLACK])
+def test_red_black_solve_matches_a_direct_sparse_lu(name, dom):
+    op = grid_build(dom, 40)
+    i, j = np.rint((op.nodes - [a[0] for a in op.axes]) / op.spacing).T
+    assert np.array_equal(op.red, (i + j) % 2 == 0)
+    sym = sp.csr_matrix(symmetrized(op))
+    rng = np.random.default_rng(3)
+    for matrix in (sp.diags(op.weights) + 0.5 * 0.0025 * op.stiffness,
+                   sym - 0.5 * sp.identity(op.n_nodes)):
+        solve = _factor_symmetric(matrix, op.red)
+        direct = splu(matrix.tocsc())
+        for b in (op.weights * np.tanh(op.nodes[:, 0]),
+                  rng.standard_normal(op.n_nodes)):
+            x = direct.solve(b)
+            assert np.abs(solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+            # eigsh hands its operator columns as well as vectors
+            assert np.array_equal(solve(b[:, None]), solve(b))
+
+
+def test_red_black_elimination_refuses_a_red_block_that_is_not_diagonal():
+    op = grid_build(Ball(center=[0.0, 0.0], radius=1.0), 60)
+    # a face between diagonal neighbours joins two cells of one colour;
+    # K stays a graph Laplacian, so M stays positive definite
+    a = np.flatnonzero(op.red & (op.neighbors[:, 0, 1] >= 0))[0]
+    b = op.neighbors[op.neighbors[a, 0, 1], 1, 1]
+    assert b >= 0 and op.red[b]
+    face = sp.coo_matrix(([1.0, 1.0, -1.0, -1.0], ([a, b, a, b], [a, b, b, a])),
+                         shape=(op.n_nodes,) * 2)
+    bad = dataclasses.replace(op, stiffness=(op.stiffness + face).tocsr())
+    with pytest.raises(SolverError, match="red-red block"):
+        grid_apply(bad, np.ones(op.n_nodes), 0.5)
+    with pytest.raises(SolverError, match="red-red block"):
+        grid_spectrum(bad, 4)
