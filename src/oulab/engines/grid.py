@@ -10,8 +10,9 @@ approximation: rows of the generator sum to zero, the weighted matrix
 domain or truncation boundaries are exactly the natural (zero-flux)
 Neumann condition.
 
-The solvers use that structure. With ``A = -W^-1 K``, ``K`` symmetric
-positive semidefinite and ``W`` the diagonal of cell masses:
+The solvers use that structure and are chosen by the mesh's dimension.
+With ``A = -W^-1 K``, ``K`` symmetric positive semidefinite and ``W`` the
+diagonal of cell masses:
 
 - a Crank-Nicolson step is ``y = 2 M^-1 (W x) - x`` with the symmetric
   positive definite ``M = W + dt/2 K``, the same step as
@@ -20,23 +21,25 @@ positive semidefinite and ``W`` the diagonal of cell masses:
   step size: on a 1D mesh it is tridiagonal and LAPACK's ``pttrf`` factors
   it (``pttrs`` solves); on a 2D mesh it is solved by red-black
   elimination (below);
-- spectra use the symmetrized matrix ``S = -W^-1/2 K W^-1/2``: on a 1D
-  mesh it is tridiagonal (``eigh_tridiagonal``); on a 2D mesh it is dense
-  ``eigh`` up to ``DENSE_EIG_CAP`` nodes and shift-invert ``eigsh`` beyond,
-  with ``S - 1/2 I`` solved by the same red-black elimination;
+- spectra: on a 1D mesh the symmetrized matrix ``S = -W^-1/2 K W^-1/2``
+  is tridiagonal (``eigh_tridiagonal``); on a 2D mesh shift-invert
+  ``eigsh`` (ARPACK's mode 3) runs on the pencil ``K v = mu W v`` about
+  ``mu = -1/2``. ``K + W/2`` is solved by the same red-black elimination,
+  and ARPACK starts from a fixed vector, so a spectrum does not depend on
+  earlier ARPACK calls;
 - red-black elimination: a face joins two cells whose index sums
-  ``i + j`` differ in parity, so in ``M`` and in ``S - 1/2 I`` the block
-  of the red cells (``i + j`` even) is diagonal. The red unknowns are
+  ``i + j`` differ in parity, so in ``M`` and in ``K + W/2`` the block of
+  the red cells (``i + j`` even) is diagonal. The red unknowns are
   eliminated through that diagonal, and SuperLU factors only the black
   Schur complement, half the nodes, with a symmetric minimum-degree
   ordering and no pivoting (George & Liu 1981, *Computer Solution of Large
   Sparse Positive Definite Systems*);
-- the ``expm`` scheme is the exact propagator through the eigenvectors of
-  ``S`` (``eigh_tridiagonal`` on a 1D mesh, dense ``eigh`` on a 2D one)
-  while the cell masses stay within ``SPECTRAL_WEIGHT_RATIO_CAP`` of each
-  other, and Jensen's uniformization of the generator beyond (long
-  truncated tails), where every term is nonnegative, so positivity holds
-  exactly in floating point.
+- the ``expm`` scheme is, on a 1D mesh whose cell masses stay within
+  ``SPECTRAL_WEIGHT_RATIO_CAP`` of each other, the exact propagator
+  through the eigenvectors of ``S`` (``eigh_tridiagonal``). Beyond that
+  ratio and on every 2D mesh it is Jensen's uniformization of the
+  generator (long truncated tails), where every term is nonnegative, so
+  positivity holds exactly in floating point.
 
 Unbounded domains are truncated by ``truncation_box``. scipy is imported
 inside the functions that use it, so it loads on the engine's first call,
@@ -55,6 +58,7 @@ from .types import ResolutionTooCoarse, SolverError
 
 MIN_NODES_PER_AXIS = 8
 EXPM_NODE_CAP = 2000
+# no solver reads it; bench/tracing.py names its spectrum spans by it
 DENSE_EIG_CAP = 2600
 DEFAULT_CN_STEPS = 200
 DEFAULT_TAIL_MASS = 1e-12
@@ -193,10 +197,11 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
     ``SolverError``: in 1D when ``pttrf`` finds it, in 2D before factoring,
     when a cell mass is not positive or a face coefficient is negative.
     The ``expm`` scheme evaluates the matrix-exponential action directly
-    and is reserved for operators up to ``EXPM_NODE_CAP`` nodes: through
-    the eigenvectors of the symmetrized operator (``eigh_tridiagonal`` in
-    1D, dense ``eigh`` in 2D) while the weight ratio stays below
-    ``SPECTRAL_WEIGHT_RATIO_CAP``, by uniformization beyond it.
+    and is reserved for operators up to ``EXPM_NODE_CAP`` nodes: on a 1D
+    mesh through the eigenvectors of the symmetrized operator
+    (``eigh_tridiagonal``) while the weight ratio stays below
+    ``SPECTRAL_WEIGHT_RATIO_CAP``, by uniformization beyond it and on
+    every 2D mesh.
     ``propagator_details`` names the solver that runs and, for
     uniformization, its term count and error bounds.
     """
@@ -224,12 +229,9 @@ def grid_apply(op: GridOperator, values, t: float, scheme: str = "crank_nicolson
         # exact propagator through the symmetric eigendecomposition;
         # safe only while the similarity scaling stays well conditioned
         if op._spectral_cache is None:
+            from scipy.linalg import eigh_tridiagonal
             sym = _symmetrized(op)
-            if op.dim == 1:
-                from scipy.linalg import eigh_tridiagonal
-                lam, q = eigh_tridiagonal(sym.diagonal(), sym.diagonal(1))
-            else:
-                lam, q = np.linalg.eigh(sym.toarray())
+            lam, q = eigh_tridiagonal(sym.diagonal(), sym.diagonal(1))
             op._spectral_cache = (lam, q, np.sqrt(op.weights))
         lam, q, sqrt_w = op._spectral_cache
         return (q @ (np.exp(t * lam) * (q.T @ (sqrt_w * u)))) / sqrt_w
@@ -280,7 +282,9 @@ def _propagator(op: GridOperator, scheme: str) -> str:
     if op.n_nodes > EXPM_NODE_CAP:
         raise SolverError(f"expm scheme reserved for <= {EXPM_NODE_CAP} nodes")
     ratio = float(op.weights.max() / op.weights.min())
-    return "eigh" if ratio < SPECTRAL_WEIGHT_RATIO_CAP else "uniformized"
+    if op.dim == 1 and ratio < SPECTRAL_WEIGHT_RATIO_CAP:
+        return "eigh"
+    return "uniformized"
 
 
 def _uniformization(op: GridOperator, t: float):
@@ -415,39 +419,44 @@ class SpectrumResult:
 
 
 def grid_spectrum(op: GridOperator, k: int) -> SpectrumResult:
-    """Top ``k`` eigenvalues via the symmetrized matrix ``W^1/2 A W^-1/2``.
+    """Top ``k`` eigenvalues of the generator, descending, and eigenvectors.
 
-    1D meshes are one run of consecutive cells, so the matrix is
-    tridiagonal and ``eigh_tridiagonal`` picks the top ``k`` at any size.
-    2D meshes take dense ``eigh`` up to ``DENSE_EIG_CAP`` nodes and
-    shift-invert ``eigsh`` about 1/2 beyond, which solves ``S - 1/2 I`` by
-    red-black elimination and SuperLU on the black Schur complement.
+    ``k`` is an integer from 1 to the node count minus 2, checked before
+    any solver runs. On a 1D mesh the symmetrized matrix ``W^1/2 A W^-1/2``
+    is tridiagonal and ``eigh_tridiagonal`` picks the top ``k``. On a 2D
+    mesh shift-invert ``eigsh`` runs on the pencil ``K v = mu W v`` about
+    ``mu = -1/2`` (module docstring) and ``lambda = -mu``; its eigenvectors
+    come back with unit ``W`` norm. An ARPACK failure raises
+    ``SolverError``.
     """
-    import scipy.sparse as sp
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     n = op.n_nodes
     if n < k + 2:
         raise ValueError("need at least k + 2 nodes")
-    sym = _symmetrized(op)
     if op.dim == 1:
+        from scipy.linalg import eigh_tridiagonal
+        sym = _symmetrized(op)
         lam, vec = eigh_tridiagonal(sym.diagonal(), sym.diagonal(1),
                                     select="i", select_range=(n - k, n - 1))
-        lam, vec = lam[::-1], vec[:, ::-1]
-    elif n <= DENSE_EIG_CAP:
-        lam, vec = np.linalg.eigh(sym.toarray())
-        lam, vec = lam[::-1][:k], vec[:, ::-1][:, :k]
+        lam = lam[::-1]
+        vec = vec[:, ::-1] * (1.0 / np.sqrt(op.weights))[:, None]
     else:
-        solve = _factor_symmetric(sym - 0.5 * sp.identity(n), op.red)
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+        # K v = mu W v about mu = -1/2, where K + W/2 is positive definite
+        solve = _factor_symmetric(op.stiffness + 0.5 * sp.diags(op.weights),
+                                  op.red)
         try:
-            lam, vec = eigsh(sym, k=k, sigma=0.5, which="LM",
-                             OPinv=LinearOperator((n, n), matvec=solve,
-                                                  dtype=float))
-        except Exception as err:
-            raise SolverError(f"sparse eigensolver failed: {err}")
-        order = np.argsort(lam)[::-1]
-        lam, vec = lam[order], vec[:, order]
-    vec = vec * (1.0 / np.sqrt(op.weights))[:, None]
+            mu, vec = eigsh(op.stiffness, k=k, M=sp.diags(op.weights),
+                            sigma=-0.5, which="LM",
+                            OPinv=LinearOperator((n, n), matvec=solve,
+                                                 dtype=float),
+                            v0=np.random.default_rng(0).standard_normal(n))
+        except ArpackError as err:
+            raise SolverError(f"sparse eigensolver failed: {err}") from None
+        order = np.argsort(mu)
+        lam, vec = -mu[order], vec[:, order]
     for j in range(vec.shape[1]):
         lead = np.argmax(np.abs(vec[:, j]))
         if vec[lead, j] < 0:

@@ -558,7 +558,7 @@ def check_entropy(f, domain: ConvexDomain, t_grid, op: GridOperator) -> list:
     explicitly computed residual of the exponential decay.
     """
     trace = entropy_trace(f, domain, t_grid, op)
-    # the trace's mesh and its propagator at the largest time
+    # the trace's mesh and its propagator, summed over its steps
     grid = {key: value for key, value in trace.details.items()
             if key not in ("fisher", "floor", "mean_phi")}
     h = grid["h"]
@@ -586,13 +586,14 @@ def check_entropy(f, domain: ConvexDomain, t_grid, op: GridOperator) -> list:
 def entropy_trace(f, domain: ConvexDomain, t_grid,
                   op: GridOperator) -> EntropyTrace:
     """Track the entropy of T(t)(f^2) on ``op`` and its dissipation bound
-    at the distinct times of ``t_grid``, in increasing order.
+    at the distinct times of ``t_grid``, in increasing order, each evolved
+    from the one before: T(t_i - t_i-1) applied to the square at t_i-1.
 
     Requires f >= ENTROPY_FLOOR on the mesh (raises ``BelowFloor``
     otherwise); the evolved square then stays above ENTROPY_FLOOR^2 by the
     discrete maximum principle, keeping every logarithm finite. ``details``
-    name the propagator, with its term count and bounds at the largest
-    time.
+    name the propagator and, for uniformization, its term counts and
+    bounds summed over the steps of positive length.
     """
     times = np.unique(np.asarray(t_grid, dtype=float))
     if len(times) < 2:
@@ -606,10 +607,16 @@ def entropy_trace(f, domain: ConvexDomain, t_grid,
     grad_sq = np.asarray(f.gradient_norm(op.nodes)) ** 2
     fisher = 4.0 * float(np.sum(w * grad_sq))
     entropy = np.empty(len(times))
-    for i, t in enumerate(times):
-        phi_t = grid_apply(op, phi, float(t), scheme="expm")
-        phi_t = np.maximum(phi_t, 1e-300)
-        entropy[i] = float(np.sum(w * (phi_t * np.log(phi_t))))
+    phi_t, totals = phi, {}
+    for i, step in enumerate(np.diff(times, prepend=0.0)):
+        phi_t = grid_apply(op, phi_t, float(step), scheme="expm")
+        if step > 0:
+            for key, value in propagator_details(op, float(step),
+                                                 "expm").items():
+                totals[key] = (value if key == "propagator"
+                               else totals.get(key, 0) + value)
+        clipped = np.maximum(phi_t, 1e-300)
+        entropy[i] = float(np.sum(w * (clipped * np.log(clipped))))
     production = np.diff(entropy) / np.diff(times)
     bound = -fisher * np.exp(-2.0 * times)
     m = float(np.sum(w * phi))
@@ -618,5 +625,4 @@ def entropy_trace(f, domain: ConvexDomain, t_grid,
         terminal_target=m * math.log(m),
         details={"resolution": _cells(op), "fisher": fisher,
                  "floor": ENTROPY_FLOOR, "mean_phi": m,
-                 "h": float(op.spacing.max()),
-                 **propagator_details(op, float(times[-1]), "expm")})
+                 "h": float(op.spacing.max()), **totals})

@@ -12,11 +12,12 @@ from scipy.special import ndtr
 from oulab.domains import (Ball, HalfspaceIntersection, Product, Slab,
                            UnsupportedDimension, WholeSpace, half_line,
                            interval, polygon_approximation, truncation_box)
-from oulab.engines.grid import (CLUSTER_TOL, DEFAULT_TAIL_MASS, DENSE_EIG_CAP,
+from oulab.engines.grid import (CLUSTER_TOL, DEFAULT_TAIL_MASS,
                                 _factor_symmetric, _poisson_weights,
                                 fd_gradient, grid_apply, grid_build,
                                 grid_spectrum, l2_norm, propagator_details,
                                 weighted_mean)
+from oulab.engines import grid
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.types import ResolutionTooCoarse, SolverError
 from oulab.expr import coordinate, exp, from_profile, var
@@ -322,6 +323,7 @@ UNIFORMIZED = [
     ("line", WholeSpace(1), 800),
     ("halfline", half_line(), 800),
     ("quadrant", quadrant_2d(), 40),
+    ("disc", Ball(center=[0.0, 0.0], radius=1.0), 40),
 ]
 
 
@@ -329,7 +331,8 @@ UNIFORMIZED = [
                          ids=[g[0] for g in UNIFORMIZED])
 def test_uniformized_expm_matches_dense_reference(name, dom, res):
     op = grid_build(dom, res)
-    assert op.weights.max() / op.weights.min() >= 1e10
+    # 1D meshes uniformize past the weight ratio cap, 2D meshes always
+    assert op.dim == 2 or op.weights.max() / op.weights.min() >= 1e10
     r = np.linalg.norm(op.nodes, axis=1)
     panel = [np.exp(-r * r),                    # the positivity bump
              (op.nodes[:, 0] > 1.0) * 1.0,      # zero on most of the mesh
@@ -397,6 +400,10 @@ def test_propagator_details_name_the_branch():
     assert propagator_details(ival, 0.5, "crank_nicolson") == \
         {"propagator": "crank_nicolson"}
     assert propagator_details(ival, 0.5, "expm") == {"propagator": "eigh"}
+    disc = grid_build(Ball(center=[0.0, 0.0], radius=1.0), 40)
+    assert disc.weights.max() / disc.weights.min() < 1e10
+    assert propagator_details(disc, 0.5, "expm")["propagator"] == \
+        "uniformized"
     info = propagator_details(line, 0.5, "expm")
     assert info["propagator"] == "uniformized"
     # Bernstein's tail bound puts the last term a few sqrt(qt) past qt
@@ -431,9 +438,7 @@ def test_tridiagonal_spectrum_matches_dense_eigh(dom, res):
 
 
 def test_tridiagonal_spectrum_on_a_long_line():
-    # 4000 cells: beyond DENSE_EIG_CAP, where shift-invert eigsh ran before
     op = grid_build(WholeSpace(1), 4000)
-    assert op.n_nodes > DENSE_EIG_CAP
     spec = grid_spectrum(op, 4)
     hermite = np.array([0.0, -1.0, -2.0, -3.0])
     assert np.abs(spec.eigenvalues - hermite).max() < 1e-4
@@ -444,9 +449,23 @@ def test_tridiagonal_spectrum_on_a_long_line():
     assert np.abs(np.sort(lam)[::-1] - spec.eigenvalues).max() < 1e-8
 
 
+SHIFT_INVERT = [
+    (Ball(center=[0.0, 0.0], radius=1.0), 9),
+    (quadrant_2d(), 8),
+    (WholeSpace(2), [8, 12]),
+    (polygon_approximation(Ball(center=[0.7, -0.4], radius=1.3), 16), 12),
+]
+
+
 def test_shift_invert_spectrum_on_a_large_2d_mesh():
+    for dom, res in SHIFT_INVERT:
+        op = grid_build(dom, res)
+        dense = np.linalg.eigvalsh(symmetrized(op))[::-1]
+        for k in (1, 4, op.n_nodes - 2):
+            spec = grid_spectrum(op, k)
+            assert spec.eigenvalues.shape == (k,)
+            assert np.abs(spec.eigenvalues - dense[:k]).max() < 1e-12
     op = grid_build(Ball(center=[0.0, 0.0], radius=1.0), 60)
-    assert op.n_nodes > DENSE_EIG_CAP
     spec = grid_spectrum(op, 4)
     lam = np.linalg.eigvalsh(symmetrized(op))[::-1][:4]
     assert np.abs(spec.eigenvalues - lam).max() < 1e-8
@@ -457,12 +476,49 @@ def test_shift_invert_spectrum_on_a_large_2d_mesh():
     assert steps[0] > CLUSTER_TOL and steps[1] <= CLUSTER_TOL < steps[2]
 
 
+@pytest.mark.parametrize("dom, res", [(quadrant_2d(), 40),
+                                      (WholeSpace(2), 100)],
+                         ids=["quadrant", "plane"])
+def test_2d_kernel_vector_is_constant_to_roundoff(dom, res):
+    op = grid_build(dom, res)
+    spec = grid_spectrum(op, 4)
+    kernel = spec.kernel_vector / np.mean(spec.kernel_vector)
+    assert np.abs(kernel - 1.0).max() < 1e-12
+    # W-normalized: unit L2(gamma) norm
+    assert abs(l2_norm(op, spec.kernel_vector) - 1.0) < 1e-12
+
+
+def test_2d_spectrum_is_repeatable():
+    op = grid_build(Ball(center=[0.0, 0.0], radius=1.0), 60)
+    first = grid_spectrum(op, 4)
+    # an unrelated eigsh call moves ARPACK's own random start vector
+    eigsh(sp.diags(np.arange(1.0, 51.0)), k=3)
+    second = grid_spectrum(op, 4)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5])
+@pytest.mark.parametrize("dom, res", [(interval(-1.0, 1.0), 100),
+                                      (Ball(center=[0.0, 0.0], radius=1.0),
+                                       40)], ids=["interval", "disc"])
+def test_spectrum_refuses_a_k_that_is_not_a_whole_number_at_least_one(
+        dom, res, k, monkeypatch):
+    op = grid_build(dom, res)
+
+    def no_solver(*args):
+        raise AssertionError("a solver ran")
+    monkeypatch.setattr(grid, "_symmetrized", no_solver)
+    monkeypatch.setattr(grid, "_factor_symmetric", no_solver)
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        grid_spectrum(op, k)
+
+
 @pytest.mark.parametrize("dom, res", [(WholeSpace(1), 400), (half_line(), 800),
                                       (interval(-1.0, 1.0), 300),
                                       (Ball(center=[0.0, 0.0], radius=1.0),
                                        40),
                                       (quadrant_2d(), 40),
-                                      # more than DENSE_EIG_CAP nodes
                                       (Ball(center=[0.0, 0.0], radius=1.0),
                                        60)])
 def test_symmetric_crank_nicolson_matches_the_unsymmetric_loop(dom, res):

@@ -12,7 +12,8 @@ from oulab.config import load_default_config
 from oulab.cylapprox import factorization_check
 from oulab.domains import (Ball, HalfspaceIntersection, Product, WholeSpace,
                            half_line, interval, polygon_approximation)
-from oulab.engines.grid import NotFinite, grid_apply, grid_build
+from oulab.engines.grid import (NotFinite, grid_apply, grid_build,
+                                propagator_details)
 from oulab.engines.mehler import mehler_apply
 from oulab.engines.montecarlo import mc_apply_many
 from oulab.inequalities import (BelowFloor, InequalityReport, check_decay,
@@ -532,11 +533,18 @@ def test_grid_checks_record_their_propagator():
     half = grid_build(half_line(), 400)
     trace = entropy_trace(f, half.domain, [0.0, 0.5, 1.0], op=half)
     assert trace.details["propagator"] == "uniformized"
-    # the count and the bounds are those of the largest time
-    one = entropy_trace(f, half.domain, [0.0, 1.0], op=half)
-    assert trace.details["poisson_terms"] == one.details["poisson_terms"]
+    # the counts and the bounds are summed over the two steps of 0.5; the
+    # step from 0 to the first time, 0, counts nothing
+    step = propagator_details(half, 0.5, "expm")
+    for key in ("poisson_terms", "truncation_bound", "roundoff_bound"):
+        assert trace.details[key] == step[key] + step[key]
     for rep in check_entropy(f, half.domain, [0.0, 0.5, 1.0], op=half):
-        assert rep.details["poisson_terms"] == one.details["poisson_terms"]
+        assert rep.details["poisson_terms"] == 2 * step["poisson_terms"]
+    # criterion 07's disc: a 2D expm always uniformizes
+    disc = grid_build(DISC, 40)
+    rep = check_positivity_and_contraction(
+        from_profile(var(1) ** 2, [[1.0, 0.0]]), DISC, 0.5, op=disc)
+    assert rep.passed and rep.details["propagator"] == "uniformized"
 
 
 
@@ -590,6 +598,37 @@ def test_entropy_trace_positive_affine():
     assert trace.is_nonincreasing()
     assert np.all(trace.production_margins() >= -1e-6)
     assert abs(trace.entropy[-1] - trace.terminal_target) < 1e-4
+
+
+def test_chained_entropy_trace_matches_evolving_each_time_from_zero():
+    cfg = load_default_config()
+    times, = [c["times"] for c in cfg.checks if c["kind"] == "entropy"]
+    f = from_profile(2 + tanh(var(1)), [[1.0]])
+    op = grid_build(half_line(), 800)
+    trace = entropy_trace(f, op.domain, times, op=op)
+    assert trace.details["propagator"] == "uniformized"
+    phi = op.sample(f) ** 2
+    w = op.prob_weights
+    # every evolved square lies in [min phi, max phi] = [1, 9], where
+    # x log x moves by at most |1 + log x| <= 1 + log 9 per unit of x
+    slope = 1.0 + math.log(float(phi.max()))
+    chained, terms = 0.0, 0
+    for i, (t, step) in enumerate(zip(times, np.diff(times, prepend=0.0))):
+        own = 0.0
+        if step > 0:
+            info = propagator_details(op, step, "expm")
+            chained += info["truncation_bound"] + info["roundoff_bound"]
+            terms += info["poisson_terms"]
+            info = propagator_details(op, t, "expm")
+            own = info["truncation_bound"] + info["roundoff_bound"]
+        ref = grid_apply(op, phi, t, scheme="expm")
+        expected = float(np.sum(w * (ref * np.log(ref))))
+        # both sums round each term and add n of them pairwise
+        allowed = ((chained + own) * float(phi.max()) * slope
+                   + 2.0 * math.log2(op.n_nodes) * 2.0 ** -53
+                   * float(np.sum(w * np.abs(ref * np.log(ref)))))
+        assert abs(trace.entropy[i] - expected) <= allowed
+    assert trace.details["poisson_terms"] == terms
 
 
 def test_entropy_reports():
